@@ -196,10 +196,83 @@ func ctxReason(err error) IncompleteReason {
 	return IncompleteCanceled
 }
 
+// node is a search node: a machine state, the last step of the schedule
+// that reached it, and that schedule's length.
 type node struct {
 	m     *program.Machine
-	trace []string
+	step  *step
 	depth int
+}
+
+// step is one scheduling choice, linked to the step before it. Nodes share
+// their schedule's prefix through the parent pointers, so a node costs one
+// step however deep it is; Violation.Trace strings are built only when a
+// violation is reported.
+type step struct {
+	parent   *step
+	internal bool   // an internal memory action rather than a thread step
+	index    int    // thread index, or internal-action index
+	desc     string // the internal action's description
+}
+
+// String renders the step as it appears in Violation.Trace.
+func (s step) String() string {
+	if s.internal {
+		return fmt.Sprintf("internal %d (%s)", s.index, s.desc)
+	}
+	return fmt.Sprintf("thread %d", s.index)
+}
+
+// trace renders the schedule ending in s, oldest step first.
+func (s *step) trace() []string {
+	n := 0
+	for p := s; p != nil; p = p.parent {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for p := s; p != nil; p = p.parent {
+		n--
+		out[n] = p.String()
+	}
+	return out
+}
+
+// violation reports the invariant failure err at node n.
+func (n node) violation(err error) Violation {
+	return Violation{
+		Err:     err,
+		Trace:   n.step.trace(),
+		History: n.m.Mem().Recorder().System(),
+		State:   n.m,
+	}
+}
+
+// successors generates n's children, program steps first, then internal
+// actions, in index order, passing each stepped clone and the step that
+// produced it to yield. The step is a value, so a child the search drops
+// costs no step allocation.
+func (n node) successors(yield func(*program.Machine, step)) error {
+	for _, ti := range n.m.Runnable() {
+		child := n.m.Clone()
+		if err := child.StepThread(ti); err != nil {
+			return fmt.Errorf("explore: step thread %d: %w", ti, err)
+		}
+		yield(child, step{parent: n.step, index: ti})
+	}
+	for ii, desc := range n.m.Mem().Internal() {
+		child := n.m.Clone()
+		child.Mem().Step(ii)
+		yield(child, step{parent: n.step, internal: true, index: ii, desc: desc})
+	}
+	return nil
+}
+
+// child returns the search node for a kept successor of n.
+func (n node) child(m *program.Machine, st step) node {
+	return node{m: m, step: &st, depth: n.depth + 1}
 }
 
 // Exhaustive explores every schedule of the machine (program steps and
@@ -278,9 +351,8 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
-	visited := map[string]bool{}
+	visited := map[string]struct{}{m0.Fingerprint(): {}}
 	stack := []node{{m: m0.Clone()}}
-	visited[m0.Fingerprint()] = true
 
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -288,6 +360,7 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			return res, nil
 		}
 		n := stack[len(stack)-1]
+		stack[len(stack)-1] = node{} // let the popped machine be collected
 		stack = stack[:len(stack)-1]
 		res.States++
 		var nFP string
@@ -296,12 +369,7 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 		}
 
 		if err := inv(n.m); err != nil {
-			res.Violations = append(res.Violations, Violation{
-				Err:     err,
-				Trace:   n.trace,
-				History: n.m.Mem().Recorder().System(),
-				State:   n.m,
-			})
+			res.Violations = append(res.Violations, n.violation(err))
 			if opts.StopAtFirst {
 				res.truncate(IncompleteFirstViolation)
 				return res, nil
@@ -328,32 +396,20 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			continue
 		}
 
-		expand := func(child *program.Machine, step string) {
+		err := n.successors(func(child *program.Machine, st step) {
 			res.Transitions++
 			fp := child.Fingerprint()
 			if opts.TrackProgress {
 				res.edges[nFP] = append(res.edges[nFP], fp)
 			}
-			if visited[fp] {
+			if _, ok := visited[fp]; ok {
 				return
 			}
-			visited[fp] = true
-			trace := make([]string, len(n.trace), len(n.trace)+1)
-			copy(trace, n.trace)
-			stack = append(stack, node{m: child, trace: append(trace, step), depth: n.depth + 1})
-		}
-
-		for _, ti := range n.m.Runnable() {
-			child := n.m.Clone()
-			if err := child.StepThread(ti); err != nil {
-				return res, fmt.Errorf("explore: step thread %d: %w", ti, err)
-			}
-			expand(child, fmt.Sprintf("thread %d", ti))
-		}
-		for ii, desc := range n.m.Mem().Internal() {
-			child := n.m.Clone()
-			child.Mem().Step(ii)
-			expand(child, fmt.Sprintf("internal %d (%s)", ii, desc))
+			visited[fp] = struct{}{}
+			stack = append(stack, n.child(child, st))
+		})
+		if err != nil {
+			return res, err
 		}
 	}
 	if opts.TrackProgress && res.Complete {
@@ -458,13 +514,13 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 			if len(internal) > 0 && (len(runnable) == 0 || rng.Float64() < pInternal) {
 				ii := rng.Intn(len(internal))
 				m.Mem().Step(ii)
-				trace = append(trace, fmt.Sprintf("internal %d (%s)", ii, internal[ii]))
+				trace = append(trace, step{internal: true, index: ii, desc: internal[ii]}.String())
 			} else {
 				ti := runnable[rng.Intn(len(runnable))]
 				if err := m.StepThread(ti); err != nil {
 					return violations, first, err
 				}
-				trace = append(trace, fmt.Sprintf("thread %d", ti))
+				trace = append(trace, step{index: ti}.String())
 			}
 			if e := inv(m); e != nil {
 				violations++

@@ -2,8 +2,6 @@ package explore
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/pool"
@@ -11,34 +9,41 @@ import (
 )
 
 // This file holds the frontier-parallel breadth-first search behind
-// Exhaustive. The search proceeds level by level: every state on the
-// current frontier is expanded concurrently (invariant check, terminal
-// check, child generation — the expensive machine cloning and stepping),
-// then the results are merged sequentially in frontier order. All shared
-// bookkeeping — state/transition counts, violation reporting, progress
-// edges, frontier-set membership — happens in the merge, so the result is
-// bit-for-bit deterministic no matter how the workers are scheduled, and on
-// complete explorations the counts equal the sequential depth-first
-// search's (the visited-state set of a dedup-at-push search is independent
-// of search order). The seen-set is striped across mutexes so expansion
-// workers can pre-filter children against previous levels concurrently.
+// Exhaustive. The search proceeds level by level, and each level in chunks
+// of at most mergeChunk frontier states: every state of a chunk is expanded
+// concurrently (invariant check, terminal check, child generation — the
+// expensive machine cloning and stepping), then the chunk's results are
+// merged sequentially in frontier order, and each frontier state is dropped
+// once merged. All shared bookkeeping — state/transition counts, violation
+// reporting, progress edges, seen-set membership — happens in the merge, so
+// the result is bit-for-bit deterministic no matter how the workers are
+// scheduled, and on complete explorations the counts equal the sequential
+// depth-first search's (the visited-state set of a dedup-at-push search is
+// independent of search order). Chunking bounds the expansions held at
+// once: a level's children live only as long as their chunk's merge. The
+// seen-set is striped across mutexes so expansion workers can pre-filter
+// children concurrently; it only grows, so a child it already holds is one
+// the merge would drop anyway.
+
+// mergeChunk is the number of frontier states expanded before a merge.
+const mergeChunk = 1024
 
 // childEdge is one generated transition: the stepped clone, the choice that
 // produced it, and its fingerprint.
 type childEdge struct {
 	m    *program.Machine
-	step string
+	step step
 	fp   string
 }
 
 // expansion is what one worker produces for one frontier node.
 type expansion struct {
 	fp        string // the node's own fingerprint (TrackProgress only)
-	violation *Violation
+	violation error
 	terminal  bool
 	err       error
 	children  []childEdge
-	// dropped counts children pre-filtered against earlier levels; they
+	// dropped counts children pre-filtered against the seen-set; they
 	// are still transitions and the merge counts them as such.
 	dropped int
 }
@@ -54,73 +59,75 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 	frontier := []node{{m: m0.Clone()}}
 
 	for len(frontier) > 0 {
-		// Expansion phase: workers fill exps[i] from frontier[i]; the
-		// seen-set is only read (it is frozen between merges), so the
-		// pre-filter is deterministic. A cancelled context short-circuits
-		// remaining expansions (the whole level is then discarded, so the
-		// empty expansions never reach the merge); a worker panic is
-		// contained by the pool and surfaces as a *pool.PanicError.
-		exps := make([]expansion, len(frontier))
-		if err := pool.Indexed(workers, len(frontier), func(i int) {
-			if ctx.Err() != nil {
-				return
-			}
-			exps[i] = expand(frontier[i], opts, inv, seen)
-		}); err != nil {
-			return res, err
-		}
-		if err := ctx.Err(); err != nil {
-			res.truncate(ctxReason(err))
-			return res, nil
-		}
-
-		// Merge phase: sequential, in frontier order.
 		var next []node
-		for i := range frontier {
-			n, exp := frontier[i], &exps[i]
-			res.States++
-			if exp.err != nil {
-				return res, exp.err
-			}
-			if exp.violation != nil {
-				res.Violations = append(res.Violations, *exp.violation)
-				if opts.StopAtFirst {
-					res.truncate(IncompleteFirstViolation)
-					return res, nil
+		for lo := 0; lo < len(frontier); lo += mergeChunk {
+			chunk := frontier[lo:min(lo+mergeChunk, len(frontier))]
+			// Expansion phase: workers fill exps[i] from chunk[i]; the
+			// seen-set is only read (it is frozen between merges). A
+			// cancelled context short-circuits remaining expansions (the
+			// whole chunk is then discarded, so the empty expansions
+			// never reach the merge); a worker panic is contained by the
+			// pool and surfaces as a *pool.PanicError.
+			exps := make([]expansion, len(chunk))
+			if err := pool.Indexed(workers, len(chunk), func(i int) {
+				if ctx.Err() != nil {
+					return
 				}
-				continue // do not explore past a violation
+				exps[i] = expand(chunk[i], opts, inv, seen)
+			}); err != nil {
+				return res, err
 			}
-			if exp.terminal {
-				res.TerminalStates++
-				if opts.TrackProgress {
-					res.terminals = append(res.terminals, exp.fp)
+			if err := ctx.Err(); err != nil {
+				res.truncate(ctxReason(err))
+				return res, nil
+			}
+
+			// Merge phase: sequential, in frontier order.
+			for i := range chunk {
+				n, exp := chunk[i], &exps[i]
+				chunk[i] = node{}
+				res.States++
+				if exp.err != nil {
+					return res, exp.err
 				}
-				if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
-					res.truncate(IncompleteCallbackStop)
-					return res, nil
+				if exp.violation != nil {
+					res.Violations = append(res.Violations, n.violation(exp.violation))
+					if opts.StopAtFirst {
+						res.truncate(IncompleteFirstViolation)
+						return res, nil
+					}
+					continue // do not explore past a violation
 				}
-				continue
-			}
-			if n.depth >= opts.MaxDepth {
-				res.truncate(IncompleteMaxDepth)
-				continue
-			}
-			if res.States >= opts.MaxStates {
-				res.truncate(IncompleteMaxStates)
-				continue
-			}
-			res.Transitions += exp.dropped
-			for _, c := range exp.children {
-				res.Transitions++
-				if opts.TrackProgress {
-					res.edges[exp.fp] = append(res.edges[exp.fp], c.fp)
-				}
-				if !seen.Add(c.fp) {
+				if exp.terminal {
+					res.TerminalStates++
+					if opts.TrackProgress {
+						res.terminals = append(res.terminals, exp.fp)
+					}
+					if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
+						res.truncate(IncompleteCallbackStop)
+						return res, nil
+					}
 					continue
 				}
-				trace := make([]string, len(n.trace), len(n.trace)+1)
-				copy(trace, n.trace)
-				next = append(next, node{m: c.m, trace: append(trace, c.step), depth: n.depth + 1})
+				if n.depth >= opts.MaxDepth {
+					res.truncate(IncompleteMaxDepth)
+					continue
+				}
+				if res.States >= opts.MaxStates {
+					res.truncate(IncompleteMaxStates)
+					continue
+				}
+				res.Transitions += exp.dropped
+				for _, c := range exp.children {
+					res.Transitions++
+					if opts.TrackProgress {
+						res.edges[exp.fp] = append(res.edges[exp.fp], c.fp)
+					}
+					if !seen.Add(c.fp) {
+						continue
+					}
+					next = append(next, n.child(c.m, c.step))
+				}
 			}
 		}
 		frontier = next
@@ -141,12 +148,7 @@ func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
 		exp.fp = n.m.Fingerprint()
 	}
 	if err := inv(n.m); err != nil {
-		exp.violation = &Violation{
-			Err:     err,
-			Trace:   n.trace,
-			History: n.m.Mem().Recorder().System(),
-			State:   n.m,
-		}
+		exp.violation = err
 		return exp
 	}
 	if n.m.Halted() && len(n.m.Mem().Internal()) == 0 {
@@ -156,28 +158,14 @@ func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
 	if n.depth >= opts.MaxDepth {
 		return exp
 	}
-
-	add := func(child *program.Machine, step string) {
+	exp.err = n.successors(func(child *program.Machine, st step) {
 		fp := child.Fingerprint()
 		if !opts.TrackProgress && seen.Has(fp) {
-			exp.dropped++ // already reached at an earlier level
+			exp.dropped++ // already reached
 			return
 		}
-		exp.children = append(exp.children, childEdge{m: child, step: step, fp: fp})
-	}
-	for _, ti := range n.m.Runnable() {
-		child := n.m.Clone()
-		if err := child.StepThread(ti); err != nil {
-			exp.err = fmt.Errorf("explore: step thread %d: %w", ti, err)
-			return exp
-		}
-		add(child, fmt.Sprintf("thread %d", ti))
-	}
-	for ii, desc := range n.m.Mem().Internal() {
-		child := n.m.Clone()
-		child.Mem().Step(ii)
-		add(child, fmt.Sprintf("internal %d (%s)", ii, desc))
-	}
+		exp.children = append(exp.children, childEdge{m: child, step: st, fp: fp})
+	})
 	return exp
 }
 
@@ -186,32 +174,35 @@ func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
 type stripedSet struct {
 	shards [64]struct {
 		mu sync.Mutex
-		m  map[string]bool
+		m  map[string]struct{}
 	}
 }
 
 func newStripedSet() *stripedSet {
 	s := &stripedSet{}
 	for i := range s.shards {
-		s.shards[i].m = map[string]bool{}
+		s.shards[i].m = map[string]struct{}{}
 	}
 	return s
 }
 
 func (s *stripedSet) shard(key string) *struct {
 	mu sync.Mutex
-	m  map[string]bool
+	m  map[string]struct{}
 } {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &s.shards[h.Sum32()%uint32(len(s.shards))]
+	// FNV-1a, inline so a probe allocates nothing.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &s.shards[h%uint32(len(s.shards))]
 }
 
 // Has reports membership.
 func (s *stripedSet) Has(key string) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	ok := sh.m[key]
+	_, ok := sh.m[key]
 	sh.mu.Unlock()
 	return ok
 }
@@ -220,8 +211,10 @@ func (s *stripedSet) Has(key string) bool {
 func (s *stripedSet) Add(key string) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	fresh := !sh.m[key]
-	sh.m[key] = true
+	_, dup := sh.m[key]
+	if !dup {
+		sh.m[key] = struct{}{}
+	}
 	sh.mu.Unlock()
-	return fresh
+	return !dup
 }

@@ -325,8 +325,10 @@ func (b *Builder) AddProc() Proc {
 	return Proc(len(b.procs) - 1)
 }
 
-// Clone returns a deep copy of the Builder. State-space explorers clone
-// recorded prefixes when branching.
+// Clone returns a deep copy of the Builder, which then evolves
+// independently. The simulators' recorders do not use it: they share
+// recorded prefixes between branches and build a Builder only when a
+// history is requested.
 func (b *Builder) Clone() *Builder {
 	c := &Builder{procs: make([][]Op, len(b.procs))}
 	for p, ops := range b.procs {

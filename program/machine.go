@@ -1,6 +1,7 @@
 package program
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -68,7 +69,14 @@ func (m *Machine) Runnable() []int {
 }
 
 // Halted reports whether every thread has halted.
-func (m *Machine) Halted() bool { return len(m.Runnable()) == 0 }
+func (m *Machine) Halted() bool {
+	for i := range m.threads {
+		if !m.threads[i].halted {
+			return false
+		}
+	}
+	return true
+}
 
 // InCS reports how many threads are currently inside their critical
 // sections — the mutual-exclusion invariant is InCS() <= 1.
@@ -185,14 +193,22 @@ func (m *Machine) Registers(i int) map[string]int {
 	return out
 }
 
-// Clone deep-copies the machine, including its memory (and the memory's
-// recorded history). Compiled code is shared.
+// Clone copies the machine, including its memory (the memory's recorded
+// history is shared as an immutable prefix). Compiled code is shared. All
+// threads' registers are copied into one backing array.
 func (m *Machine) Clone() *Machine {
+	n := 0
+	for _, t := range m.threads {
+		n += len(t.regs)
+	}
+	regs := make([]int, 0, n)
 	c := &Machine{mem: m.mem.Clone(), progs: m.progs, threads: make([]threadState, len(m.threads))}
 	for i, t := range m.threads {
+		start := len(regs)
+		regs = append(regs, t.regs...)
 		c.threads[i] = threadState{
 			pc:     t.pc,
-			regs:   append([]int(nil), t.regs...),
+			regs:   regs[start:len(regs):len(regs)],
 			inCS:   t.inCS,
 			halted: t.halted,
 		}
@@ -200,14 +216,33 @@ func (m *Machine) Clone() *Machine {
 	return c
 }
 
-// Fingerprint canonically encodes the machine's live state — thread pcs,
-// registers, critical-section flags and the memory's live state — for
-// visited-state detection. Recorded history is deliberately excluded.
+// Fingerprint canonically and exactly encodes the machine's live state —
+// thread pcs, registers, critical-section and halt flags, then the
+// memory's live state — as a binary string for visited-state detection.
+// Integers are varints and the register vector is length-prefixed.
+// Recorded history is deliberately excluded.
 func (m *Machine) Fingerprint() string {
-	var sb strings.Builder
-	for i, t := range m.threads {
-		fmt.Fprintf(&sb, "t%d:%d/%v/%v/%v;", i, t.pc, t.regs, t.inCS, t.halted)
+	var arr [128]byte
+	buf := arr[:0]
+	for _, t := range m.threads {
+		buf = binary.AppendVarint(buf, int64(t.pc))
+		buf = binary.AppendUvarint(buf, uint64(len(t.regs)))
+		for _, r := range t.regs {
+			buf = binary.AppendVarint(buf, int64(r))
+		}
+		var flags byte
+		if t.inCS {
+			flags |= 1
+		}
+		if t.halted {
+			flags |= 2
+		}
+		buf = append(buf, flags)
 	}
-	sb.WriteString(m.mem.Fingerprint())
+	mem := m.mem.Fingerprint()
+	var sb strings.Builder
+	sb.Grow(len(buf) + len(mem))
+	sb.Write(buf)
+	sb.WriteString(mem)
 	return sb.String()
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/history"
 )
@@ -19,7 +21,7 @@ type CausalMemory struct {
 	stores  []map[history.Loc]cell
 	clocks  [][]int       // clocks[p][q] = number of q's writes applied at p
 	pending [][]causalMsg // per receiver, arbitrary order
-	rec     *Recorder
+	rec     Recorder
 }
 
 type causalMsg struct {
@@ -41,7 +43,7 @@ func NewCausal(nprocs int) *CausalMemory {
 		m.stores[p] = make(map[history.Loc]cell)
 		m.clocks[p] = make([]int, nprocs)
 	}
-	m.rec = NewRecorder(nprocs)
+	m.rec = newRecorder(nprocs)
 	return m
 }
 
@@ -129,10 +131,10 @@ func (m *CausalMemory) Clone() Memory {
 		stores:  make([]map[history.Loc]cell, m.nprocs),
 		clocks:  make([][]int, m.nprocs),
 		pending: make([][]causalMsg, m.nprocs),
-		rec:     m.rec.Clone(),
+		rec:     m.rec,
 	}
 	for p := range m.stores {
-		c.stores[p] = cloneStore(m.stores[p])
+		c.stores[p] = maps.Clone(m.stores[p])
 		c.clocks[p] = append([]int(nil), m.clocks[p]...)
 		c.pending[p] = append([]causalMsg(nil), m.pending[p]...)
 	}
@@ -147,29 +149,30 @@ func (m *CausalMemory) Clone() Memory {
 func (m *CausalMemory) Fingerprint() string {
 	f := newFingerprinter()
 	for p, store := range m.stores {
-		f.raw("|s%d:%v:", p, m.clocks[p])
-		f.cells(store)
+		f.ints(m.clocks[p])
+		f.store(store)
 	}
 	for r := range m.pending {
-		if len(m.pending[r]) == 0 {
-			continue
-		}
-		msgs := append([]causalMsg(nil), m.pending[r]...)
-		sort.Slice(msgs, func(i, j int) bool {
-			a, b := msgs[i], msgs[j]
-			if a.sender != b.sender {
-				return a.sender < b.sender
+		// Pending updates are delivered in any order, so they are
+		// encoded sorted. A sender's writes carry distinct clocks, so
+		// (sender, clock) is a key.
+		msgs := slices.Clone(m.pending[r])
+		slices.SortFunc(msgs, func(a, b causalMsg) int {
+			if c := cmp.Compare(a.sender, b.sender); c != 0 {
+				return c
 			}
-			return fmt.Sprint(a.vc) < fmt.Sprint(b.vc)
+			return slices.Compare(a.vc, b.vc)
 		})
-		f.raw("|q%d:", r)
+		f.int(len(msgs))
 		for _, msg := range msgs {
-			f.raw("%d/%v/%s/", msg.sender, msg.vc, msg.loc)
+			f.int(int(msg.sender))
+			f.ints(msg.vc)
+			f.loc(msg.loc)
 			f.cell(msg.loc, msg.cell)
 		}
 	}
-	return f.String()
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *CausalMemory) Recorder() *Recorder { return m.rec }
+func (m *CausalMemory) Recorder() *Recorder { return &m.rec }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/history"
 )
@@ -25,7 +26,7 @@ type PRAMMemory struct {
 	stores   []map[history.Loc]cell
 	channels [][][]update // channels[sender][receiver], oldest first
 	versions map[history.Loc]int
-	rec      *Recorder
+	rec      Recorder
 }
 
 // NewPRAM returns a PRAM memory for nprocs processors.
@@ -43,7 +44,7 @@ func newReplicated(name string, nprocs int, coherent bool) *PRAMMemory {
 		stores:   make([]map[history.Loc]cell, nprocs),
 		channels: make([][][]update, nprocs),
 		versions: make(map[history.Loc]int),
-		rec:      NewRecorder(nprocs),
+		rec:      newRecorder(nprocs),
 	}
 	for p := range m.stores {
 		m.stores[p] = make(map[history.Loc]cell)
@@ -160,10 +161,10 @@ func (m *PRAMMemory) Clone() Memory {
 		stores:   make([]map[history.Loc]cell, m.nprocs),
 		channels: make([][][]update, m.nprocs),
 		versions: make(map[history.Loc]int, len(m.versions)),
-		rec:      m.rec.Clone(),
+		rec:      m.rec,
 	}
 	for p := range m.stores {
-		c.stores[p] = cloneStore(m.stores[p])
+		c.stores[p] = maps.Clone(m.stores[p])
 		c.channels[p] = make([][]update, m.nprocs)
 		for q := range m.channels[p] {
 			c.channels[p][q] = append([]update(nil), m.channels[p][q]...)
@@ -178,20 +179,16 @@ func (m *PRAMMemory) Clone() Memory {
 // Fingerprint implements Memory.
 func (m *PRAMMemory) Fingerprint() string {
 	f := newFingerprinter()
-	for p, store := range m.stores {
-		f.raw("|s%d:", p)
-		f.cells(store)
+	for _, store := range m.stores {
+		f.store(store)
 	}
 	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) > 0 {
-				f.raw("|c%d.%d:", s, r)
-				f.queue(ch)
-			}
+		for _, ch := range m.channels[s] {
+			f.queue(ch)
 		}
 	}
-	return f.String()
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *PRAMMemory) Recorder() *Recorder { return m.rec }
+func (m *PRAMMemory) Recorder() *Recorder { return &m.rec }

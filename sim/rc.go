@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/history"
 )
@@ -34,7 +35,7 @@ type RCMemory struct {
 	stores    []map[history.Loc]cell
 	channels  [][][]update // channels[sender][receiver]
 	versions  map[history.Loc]int
-	rec       *Recorder
+	rec       Recorder
 }
 
 // NewRCsc returns a release-consistent memory whose labeled operations are
@@ -54,7 +55,7 @@ func newRC(name string, nprocs int, labeledSC bool) *RCMemory {
 		stores:    make([]map[history.Loc]cell, nprocs),
 		channels:  make([][][]update, nprocs),
 		versions:  make(map[history.Loc]int),
-		rec:       NewRecorder(nprocs),
+		rec:       newRecorder(nprocs),
 	}
 	for p := range m.stores {
 		m.stores[p] = make(map[history.Loc]cell)
@@ -177,14 +178,14 @@ func (m *RCMemory) Clone() Memory {
 		name:      m.name,
 		nprocs:    m.nprocs,
 		labeledSC: m.labeledSC,
-		syncStore: cloneStore(m.syncStore),
+		syncStore: maps.Clone(m.syncStore),
 		stores:    make([]map[history.Loc]cell, m.nprocs),
 		channels:  make([][][]update, m.nprocs),
 		versions:  make(map[history.Loc]int, len(m.versions)),
-		rec:       m.rec.Clone(),
+		rec:       m.rec,
 	}
 	for p := range m.stores {
-		c.stores[p] = cloneStore(m.stores[p])
+		c.stores[p] = maps.Clone(m.stores[p])
 		c.channels[p] = make([][]update, m.nprocs)
 		for q := range m.channels[p] {
 			c.channels[p][q] = append([]update(nil), m.channels[p][q]...)
@@ -199,22 +200,17 @@ func (m *RCMemory) Clone() Memory {
 // Fingerprint implements Memory.
 func (m *RCMemory) Fingerprint() string {
 	f := newFingerprinter()
-	f.raw("sync:")
-	f.cells(m.syncStore)
-	for p, store := range m.stores {
-		f.raw("|s%d:", p)
-		f.cells(store)
+	f.store(m.syncStore)
+	for _, store := range m.stores {
+		f.store(store)
 	}
 	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) > 0 {
-				f.raw("|c%d.%d:", s, r)
-				f.queue(ch)
-			}
+		for _, ch := range m.channels[s] {
+			f.queue(ch)
 		}
 	}
-	return f.String()
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *RCMemory) Recorder() *Recorder { return m.rec }
+func (m *RCMemory) Recorder() *Recorder { return &m.rec }

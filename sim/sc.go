@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"maps"
+
 	"repro/history"
 )
 
@@ -11,7 +13,7 @@ import (
 type SCMemory struct {
 	nprocs int
 	store  map[history.Loc]cell
-	rec    *Recorder
+	rec    Recorder
 }
 
 // NewSC returns a sequentially consistent memory for nprocs processors.
@@ -19,7 +21,7 @@ func NewSC(nprocs int) *SCMemory {
 	return &SCMemory{
 		nprocs: nprocs,
 		store:  make(map[history.Loc]cell),
-		rec:    NewRecorder(nprocs),
+		rec:    newRecorder(nprocs),
 	}
 }
 
@@ -50,15 +52,15 @@ func (m *SCMemory) Step(int) { panic("sim: SC memory has no internal actions") }
 
 // Clone implements Memory.
 func (m *SCMemory) Clone() Memory {
-	return &SCMemory{nprocs: m.nprocs, store: cloneStore(m.store), rec: m.rec.Clone()}
+	return &SCMemory{nprocs: m.nprocs, store: maps.Clone(m.store), rec: m.rec}
 }
 
 // Fingerprint implements Memory.
 func (m *SCMemory) Fingerprint() string {
 	f := newFingerprinter()
-	f.cells(m.store)
-	return f.String()
+	f.store(m.store)
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *SCMemory) Recorder() *Recorder { return m.rec }
+func (m *SCMemory) Recorder() *Recorder { return &m.rec }

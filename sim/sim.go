@@ -28,9 +28,11 @@
 package sim
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
 
 	"repro/history"
 )
@@ -39,9 +41,11 @@ import (
 // a processor's next operation synchronously (the operation "issues" and
 // the local effect happens immediately); Internal lists the currently
 // enabled internal transitions (deliveries, drains), and Step performs one.
-// Clone must deep-copy all state including the recorder; Fingerprint must
-// canonically encode the live state (excluding the recorder) so explorers
-// can detect revisited states.
+// Clone must copy all state so that the clone and the original evolve
+// independently; the recorder's recorded prefix may be shared (see
+// Recorder), since recorded operations are never mutated. Fingerprint must
+// canonically and exactly encode the live state (excluding the recorder)
+// so explorers can detect revisited states.
 type Memory interface {
 	// Name identifies the simulated memory model, matching the
 	// corresponding checker's name in package model where one exists.
@@ -59,9 +63,10 @@ type Memory interface {
 	Internal() []string
 	// Step performs the i-th enabled internal action.
 	Step(i int)
-	// Clone returns a deep copy.
+	// Clone returns an independent copy.
 	Clone() Memory
-	// Fingerprint canonically encodes live state (not the recorder).
+	// Fingerprint canonically encodes live state (not the recorder) as
+	// an exact binary string.
 	Fingerprint() string
 	// Recorder returns the tagged-history recorder.
 	Recorder() *Recorder
@@ -89,9 +94,29 @@ type update struct {
 // processor's own progress, never on the global interleaving — states that
 // differ only in interleaving history fingerprint identically, which keeps
 // exhaustive exploration from fragmenting.
+//
+// The recorded operations form a persistent list, newest first: recording
+// an operation prepends a node and never mutates an existing one, so a
+// Recorder and its clones share the prefix they had in common when the
+// clone was taken. Cloning is therefore O(1) — copying the Recorder value
+// is a clone — and System builds the history on demand.
 type Recorder struct {
-	b       *history.Builder
+	nprocs int
+	last   *recOp // most recent operation; nil when empty
+	n      int
+	// nextSeq[p] is the number of writes p has recorded. It is shared
+	// between clones and replaced, never mutated, on a write.
 	nextSeq []history.Value
+}
+
+// recOp is one recorded operation in a Recorder's persistent list.
+type recOp struct {
+	prev    *recOp
+	proc    history.Proc
+	write   bool
+	labeled bool
+	loc     history.Loc
+	val     history.Value
 }
 
 // tagStride separates per-processor tag ranges; a single processor may
@@ -100,47 +125,81 @@ const tagStride = 1 << 20
 
 // NewRecorder returns a Recorder for nprocs processors.
 func NewRecorder(nprocs int) *Recorder {
-	return &Recorder{b: history.NewBuilder(nprocs), nextSeq: make([]history.Value, nprocs)}
+	r := newRecorder(nprocs)
+	return &r
+}
+
+func newRecorder(nprocs int) Recorder {
+	return Recorder{nprocs: nprocs, nextSeq: make([]history.Value, nprocs)}
+}
+
+func (r *Recorder) record(p history.Proc, write, labeled bool, loc history.Loc, v history.Value) {
+	if int(p) < 0 || int(p) >= r.nprocs {
+		panic(fmt.Sprintf("sim: Recorder: processor %d out of range [0,%d)", p, r.nprocs))
+	}
+	r.last = &recOp{prev: r.last, proc: p, write: write, labeled: labeled, loc: loc, val: v}
+	r.n++
 }
 
 // Write records a write and returns its fresh tag.
 func (r *Recorder) Write(p history.Proc, loc history.Loc, labeled bool) history.Value {
-	r.nextSeq[p]++
-	tag := history.Value(int(p)*tagStride) + r.nextSeq[p]
-	if labeled {
-		r.b.Release(p, loc, tag)
-	} else {
-		r.b.Write(p, loc, tag)
-	}
+	seq := slices.Clone(r.nextSeq)
+	seq[p]++
+	r.nextSeq = seq
+	tag := history.Value(int(p)*tagStride) + seq[p]
+	r.record(p, true, labeled, loc, tag)
 	return tag
 }
 
 // Read records a read that observed the write with the given tag (0 for
 // the initial value).
 func (r *Recorder) Read(p history.Proc, loc history.Loc, tag history.Value, labeled bool) {
-	if labeled {
-		r.b.Acquire(p, loc, tag)
-	} else {
-		r.b.Read(p, loc, tag)
-	}
+	r.record(p, false, labeled, loc, tag)
 }
 
 // System returns the recorded history so far.
-func (r *Recorder) System() *history.System { return r.b.System() }
-
-// Len returns the number of recorded operations.
-func (r *Recorder) Len() int { return r.b.NumRecorded() }
-
-// Clone deep-copies the recorder.
-func (r *Recorder) Clone() *Recorder {
-	return &Recorder{b: r.b.Clone(), nextSeq: append([]history.Value(nil), r.nextSeq...)}
+func (r *Recorder) System() *history.System {
+	ops := make([]*recOp, r.n)
+	for o, i := r.last, r.n-1; o != nil; o, i = o.prev, i-1 {
+		ops[i] = o
+	}
+	b := history.NewBuilder(r.nprocs)
+	for _, o := range ops {
+		switch {
+		case o.write && o.labeled:
+			b.Release(o.proc, o.loc, o.val)
+		case o.write:
+			b.Write(o.proc, o.loc, o.val)
+		case o.labeled:
+			b.Acquire(o.proc, o.loc, o.val)
+		default:
+			b.Read(o.proc, o.loc, o.val)
+		}
+	}
+	return b.System()
 }
 
-// fingerprinter builds a canonical state encoding for visited-state
-// detection. Raw tags and versions grow monotonically with every write —
-// a program that writes in a retry loop would make semantically identical
-// states fingerprint differently and blow up exhaustive exploration — so
-// they are canonicalized per state:
+// Len returns the number of recorded operations.
+func (r *Recorder) Len() int { return r.n }
+
+// Clone returns an independent recorder that shares r's recorded prefix.
+// Later operations recorded on either one are invisible to the other.
+func (r *Recorder) Clone() *Recorder {
+	c := *r
+	return &c
+}
+
+// fingerprinter builds a canonical binary state encoding for visited-state
+// detection. The encoding is exact — no hashing — so two states share a
+// fingerprint only if they are equal up to the canonicalization below.
+// Integers are varints, location names are length-prefixed, and every
+// variable-length section (a replica, a queue, a clock) starts with its
+// length, so the encoding of a state is unambiguous.
+//
+// Raw tags and versions grow monotonically with every write — a program
+// that writes in a retry loop would make semantically identical states
+// fingerprint differently and blow up exhaustive exploration — so they are
+// canonicalized per state:
 //
 //   - tags are renamed by first appearance (only tag EQUALITY matters:
 //     tags decide which write a read records, never future behaviour);
@@ -150,97 +209,122 @@ func (r *Recorder) Clone() *Recorder {
 //     a version above all existing ones).
 //
 // Two states with equal canonical fingerprints are bisimilar for invariant
-// reachability.
+// reachability. Fingerprinters are pooled; finish returns one to the pool.
 type fingerprinter struct {
-	sb       strings.Builder
-	tags     map[history.Value]int
-	versions map[history.Loc][]int // collected raw versions per location
-	tokens   []fpToken
+	raw   []byte          // literal bytes, with the cells spliced in by finish
+	cells []fpCell        // canonicalizable cells, in encoding order
+	vers  []locVer        // every (location, version) pair seen, for ranking
+	tags  []history.Value // raw tags by canonical id
+	locs  []history.Loc   // scratch for sorting a replica's locations
+	out   []byte
 }
 
-type fpToken struct {
-	raw  string        // literal text, or ""
-	tag  history.Value // cell token: tag to canonicalize
-	val  history.Value // cell token: semantic value (kept raw)
-	loc  history.Loc   // cell token: location (for version ranking)
-	ver  int           // cell token: raw version
-	cell bool          // whether this is a cell token
+// fpCell is a cell to canonicalize; at is the length of raw when it was
+// appended, i.e. where it belongs in the encoding.
+type fpCell struct {
+	at  int
+	loc history.Loc
+	c   cell
 }
+
+type locVer struct {
+	loc history.Loc
+	ver int
+}
+
+func compareLocVer(a, b locVer) int {
+	return cmp.Or(cmp.Compare(a.loc, b.loc), cmp.Compare(a.ver, b.ver))
+}
+
+var fingerprinters = sync.Pool{New: func() any { return new(fingerprinter) }}
 
 func newFingerprinter() *fingerprinter {
-	return &fingerprinter{
-		tags:     make(map[history.Value]int),
-		versions: make(map[history.Loc][]int),
+	f := fingerprinters.Get().(*fingerprinter)
+	f.raw, f.cells, f.vers, f.tags, f.out = f.raw[:0], f.cells[:0], f.vers[:0], f.tags[:0], f.out[:0]
+	return f
+}
+
+// int appends a signed integer.
+func (f *fingerprinter) int(x int) { f.raw = binary.AppendVarint(f.raw, int64(x)) }
+
+// bool appends a flag.
+func (f *fingerprinter) bool(b bool) {
+	if b {
+		f.raw = append(f.raw, 1)
+	} else {
+		f.raw = append(f.raw, 0)
 	}
 }
 
-// raw appends literal text.
-func (f *fingerprinter) raw(format string, args ...any) {
-	f.tokens = append(f.tokens, fpToken{raw: fmt.Sprintf(format, args...)})
+// loc appends a length-prefixed location name.
+func (f *fingerprinter) loc(l history.Loc) {
+	f.int(len(l))
+	f.raw = append(f.raw, l...)
+}
+
+// ints appends a length-prefixed integer vector.
+func (f *fingerprinter) ints(xs []int) {
+	f.int(len(xs))
+	for _, x := range xs {
+		f.int(x)
+	}
 }
 
 // cell appends a canonicalizable cell.
 func (f *fingerprinter) cell(loc history.Loc, c cell) {
-	f.tokens = append(f.tokens, fpToken{cell: true, tag: c.tag, val: c.val, loc: loc, ver: c.version})
-	f.versions[loc] = append(f.versions[loc], c.version)
+	f.cells = append(f.cells, fpCell{at: len(f.raw), loc: loc, c: c})
+	f.vers = append(f.vers, locVer{loc, c.version})
 }
 
-// cells appends a replica's cells in location order.
-func (f *fingerprinter) cells(store map[history.Loc]cell) {
-	locs := make([]string, 0, len(store))
+// store appends a replica's cells in location order.
+func (f *fingerprinter) store(store map[history.Loc]cell) {
+	f.locs = f.locs[:0]
 	for l := range store {
-		locs = append(locs, string(l))
+		f.locs = append(f.locs, l)
 	}
-	sort.Strings(locs)
-	for _, l := range locs {
-		loc := history.Loc(l)
-		f.raw("%s=", l)
-		f.cell(loc, store[loc])
+	slices.Sort(f.locs)
+	f.int(len(f.locs))
+	for _, l := range f.locs {
+		f.loc(l)
+		f.cell(l, store[l])
 	}
 }
 
 // queue appends an update queue in order.
 func (f *fingerprinter) queue(q []update) {
+	f.int(len(q))
 	for _, u := range q {
-		f.raw("%s:%v:", u.loc, u.labeled)
+		f.loc(u.loc)
+		f.bool(u.labeled)
 		f.cell(u.loc, u.cell)
 	}
 }
 
-// String renders the canonical fingerprint.
-func (f *fingerprinter) String() string {
-	rank := make(map[history.Loc]map[int]int, len(f.versions))
-	for loc, vs := range f.versions {
-		sorted := append([]int(nil), vs...)
-		sort.Ints(sorted)
-		m := make(map[int]int, len(sorted))
-		for _, v := range sorted {
-			if _, ok := m[v]; !ok {
-				m[v] = len(m)
-			}
+// finish renders the canonical fingerprint and returns f to the pool.
+func (f *fingerprinter) finish() string {
+	slices.SortFunc(f.vers, compareLocVer)
+	f.vers = slices.Compact(f.vers)
+	prev := 0
+	for _, t := range f.cells {
+		f.out = append(f.out, f.raw[prev:t.at]...)
+		prev = t.at
+		id := slices.Index(f.tags, t.c.tag)
+		if id < 0 {
+			id = len(f.tags)
+			f.tags = append(f.tags, t.c.tag)
 		}
-		rank[loc] = m
+		// The rank is the number of distinct smaller versions held for
+		// the same location.
+		i, _ := slices.BinarySearchFunc(f.vers, locVer{t.loc, t.c.version}, compareLocVer)
+		first, _ := slices.BinarySearchFunc(f.vers[:i], t.loc, func(lv locVer, l history.Loc) int {
+			return cmp.Compare(lv.loc, l)
+		})
+		f.out = binary.AppendVarint(f.out, int64(t.c.val))
+		f.out = binary.AppendUvarint(f.out, uint64(id))
+		f.out = binary.AppendUvarint(f.out, uint64(i-first))
 	}
-	for _, t := range f.tokens {
-		if !t.cell {
-			f.sb.WriteString(t.raw)
-			continue
-		}
-		tagID, ok := f.tags[t.tag]
-		if !ok {
-			tagID = len(f.tags)
-			f.tags[t.tag] = tagID
-		}
-		fmt.Fprintf(&f.sb, "%d/t%d/v%d;", t.val, tagID, rank[t.loc][t.ver])
-	}
-	return f.sb.String()
-}
-
-// cloneStore deep-copies a replica.
-func cloneStore(store map[history.Loc]cell) map[history.Loc]cell {
-	out := make(map[history.Loc]cell, len(store))
-	for k, v := range store {
-		out[k] = v
-	}
-	return out
+	f.out = append(f.out, f.raw[prev:]...)
+	s := string(f.out)
+	fingerprinters.Put(f)
+	return s
 }

@@ -273,6 +273,28 @@ func TestCloneIndependence(t *testing.T) {
 		if m.Fingerprint() == c.Fingerprint() {
 			t.Errorf("%s: clone shares state (fingerprints equal after divergence)", m.Name())
 		}
+		// The clone shares the recorded prefix w(x); operations recorded
+		// after the clone appear only in their own recorder.
+		m.Write(0, "z", 3, false)
+		for _, r := range []struct {
+			name      string
+			rec       *Recorder
+			own, peer history.Loc
+		}{{"original", m.Recorder(), "z", "y"}, {"clone", c.Recorder(), "y", "z"}} {
+			s := r.rec.System()
+			if r.rec.Len() != 2 || s.NumOps() != 2 {
+				t.Errorf("%s %s: Len=%d NumOps=%d, want 2 (shared w(x) plus its own write)",
+					m.Name(), r.name, r.rec.Len(), s.NumOps())
+			}
+			locs := map[history.Loc]bool{}
+			for _, id := range s.Ops() {
+				locs[s.Op(id).Loc] = true
+			}
+			if !locs["x"] || !locs[r.own] || locs[r.peer] {
+				t.Errorf("%s %s: recorded locations %v, want x and %s but not %s",
+					m.Name(), r.name, locs, r.own, r.peer)
+			}
+		}
 	}
 }
 
@@ -476,7 +498,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 	b.Write(0, "x", 7, false)
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Errorf("SC fingerprints differ after equivalent overwrites:\n%s\n%s",
+		t.Errorf("SC fingerprints differ after equivalent overwrites:\n%q\n%q",
 			a.Fingerprint(), b.Fingerprint())
 	}
 
@@ -491,7 +513,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	pb.Write(0, "x", 1, false)
 	Quiesce(pb)
 	if pa.Fingerprint() != pb.Fingerprint() {
-		t.Errorf("PCG fingerprints differ after equivalent quiesced overwrites:\n%s\n%s",
+		t.Errorf("PCG fingerprints differ after equivalent quiesced overwrites:\n%q\n%q",
 			pa.Fingerprint(), pb.Fingerprint())
 	}
 

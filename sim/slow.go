@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/history"
@@ -18,7 +19,7 @@ type SlowMemory struct {
 	stores []map[history.Loc]cell
 	// channels[sender][receiver][loc] is a FIFO of in-flight updates.
 	channels []([]map[history.Loc][]update)
-	rec      *Recorder
+	rec      Recorder
 }
 
 // NewSlow returns a slow memory for nprocs processors.
@@ -27,7 +28,7 @@ func NewSlow(nprocs int) *SlowMemory {
 		nprocs:   nprocs,
 		stores:   make([]map[history.Loc]cell, nprocs),
 		channels: make([][]map[history.Loc][]update, nprocs),
-		rec:      NewRecorder(nprocs),
+		rec:      newRecorder(nprocs),
 	}
 	for p := range m.stores {
 		m.stores[p] = make(map[history.Loc]cell)
@@ -123,10 +124,10 @@ func (m *SlowMemory) Clone() Memory {
 		nprocs:   m.nprocs,
 		stores:   make([]map[history.Loc]cell, m.nprocs),
 		channels: make([][]map[history.Loc][]update, m.nprocs),
-		rec:      m.rec.Clone(),
+		rec:      m.rec,
 	}
 	for p := range m.stores {
-		c.stores[p] = cloneStore(m.stores[p])
+		c.stores[p] = maps.Clone(m.stores[p])
 		c.channels[p] = make([]map[history.Loc][]update, m.nprocs)
 		for q := range m.channels[p] {
 			c.channels[p][q] = make(map[history.Loc][]update, len(m.channels[p][q]))
@@ -141,16 +142,19 @@ func (m *SlowMemory) Clone() Memory {
 // Fingerprint implements Memory.
 func (m *SlowMemory) Fingerprint() string {
 	f := newFingerprinter()
-	for p, store := range m.stores {
-		f.raw("|s%d:", p)
-		f.cells(store)
+	for _, store := range m.stores {
+		f.store(store)
 	}
-	for _, l := range m.lanes() {
-		f.raw("|c%d.%d.%s:", l.s, l.r, l.loc)
+	lanes := m.lanes()
+	f.int(len(lanes))
+	for _, l := range lanes {
+		f.int(l.s)
+		f.int(l.r)
+		f.loc(l.loc)
 		f.queue(m.channels[l.s][l.r][l.loc])
 	}
-	return f.String()
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *SlowMemory) Recorder() *Recorder { return m.rec }
+func (m *SlowMemory) Recorder() *Recorder { return &m.rec }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/history"
 )
@@ -28,7 +29,7 @@ type TSOMemory struct {
 	forward bool
 	store   map[history.Loc]cell
 	buffers [][]update // per processor, oldest first
-	rec     *Recorder
+	rec     Recorder
 }
 
 // NewTSO returns a store-forwarding TSO memory for nprocs processors,
@@ -45,7 +46,7 @@ func newTSO(nprocs int, forward bool) *TSOMemory {
 		forward: forward,
 		store:   make(map[history.Loc]cell),
 		buffers: make([][]update, nprocs),
-		rec:     NewRecorder(nprocs),
+		rec:     newRecorder(nprocs),
 	}
 }
 
@@ -127,9 +128,9 @@ func (m *TSOMemory) Clone() Memory {
 	c := &TSOMemory{
 		nprocs:  m.nprocs,
 		forward: m.forward,
-		store:   cloneStore(m.store),
+		store:   maps.Clone(m.store),
 		buffers: make([][]update, m.nprocs),
-		rec:     m.rec.Clone(),
+		rec:     m.rec,
 	}
 	for p, buf := range m.buffers {
 		c.buffers[p] = append([]update(nil), buf...)
@@ -140,13 +141,12 @@ func (m *TSOMemory) Clone() Memory {
 // Fingerprint implements Memory.
 func (m *TSOMemory) Fingerprint() string {
 	f := newFingerprinter()
-	f.cells(m.store)
-	for p, buf := range m.buffers {
-		f.raw("|b%d:", p)
+	f.store(m.store)
+	for _, buf := range m.buffers {
 		f.queue(buf)
 	}
-	return f.String()
+	return f.finish()
 }
 
 // Recorder implements Memory.
-func (m *TSOMemory) Recorder() *Recorder { return m.rec }
+func (m *TSOMemory) Recorder() *Recorder { return &m.rec }
