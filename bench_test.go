@@ -44,7 +44,7 @@ func benchFigure(b *testing.B, testName, modelName string, want bool) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		v, err := m.Allows(tc.History)
+		v, err := m.Allows(context.Background(), tc.History)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,10 @@ func BenchmarkFig5Matrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mx := relate.BuildMatrix(hs, model.All())
+		mx, err := relate.BuildMatrix(context.Background(), hs, model.All(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if v, _ := mx.CheckLattice(); len(v) != 0 {
 			b.Fatalf("lattice violations: %v", v)
 		}
@@ -149,11 +152,11 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 					b.Fatal("no RCpc violation found")
 				}
 				h := res.Violations[0].History
-				rcpc, err := model.RCpc{Workers: w}.Allows(h)
+				rcpc, err := model.WithWorkers(model.RCpc, w).Allows(context.Background(), h)
 				if err != nil || !rcpc.Allowed {
 					b.Fatalf("violating history not RCpc: %v", err)
 				}
-				rcsc, err := model.RCsc{Workers: w}.Allows(h)
+				rcsc, err := model.WithWorkers(model.RCsc, w).Allows(context.Background(), h)
 				if err != nil || rcsc.Allowed {
 					b.Fatalf("violating history accepted by RCsc (err=%v)", err)
 				}
@@ -171,7 +174,7 @@ func BenchmarkBakeryPaperHistory(b *testing.B) {
 	}
 	b.Run("RCpc-accepts", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v, err := model.RCpc{}.Allows(tc.History)
+			v, err := model.RCpc.Allows(context.Background(), tc.History)
 			if err != nil || !v.Allowed {
 				b.Fatal(err)
 			}
@@ -179,7 +182,7 @@ func BenchmarkBakeryPaperHistory(b *testing.B) {
 	})
 	b.Run("RCsc-rejects", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v, err := model.RCsc{}.Allows(tc.History)
+			v, err := model.RCsc.Allows(context.Background(), tc.History)
 			if err != nil || v.Allowed {
 				b.Fatal(err)
 			}
@@ -241,7 +244,7 @@ func BenchmarkCheckerScaling(b *testing.B) {
 		s := bld.System()
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if v, err := (model.SC{}).Allows(s); err != nil || !v.Allowed {
+				if v, err := (model.SC).Allows(context.Background(), s); err != nil || !v.Allowed {
 					b.Fatalf("SC rejected a serializable history: %v", err)
 				}
 			}
@@ -292,7 +295,7 @@ func BenchmarkCrossValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mem := sim.NewCausal(3)
 		h := sim.RandomRun(mem, rng, cfg)
-		v, err := model.Causal{}.Allows(h)
+		v, err := model.Causal.Allows(context.Background(), h)
 		if err != nil || !v.Allowed {
 			b.Fatalf("causal run rejected: %v", err)
 		}
@@ -334,7 +337,7 @@ func BenchmarkDensityWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, total, err := relate.DensityParallel(2, 2, 2, w, model.All()); err != nil || total != 792 {
+				if _, _, total, err := relate.Density(context.Background(), 2, 2, 2, w, model.All()); err != nil || total != 792 {
 					b.Fatalf("total=%d err=%v", total, err)
 				}
 			}
@@ -388,7 +391,7 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 		b.Run(c.test+"/"+c.model+"/open-loop", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v, err := m.Allows(tc.History)
+				v, err := m.Allows(context.Background(), tc.History)
 				if err != nil || v.Allowed != c.want {
 					b.Fatalf("verdict %+v err %v", v, err)
 				}
@@ -478,21 +481,22 @@ func BenchmarkObsOverhead(b *testing.B) {
 // gate in CI tracks the FastPath/... medians this emits.
 func benchFastPathCase(b *testing.B, name string, m model.Model, s *history.System) {
 	b.Helper()
-	ref, err := model.Router{Mode: model.RouteEnumerate}.AllowsCtx(context.Background(), m, s)
+	ref, err := model.AllowsCtx(model.WithRoute(context.Background(), model.RouteEnumerate), m, s)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, rt := range []model.Router{{Mode: model.RouteAuto}, {Mode: model.RouteEnumerate}} {
-		b.Run(name+"/"+rt.Mode.String(), func(b *testing.B) {
+	for _, route := range []model.RouteMode{model.RouteAuto, model.RouteEnumerate} {
+		ctx := model.WithRoute(context.Background(), route)
+		b.Run(name+"/"+route.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v, err := rt.AllowsCtx(context.Background(), m, s)
+				v, err := model.AllowsCtx(ctx, m, s)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if v.Allowed != ref.Allowed {
 					b.Fatalf("%s under %s route %s: allowed=%v, oracle says %v",
-						name, m.Name(), rt.Mode, v.Allowed, ref.Allowed)
+						name, m.Name(), route, v.Allowed, ref.Allowed)
 				}
 			}
 		})
@@ -514,12 +518,12 @@ func BenchmarkFastPath(b *testing.B) {
 		}
 		return tc.History
 	}
-	benchFastPathCase(b, "SC/Fig1-SB", model.SC{}, fromCorpus("Fig1-SB"))
-	benchFastPathCase(b, "PRAM/Fig3-PRAM", model.PRAM{}, fromCorpus("Fig3-PRAM"))
-	benchFastPathCase(b, "Causal/Fig4-Causal", model.Causal{}, fromCorpus("Fig4-Causal"))
-	benchFastPathCase(b, "Coherence/CoRR", model.Coherence{}, fromCorpus("CoRR-single-writer"))
-	benchFastPathCase(b, "TSO/Fig2-WRC", model.TSO{}, fromCorpus("Fig2-WRC"))
-	benchFastPathCase(b, "PC/IRIW", model.PC{}, fromCorpus("IRIW"))
+	benchFastPathCase(b, "SC/Fig1-SB", model.SC, fromCorpus("Fig1-SB"))
+	benchFastPathCase(b, "PRAM/Fig3-PRAM", model.PRAM, fromCorpus("Fig3-PRAM"))
+	benchFastPathCase(b, "Causal/Fig4-Causal", model.Causal, fromCorpus("Fig4-Causal"))
+	benchFastPathCase(b, "Coherence/CoRR", model.Coherence, fromCorpus("CoRR-single-writer"))
+	benchFastPathCase(b, "TSO/Fig2-WRC", model.TSO, fromCorpus("Fig2-WRC"))
+	benchFastPathCase(b, "PC/IRIW", model.PC, fromCorpus("IRIW"))
 
 	// A serializable 24-operation history: the greedy construction decides
 	// it in one pass where the solver searches.
@@ -528,14 +532,14 @@ func BenchmarkFastPath(b *testing.B) {
 		bld.Write(0, history.Loc(fmt.Sprintf("a%d", i%3)), history.Value(i+1))
 		bld.Read(1, history.Loc(fmt.Sprintf("a%d", i%3)), 0)
 	}
-	benchFastPathCase(b, "SC/serializable-24", model.SC{}, bld.System())
+	benchFastPathCase(b, "SC/serializable-24", model.SC, bld.System())
 
 	// A simulator-generated causal history: machine-made shapes rather than
 	// hand-picked litmus figures.
 	rng := rand.New(rand.NewSource(7))
 	sh := sim.RandomRun(sim.NewCausal(3), rng, sim.RandomRunConfig{
 		Ops: 12, MaxWrites: 6, PInternal: 0.4, DataLocs: []history.Loc{"x", "y"}})
-	benchFastPathCase(b, "Causal/sim-12", model.Causal{}, sh)
+	benchFastPathCase(b, "Causal/sim-12", model.Causal, sh)
 
 	// Many concurrent writers: the TSO write-order enumeration is
 	// factorial in the writes; the pre-pass forces most of the order.
@@ -543,7 +547,7 @@ func BenchmarkFastPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchFastPathCase(b, "TSO/many-writes", model.TSO{}, ms)
+	benchFastPathCase(b, "TSO/many-writes", model.TSO, ms)
 }
 
 // BenchmarkCoherenceEnumeration shows PC's checking cost versus writes per
@@ -560,7 +564,7 @@ func BenchmarkCoherenceEnumeration(b *testing.B) {
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("writers=%d/workers=%d", writers, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if v, err := (model.PC{Workers: w}).Allows(s); err != nil || !v.Allowed {
+					if v, err := model.WithWorkers(model.PC, w).Allows(context.Background(), s); err != nil || !v.Allowed {
 						b.Fatalf("PC verdict: %+v %v", v, err)
 					}
 				}

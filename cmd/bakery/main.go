@@ -107,7 +107,7 @@ func main() {
 	if !*check || !labeled {
 		return
 	}
-	for _, m := range []model.Model{model.RCpc{}, model.RCsc{}} {
+	for _, m := range []model.Model{model.RCpc, model.RCsc} {
 		m = model.WithWorkers(m, *workers)
 		v, err := model.AllowsCtx(ctx, m, violation.History)
 		if err != nil {

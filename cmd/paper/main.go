@@ -89,16 +89,16 @@ func main() {
 
 	// Figure 1's witness views, specifically.
 	fig1, _ := litmus.ByName("Fig1-SB")
-	v, err := model.AllowsCtx(ctx, model.TSO{Workers: workers}, fig1.History)
-	ok := err == nil && v.Allowed && model.VerifyWitness(model.TSO{}, fig1.History, v.Witness) == nil
+	v, err := model.AllowsCtx(ctx, model.WithWorkers(model.TSO, workers), fig1.History)
+	ok := err == nil && v.Allowed && model.VerifyWitness(model.TSO, fig1.History, v.Witness) == nil
 	claim("Fig 1", "TSO witness views verify independently", ok, "")
 
 	// ... and its explanation replays: the machine-readable witness is
 	// re-verified edge by edge (observability PR acceptance gate).
 	ok = false
 	if err == nil && v.Allowed {
-		e, eerr := model.Explain(model.TSO{}, fig1.History, v)
-		ok = eerr == nil && model.ValidateExplanation(model.TSO{}, fig1.History, e) == nil
+		e, eerr := model.Explain(model.TSO, fig1.History, v)
+		ok = eerr == nil && model.ValidateExplanation(model.TSO, fig1.History, e) == nil
 	}
 	claim("Fig 1", "TSO witness explanation validates by replay", ok, "")
 
@@ -116,7 +116,7 @@ func main() {
 			hs = append(hs, relate.RandomLabeledHistory(rng, relate.GenConfig{}))
 		}
 	}
-	mx, err := relate.BuildMatrixCtx(ctx, hs, models, workers)
+	mx, err := relate.BuildMatrix(ctx, hs, models, workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,7 +129,7 @@ func main() {
 	if !*quick {
 		shapeK = 3
 	}
-	exViolations, total, err := relate.CheckLatticeExhaustiveCtx(ctx, shapeP, shapeK, shapeL, workers)
+	exViolations, total, err := relate.CheckLatticeExhaustive(ctx, shapeP, shapeK, shapeL, workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -163,8 +163,8 @@ func main() {
 	var certified bool
 	if ok {
 		h := res2.Violations[0].History
-		rcpc, e1 := model.AllowsCtx(ctx, model.RCpc{Workers: workers}, h)
-		rcsc, e2 := model.AllowsCtx(ctx, model.RCsc{Workers: workers}, h)
+		rcpc, e1 := model.AllowsCtx(ctx, model.WithWorkers(model.RCpc, workers), h)
+		rcsc, e2 := model.AllowsCtx(ctx, model.WithWorkers(model.RCsc, workers), h)
 		certified = e1 == nil && e2 == nil && rcpc.Allowed && !rcsc.Allowed
 	}
 	claim("§5", "Bakery on RCpc: mutual exclusion violated", ok, "")
@@ -197,12 +197,12 @@ func main() {
 
 	// §3.2/§6: the TSO findings.
 	sbrfi, _ := litmus.ByName("SB-rfi")
-	paperTSO, _ := model.AllowsCtx(ctx, model.TSO{Workers: workers}, sbrfi.History)
-	axTSO, _ := model.AllowsCtx(ctx, model.TSOAxiomatic{Workers: workers}, sbrfi.History)
+	paperTSO, _ := model.AllowsCtx(ctx, model.WithWorkers(model.TSO, workers), sbrfi.History)
+	axTSO, _ := model.AllowsCtx(ctx, model.WithWorkers(model.TSOAxiomatic, workers), sbrfi.History)
 	claim("§6", "paper-TSO ≠ axiomatic TSO (SB+rfi separates)", !paperTSO.Allowed && axTSO.Allowed, "")
 	fwd, _ := litmus.ByName("TSOax-not-PC")
-	pcV, _ := model.AllowsCtx(ctx, model.PC{Workers: workers}, fwd.History)
-	axV, _ := model.AllowsCtx(ctx, model.TSOAxiomatic{Workers: workers}, fwd.History)
+	pcV, _ := model.AllowsCtx(ctx, model.WithWorkers(model.PC, workers), fwd.History)
+	axV, _ := model.AllowsCtx(ctx, model.WithWorkers(model.TSOAxiomatic, workers), fwd.History)
 	claim("§6", "axiomatic TSO ∥ paper-PC (forwarding separates)", !pcV.Allowed && axV.Allowed, "finding of this reproduction")
 
 	fmt.Println()

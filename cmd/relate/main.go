@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("classifying %d histories (corpus + simulator runs + random) under %d models...\n\n",
 		len(hs), len(model.All()))
 
-	mx, err := relate.BuildMatrixCtx(ctx, hs, model.All(), *workers)
+	mx, err := relate.BuildMatrix(ctx, hs, model.All(), *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "relate:", err)
 		os.Exit(1)
@@ -141,7 +141,7 @@ func runExhaustive(ctx context.Context, shape string, workers int, done func()) 
 		os.Exit(1)
 	}
 	fmt.Printf("exhaustively classifying every history of shape procs=%d ops/proc=%d locs=%d...\n", p, k, l)
-	counts, unknown, total, err := relate.DensityCtx(ctx, p, k, l, workers, model.All())
+	counts, unknown, total, err := relate.Density(ctx, p, k, l, workers, model.All())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "relate:", err)
 		done()
@@ -156,7 +156,7 @@ func runExhaustive(ctx context.Context, shape string, workers int, done func()) 
 		}
 		fmt.Println()
 	}
-	violations, _, err := relate.CheckLatticeExhaustiveCtx(ctx, p, k, l, workers)
+	violations, _, err := relate.CheckLatticeExhaustive(ctx, p, k, l, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "relate:", err)
 		done()

@@ -12,8 +12,10 @@
 //
 //   - package history — operations, histories, views, legality;
 //   - package order — the paper's ordering relations;
-//   - package model — decision procedures for SC, TSO, PC, PCG, PRAM,
-//     Causal, Coherence, RCsc, RCpc and the Section 7 combinator;
+//   - package model — the three parameters as data: a model is a
+//     model.Spec{Ops, Mutual, Order} value (SC, TSO, PC, PCG, PRAM,
+//     Causal, Coherence, RCsc, RCpc, WO, Slow, TSO-ax and both Section 7
+//     combinators are fourteen of them) and one checker interprets it;
 //   - package litmus — the paper's figures and classic shapes as tests;
 //   - package sim — operational machines generating histories;
 //   - package program / algorithms / explore — a guest-program DSL,
@@ -27,12 +29,12 @@
 // it, and differential tests pin parallel ≡ sequential verdicts. See the
 // "Parallel checking" section of README.md.
 //
-// Because membership checking is NP-hard, every check is also available in
-// a budgeted, cancellable form: model.AllowsCtx observes the context's
+// Because membership checking is NP-hard, every check is budgeted and
+// cancellable: the one check call, model.AllowsCtx, observes the context's
 // deadline and cancellation plus a model.WithBudget work budget, and
 // returns a three-valued verdict — allowed, forbidden, or Unknown with a
 // typed reason and progress counters — instead of running unbounded.
-// explore.ExhaustiveCtx and the relate Ctx sweeps report truncation
+// explore.ExhaustiveCtx and the relate sweeps report truncation
 // reasons and Unknown tallies the same way, worker panics are contained
 // as structured *pool.PanicError values, and the CLIs expose -timeout and
 // -budget. See the "Bounded checking" section of README.md.

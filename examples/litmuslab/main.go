@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		}
 		fmt.Printf("%-15s", v.name)
 		for _, m := range model.All() {
-			verdict, err := m.Allows(sys)
+			verdict, err := model.AllowsCtx(context.Background(), m, sys)
 			if err != nil {
 				fmt.Printf("%12s", "err")
 				continue

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,11 +61,11 @@ func runMutex(name string, mk func(sim.Memory) (*program.Machine, error)) {
 
 	// Close the loop with the paper's framework: the operationally
 	// produced history is a legal RCpc history and not an RCsc one.
-	rcpc, err := model.RCpc{}.Allows(v.History)
+	rcpc, err := model.AllowsCtx(context.Background(), model.RCpc, v.History)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcsc, err := model.RCsc{}.Allows(v.History)
+	rcsc, err := model.AllowsCtx(context.Background(), model.RCsc, v.History)
 	if err != nil {
 		log.Fatal(err)
 	}

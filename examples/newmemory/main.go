@@ -3,8 +3,8 @@
 // consistency, ordering) and new memories fall out. This example defines a
 // candidate memory the paper never names — causal memory strengthened with
 // TSO's mutual-consistency requirement (a single agreed total order over
-// ALL writes) — implements its checker in a few lines from the framework
-// primitives, and locates it in the Figure 5 lattice empirically.
+// ALL writes) — declares it as one model.Spec of those three parameters,
+// and locates it in the Figure 5 lattice empirically.
 //
 // The punchline is a collapse: the "new" memory coincides with SC on every
 // history tested, and provably in general — once all views respect full
@@ -17,14 +17,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
-	"repro/history"
 	"repro/litmus"
 	"repro/model"
-	"repro/order"
 	"repro/relate"
 )
 
@@ -33,46 +32,16 @@ import (
 // causal order →co AND agree on one total order of all writes. By
 // construction it is at least as strong as both TSO (co ⊇ ppo) and Causal;
 // the SB litmus shows it is strictly stronger than TSO.
-type GlobalWriteCausal struct{}
-
-func (GlobalWriteCausal) Name() string { return "GWCausal" }
-
-func (GlobalWriteCausal) Allows(s *history.System) (model.Verdict, error) {
-	co, err := order.Causal(s)
-	if err != nil {
-		return model.Verdict{}, err
-	}
-	if co.HasCycle() {
-		return model.Verdict{}, nil
-	}
-	var witness *model.Witness
-	var solveErr error
-	order.LinearExtensions(s.Writes(), co, func(wseq []history.OpID) bool {
-		prec := co.Clone()
-		prec.AddChain(wseq)
-		views, err := model.SolveViews(s, prec)
-		if err != nil {
-			solveErr = err
-			return false
-		}
-		if views == nil {
-			return true // no views under this write order; try the next
-		}
-		witness = &model.Witness{Views: views, WriteOrder: wseq}
-		return false
-	})
-	if solveErr != nil {
-		return model.Verdict{}, solveErr
-	}
-	if witness == nil {
-		return model.Verdict{}, nil
-	}
-	return model.Verdict{Allowed: true, Witness: witness}, nil
+var GlobalWriteCausal = model.Spec{
+	Title:  "GWCausal",
+	Ops:    model.OpsWrites,
+	Mutual: model.MutualWriteOrder,
+	Order:  model.OrderCausal,
 }
 
 func main() {
-	gw := GlobalWriteCausal{}
-	models := append(model.All(), gw)
+	ctx := context.Background()
+	models := append(model.All(), GlobalWriteCausal)
 
 	// Where does it land on the corpus?
 	fmt.Println("verdicts on the paper's figures:")
@@ -81,13 +50,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := gw.Allows(tc.History)
+		v, err := model.AllowsCtx(ctx, GlobalWriteCausal, tc.History)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sc, _ := model.SC{}.Allows(tc.History)
-		tso, _ := model.TSO{}.Allows(tc.History)
-		causal, _ := model.Causal{}.Allows(tc.History)
+		sc, _ := model.AllowsCtx(ctx, model.SC, tc.History)
+		tso, _ := model.AllowsCtx(ctx, model.TSO, tc.History)
+		causal, _ := model.AllowsCtx(ctx, model.Causal, tc.History)
 		fmt.Printf("  %-12s GWCausal=%-5v (SC=%v TSO=%v Causal=%v)\n",
 			name, v.Allowed, sc.Allowed, tso.Allowed, causal.Allowed)
 	}
@@ -98,7 +67,10 @@ func main() {
 	for i := 0; i < 120; i++ {
 		hs = append(hs, relate.RandomHistory(rng, relate.GenConfig{}))
 	}
-	mx := relate.BuildMatrix(hs, models)
+	mx, err := relate.BuildMatrix(ctx, hs, models, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nempirical placement (0 in the row supports containment):")
 	for _, other := range []string{"SC", "TSO", "Causal", "PRAM"} {
 		fmt.Printf("  GWCausal ⊆ %-7s: %v (sep %d / reverse %d)\n",

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ q: w(y)1 r(x)0`)
 
 	// Sequential consistency rejects it: no single serialization of all
 	// four operations respects both program orders and legality.
-	sc, err := model.SC{}.Allows(sys)
+	sc, err := model.AllowsCtx(context.Background(), model.SC, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +35,7 @@ q: w(y)1 r(x)0`)
 	// are exactly the ones the paper constructs:
 	//   S_{p+w}: r_p(y)0 w_p(x)1 w_q(y)1
 	//   S_{q+w}: r_q(x)0 w_p(x)1 w_q(y)1
-	tso, err := model.TSO{}.Allows(sys)
+	tso, err := model.AllowsCtx(context.Background(), model.TSO, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ q: w(y)1 r(x)0`)
 	// The same question under every model in the repository.
 	fmt.Println("verdicts under all models:")
 	for _, m := range model.All() {
-		v, err := m.Allows(sys)
+		v, err := model.AllowsCtx(context.Background(), m, sys)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/algorithms"
@@ -38,8 +39,8 @@ func Example() {
 	fmt.Println("RCpc violated:", len(res2.Violations) > 0)
 
 	h := res2.Violations[0].History
-	rcpc, _ := model.RCpc{}.Allows(h)
-	rcsc, _ := model.RCsc{}.Allows(h)
+	rcpc, _ := model.RCpc.Allows(context.Background(), h)
+	rcsc, _ := model.RCsc.Allows(context.Background(), h)
 	fmt.Println("violating history: RCpc", rcpc.Allowed, "/ RCsc", rcsc.Allowed)
 	// Output:
 	// RCsc sound: true

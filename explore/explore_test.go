@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"testing"
 
 	"repro/algorithms"
@@ -72,14 +73,14 @@ func TestBakeryRCpcViolated(t *testing.T) {
 	v := res.Violations[0]
 	t.Logf("violation after %d choices:\n%s", len(v.Trace), v.History)
 
-	rcpc, err := model.RCpc{}.Allows(v.History)
+	rcpc, err := model.RCpc.Allows(context.Background(), v.History)
 	if err != nil {
 		t.Fatalf("RCpc checker: %v", err)
 	}
 	if !rcpc.Allowed {
 		t.Errorf("violating history rejected by the RCpc checker:\n%s", v.History)
 	}
-	rcsc, err := model.RCsc{}.Allows(v.History)
+	rcsc, err := model.RCsc.Allows(context.Background(), v.History)
 	if err != nil {
 		t.Fatalf("RCsc checker: %v", err)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -58,14 +59,14 @@ func TestExhaustiveParallelFindsRCpcViolation(t *testing.T) {
 		t.Fatalf("no mutual-exclusion violation found on RCpc (states=%d)", res.States)
 	}
 	v := res.Violations[0]
-	rcpc, err := model.RCpc{}.Allows(v.History)
+	rcpc, err := model.RCpc.Allows(context.Background(), v.History)
 	if err != nil {
 		t.Fatalf("RCpc checker: %v", err)
 	}
 	if !rcpc.Allowed {
 		t.Errorf("violating history rejected by the RCpc checker:\n%s", v.History)
 	}
-	rcsc, err := model.RCsc{}.Allows(v.History)
+	rcsc, err := model.RCsc.Allows(context.Background(), v.History)
 	if err != nil {
 		t.Fatalf("RCsc checker: %v", err)
 	}

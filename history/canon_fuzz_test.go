@@ -79,7 +79,7 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		ctx := model.WithBudget(context.Background(),
 			model.Budget{MaxCandidates: 1 << 12, MaxNodes: 1 << 16})
-		for _, m := range []model.Model{model.SC{}, model.PRAM{}, model.Coherence{}} {
+		for _, m := range []model.Model{model.SC, model.PRAM, model.Coherence} {
 			ov, oerr := model.AllowsCtx(ctx, m, s)
 			cv, cerr := model.AllowsCtx(ctx, m, canon)
 			if (oerr == nil) != (cerr == nil) {

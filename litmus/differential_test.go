@@ -15,9 +15,9 @@ import (
 // occasionally scheduling jitter on a loaded CI box, not a verdict.
 const perCaseTimeout = 30 * time.Second
 
-// checkWithDeadline runs route.AllowsCtx under the per-case deadline,
+// checkWithDeadline runs model.AllowsCtx on route under the per-case deadline,
 // retrying once when workers > 1 and the only outcome was the deadline.
-func checkWithDeadline(route model.Router, m model.Model, tc Test, workers int) (model.Verdict, error) {
+func checkWithDeadline(route model.RouteMode, m model.Model, tc Test, workers int) (model.Verdict, error) {
 	attempts := 1
 	if workers > 1 {
 		attempts = 2
@@ -26,7 +26,7 @@ func checkWithDeadline(route model.Router, m model.Model, tc Test, workers int) 
 	var err error
 	for i := 0; i < attempts; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), perCaseTimeout)
-		v, err = route.AllowsCtx(ctx, m, tc.History)
+		v, err = model.AllowsCtx(model.WithRoute(ctx, route), m, tc.History)
 		cancel()
 		if err != nil || v.Unknown != model.DeadlineExceeded {
 			break
@@ -43,8 +43,7 @@ func checkWithDeadline(route model.Router, m model.Model, tc Test, workers int) 
 // witness must independently verify. A disagreement here is a soundness
 // bug in a fast path, never a corpus problem.
 func TestFastPathMatchesEnumeratorOnCorpus(t *testing.T) {
-	fast := model.Router{Mode: model.RouteAuto}
-	oracle := model.Router{Mode: model.RouteEnumerate}
+	fast, oracle := model.RouteAuto, model.RouteEnumerate
 	forEachCorpusModel(t, func(t *testing.T, tc Test, m model.Model) {
 		for _, workers := range []int{1, 4} {
 			wm := model.WithWorkers(m, workers)

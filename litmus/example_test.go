@@ -14,7 +14,7 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := litmus.Run(tc, []model.Model{model.SC{}, model.TSO{}})
+	results, err := litmus.Run(tc, []model.Model{model.SC, model.TSO})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // criterion directly.
 func TestExplainCorpusReplay(t *testing.T) {
 	forEachCorpusModel(t, func(t *testing.T, tc Test, m model.Model) {
-		v, err := m.Allows(tc.History)
+		v, err := m.Allows(context.Background(), tc.History)
 		if err != nil {
 			return // ambiguous/oversized for this model; not explainable
 		}
@@ -60,8 +61,8 @@ func TestExplainTamperedEdgeRejected(t *testing.T) {
 	if sb.History == nil {
 		t.Fatal("corpus test Fig1-SB not found")
 	}
-	m := model.PC{}
-	v, err := m.Allows(sb.History)
+	m := model.PC
+	v, err := m.Allows(context.Background(), sb.History)
 	if err != nil || !v.Allowed {
 		t.Fatalf("Fig1-SB under PC: allowed=%v err=%v; corpus expects allowed", v.Allowed, err)
 	}

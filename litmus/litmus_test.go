@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"context"
 	"testing"
 
 	"repro/model"
@@ -77,7 +78,7 @@ func TestCorpusContainments(t *testing.T) {
 	for _, tc := range Corpus() {
 		verdict := map[string]bool{}
 		for name, m := range byName {
-			v, err := m.Allows(tc.History)
+			v, err := m.Allows(context.Background(), tc.History)
 			if err != nil {
 				// RC checkers reject mixed-label locations etc.;
 				// containment checks skip models that cannot

@@ -20,7 +20,7 @@ func TestObservabilityNeverChangesVerdicts(t *testing.T) {
 	forEachCorpusModel(t, func(t *testing.T, tc Test, m model.Model) {
 		for _, workers := range []int{1, 4} {
 			wm := model.WithWorkers(m, workers)
-			plain, perr := wm.Allows(tc.History)
+			plain, perr := wm.Allows(context.Background(), tc.History)
 
 			reg := obs.NewRegistry()
 			ctx := obs.WithRegistry(context.Background(), reg)

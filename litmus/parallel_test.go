@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"context"
 	"testing"
 
 	"repro/model"
@@ -14,8 +15,8 @@ func TestParallelMatchesSequentialOnCorpus(t *testing.T) {
 	forEachCorpusModel(t, func(t *testing.T, tc Test, m model.Model) {
 		seq := model.WithWorkers(m, 1)
 		par := model.WithWorkers(m, 4)
-		sv, serr := seq.Allows(tc.History)
-		pv, perr := par.Allows(tc.History)
+		sv, serr := seq.Allows(context.Background(), tc.History)
+		pv, perr := par.Allows(context.Background(), tc.History)
 		if (serr == nil) != (perr == nil) {
 			t.Errorf("%s: sequential err=%v, parallel err=%v", m.Name(), serr, perr)
 			return

@@ -81,10 +81,10 @@ func TestVerdictsInvariantUnderRelabeling(t *testing.T) {
 			variants[i] = rs
 		}
 		for _, route := range routes {
-			r := model.Router{Mode: route}
-			base, berr := r.AllowsCtx(context.Background(), m, tc.History)
+			ctx := model.WithRoute(context.Background(), route)
+			base, berr := model.AllowsCtx(ctx, m, tc.History)
 			for i, rs := range variants {
-				v, err := r.AllowsCtx(context.Background(), m, rs)
+				v, err := model.AllowsCtx(ctx, m, rs)
 				if (berr == nil) != (err == nil) {
 					t.Errorf("%s route=%s perm=%d: original err=%v, relabeled err=%v",
 						m.Name(), route, i, berr, err)

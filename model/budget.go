@@ -86,9 +86,9 @@ func (r UnknownReason) String() string {
 
 // Progress counts the work a check performed, whether or not it decided.
 // Counters are maintained only when something could stop the check — a
-// budget, a deadline, or a cancellable context; an open-loop check (plain
-// Allows, or AllowsCtx under a bare context.Background) skips the
-// accounting entirely and reports zeros.
+// budget, a deadline, or a cancellable context; an open-loop check (under a
+// bare context.Background) skips the accounting entirely and reports
+// zeros.
 type Progress struct {
 	// Candidates is the number of mutual-consistency candidates tested.
 	Candidates int64
@@ -101,26 +101,12 @@ type Progress struct {
 	Frontier int
 }
 
-// ContextModel is implemented by every model in this repository: a Model
-// whose check observes a context — cancellation, deadline, and any Budget
-// attached with WithBudget. The interface is separate from Model so that
-// externally defined models (see examples/newmemory) keep working; the
-// package-level AllowsCtx dispatches to either.
-type ContextModel interface {
-	Model
-	// AllowsCtx is Allows under a context. It returns an Unknown verdict
-	// (never an error) when the budget or deadline cuts the check short;
-	// errors still mean the question itself was malformed.
-	AllowsCtx(ctx context.Context, s *history.System) (Verdict, error)
-}
-
 // AllowsCtx checks m against s under ctx. A context that is already dead
-// returns Unknown without doing any work. Models implementing ContextModel
-// (all models in this package) are then checked cooperatively — they stop
-// promptly on cancellation, deadline, or budget exhaustion and return a
-// three-valued Verdict (a check so small it completes within one polling
-// stride may still decide; a completed search is always a sound answer).
-// A plain Model falls back to an open-loop Allows call.
+// returns Unknown without doing any work. Otherwise the check is
+// cooperative — it stops promptly on cancellation, deadline, or budget
+// exhaustion and returns a three-valued Verdict (a check so small it
+// completes within one polling stride may still decide; a completed search
+// is always a sound answer).
 func AllowsCtx(ctx context.Context, m Model, s *history.System) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		r := Canceled
@@ -129,20 +115,17 @@ func AllowsCtx(ctx context.Context, m Model, s *history.System) (Verdict, error)
 		}
 		return Verdict{Unknown: r}, nil
 	}
-	if cm, ok := m.(ContextModel); ok {
-		if !obs.Enabled(ctx) {
-			return cm.AllowsCtx(ctx, s)
-		}
-		// The route span attributes the solve to the procedure that ran
-		// it — span.route.auto.ns vs span.route.enumerate.ns — and is the
-		// parent of the pool's wait/exec spans. The Enabled check keeps
-		// the un-instrumented path free of the name concatenation.
-		sctx, sp := obs.StartSpan(ctx, "route."+RouteFromContext(ctx).String())
-		v, err := cm.AllowsCtx(sctx, s)
-		sp.End()
-		return v, err
+	if !obs.Enabled(ctx) {
+		return m.Allows(ctx, s)
 	}
-	return m.Allows(s)
+	// The route span attributes the solve to the procedure that ran it —
+	// span.route.auto.ns vs span.route.enumerate.ns — and is the parent of
+	// the pool's wait/exec spans. The Enabled check keeps the
+	// un-instrumented path free of the name concatenation.
+	sctx, sp := obs.StartSpan(ctx, "route."+RouteFromContext(ctx).String())
+	v, err := m.Allows(sctx, s)
+	sp.End()
+	return v, err
 }
 
 // unknownReason maps the internal meter's stop reason to the public enum.

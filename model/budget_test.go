@@ -53,10 +53,10 @@ func TestDeadlineReturnsUnknownPromptly(t *testing.T) {
 	s := hardHistory(t, 12)
 	const deadline = 100 * time.Millisecond
 	for _, workers := range []int{1, 4} {
-		m := model.TSO{Workers: workers}
+		m := model.WithWorkers(model.TSO, workers)
 		ctx, cancel := context.WithTimeout(enumerating(context.Background()), deadline)
 		start := time.Now()
-		v, err := m.AllowsCtx(ctx, s)
+		v, err := m.Allows(ctx, s)
 		elapsed := time.Since(start)
 		cancel()
 		if err != nil {
@@ -83,9 +83,9 @@ func TestDeadlineReturnsUnknownPromptly(t *testing.T) {
 func TestBudgetExhaustionReturnsUnknown(t *testing.T) {
 	s := hardHistory(t, 10)
 	for _, workers := range []int{1, 4} {
-		m := model.TSO{Workers: workers}
+		m := model.WithWorkers(model.TSO, workers)
 		ctx := model.WithBudget(enumerating(context.Background()), model.Budget{MaxCandidates: 1000})
-		v, err := m.AllowsCtx(ctx, s)
+		v, err := m.Allows(ctx, s)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -103,9 +103,9 @@ func TestBudgetExhaustionReturnsUnknown(t *testing.T) {
 // candidate axis: the view solver's expansions are metered too.
 func TestNodeBudgetExhaustion(t *testing.T) {
 	s := hardHistory(t, 10)
-	m := model.TSO{}
+	m := model.TSO
 	ctx := model.WithBudget(enumerating(context.Background()), model.Budget{MaxNodes: 2000})
-	v, err := m.AllowsCtx(ctx, s)
+	v, err := m.Allows(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestBudgetDeterminism(t *testing.T) {
 	models := model.All()
 	for _, lt := range litmus.Corpus() {
 		for _, m := range models {
-			ref, refErr := m.Allows(lt.History)
+			ref, refErr := m.Allows(context.Background(), lt.History)
 			for _, workers := range []int{1, 4} {
 				wm := model.WithWorkers(m, workers)
 				ctx := model.WithBudget(context.Background(), model.DefaultBudget())
@@ -175,14 +175,14 @@ func TestBudgetDeterminism(t *testing.T) {
 // verdict or reports Unknown — never a wrong answer.
 func TestTightBudgetNeverFlipsVerdict(t *testing.T) {
 	s := hardHistory(t, 6) // 6! = 720 candidates, rejected by model.TSO
-	m := model.TSO{}
-	ref, err := m.Allows(s)
+	m := model.TSO
+	ref, err := m.Allows(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cap := range []int64{1, 10, 100, 1000, 1 << 20} {
 		ctx := model.WithBudget(context.Background(), model.Budget{MaxCandidates: cap, MaxNodes: cap * 100})
-		v, err := m.AllowsCtx(ctx, s)
+		v, err := m.Allows(ctx, s)
 		if err != nil {
 			t.Fatalf("cap=%d: %v", cap, err)
 		}
@@ -199,9 +199,9 @@ func TestWitnessBeforeBudgetIsSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := model.TSO{}
+	m := model.TSO
 	ctx := model.WithBudget(context.Background(), model.Budget{MaxCandidates: 1 << 20, MaxNodes: 1 << 24})
-	v, err := m.AllowsCtx(ctx, s)
+	v, err := m.Allows(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +226,8 @@ func TestWorkerPanicContained(t *testing.T) {
 	defer fault.Clear(fault.PoolDrain)
 
 	s := hardHistory(t, 6) // 720 candidates: well past the parallel threshold
-	m := model.TSO{Workers: 4}
-	_, err := m.AllowsCtx(enumerating(context.Background()), s)
+	m := model.WithWorkers(model.TSO, 4)
+	_, err := m.Allows(enumerating(context.Background()), s)
 	if err == nil {
 		t.Fatal("expected a contained panic error, got success")
 	}
@@ -240,34 +240,5 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	if pe.Value != "injected checker fault" {
 		t.Errorf("PanicError.Value = %v, want the injected value", pe.Value)
-	}
-}
-
-// TestPlainModelFallback: model.AllowsCtx on a model that does not implement
-// ContextModel still works (open loop) and still honours pre-cancellation.
-type plainModel struct{}
-
-func (plainModel) Name() string { return "plain" }
-func (plainModel) Allows(s *history.System) (model.Verdict, error) {
-	return model.Verdict{Allowed: true}, nil
-}
-
-func TestPlainModelFallback(t *testing.T) {
-	s, err := history.Parse("p0: w(x)1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := model.AllowsCtx(context.Background(), plainModel{}, s)
-	if err != nil || !v.Allowed {
-		t.Fatalf("open-loop fallback failed: v=%+v err=%v", v, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	v, err = model.AllowsCtx(ctx, plainModel{}, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Decided() || v.Unknown != model.Canceled {
-		t.Errorf("cancelled plain-model check: got %+v, want Unknown(model.Canceled)", v)
 	}
 }

@@ -1,17 +1,17 @@
 package model_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/history"
 	"repro/model"
-	"repro/order"
 )
 
 func ExampleSC_Allows() {
 	// The paper's Figure 1: not sequentially consistent.
 	sys := history.MustParse("p0: w(x)1 r(y)0\np1: w(y)1 r(x)0")
-	v, err := model.SC{}.Allows(sys)
+	v, err := model.SC.Allows(context.Background(), sys)
 	if err != nil {
 		panic(err)
 	}
@@ -25,7 +25,7 @@ func ExampleTSO_Allows() {
 	// constructs by hand (p1's read bypasses the buffered writes; the
 	// write order is shared by both views).
 	sys := history.MustParse("p0: w(x)1 r(y)0\np1: w(y)1 r(x)0")
-	v, err := model.TSO{}.Allows(sys)
+	v, err := model.TSO.Allows(context.Background(), sys)
 	if err != nil {
 		panic(err)
 	}
@@ -46,31 +46,38 @@ func ExampleRCpc_Allows() {
 	violation := history.MustParse(
 		"p0: W(c0)1 R(n1)0 W(n0)1 W(c0)2 R(c1)0 R(n1)0\n" +
 			"p1: W(c1)1 R(n0)0 W(n1)1 W(c1)2 R(c0)0 R(n0)0")
-	rcpc, _ := model.RCpc{}.Allows(violation)
-	rcsc, _ := model.RCsc{}.Allows(violation)
+	rcpc, _ := model.RCpc.Allows(context.Background(), violation)
+	rcsc, _ := model.RCsc.Allows(context.Background(), violation)
 	fmt.Println("RCpc:", rcpc.Allowed, " RCsc:", rcsc.Allowed)
 	// Output:
 	// RCpc: true  RCsc: false
 }
 
-func ExampleSolveViews() {
-	// Build a new memory model from the framework's primitives (paper
-	// §7): here, "PRAM" in three lines — views must respect program
-	// order, nothing else.
-	sys := history.MustParse("p0: w(x)1 r(x)1 r(x)2\np1: w(x)2 r(x)2 r(x)1")
-	views, err := model.SolveViews(sys, order.Program(sys))
-	if err != nil {
-		panic(err)
+func ExampleSpec() {
+	// A new memory from the framework's three parameters (paper §7):
+	// PRAM's views and ordering, plus coherence as mutual consistency.
+	coherentPRAM := model.Spec{
+		Title:  "PRAM+coherence",
+		Ops:    model.OpsWrites,
+		Mutual: model.MutualCoherence,
+		Order:  model.OrderPO,
 	}
-	fmt.Println("PRAM-style views exist:", views != nil)
+	// The two processors observe x's writes in opposite orders.
+	sys := history.MustParse("p0: w(x)1 r(x)1 r(x)2\np1: w(x)2 r(x)2 r(x)1")
+	ctx := context.Background()
+	pram, _ := model.AllowsCtx(ctx, model.PRAM, sys)
+	coh, _ := model.AllowsCtx(ctx, coherentPRAM, sys)
+	fmt.Println("PRAM:", pram.Allowed, " PRAM+coherence:", coh.Allowed)
+	fmt.Println(model.Procedure(coherentPRAM))
 	// Output:
-	// PRAM-style views exist: true
+	// PRAM: true  PRAM+coherence: false
+	// forced-edge pre-pass + coherence enumeration
 }
 
 func ExampleVerifyWitness() {
 	sys := history.MustParse("p0: w(x)1\np1: r(x)1")
-	v, _ := model.Causal{}.Allows(sys)
-	fmt.Println("verified:", model.VerifyWitness(model.Causal{}, sys, v.Witness) == nil)
+	v, _ := model.Causal.Allows(context.Background(), sys)
+	fmt.Println("verified:", model.VerifyWitness(model.Causal, sys, v.Witness) == nil)
 	// Output:
 	// verified: true
 }
@@ -81,7 +88,7 @@ func ExampleByName() {
 		panic(err)
 	}
 	sys := history.MustParse("p0: w(x)1\np1: r(x)1 w(y)1\np2: r(y)1 r(x)0")
-	v, _ := m.Allows(sys)
+	v, _ := m.Allows(context.Background(), sys)
 	fmt.Printf("%s allows Figure 2: %v\n", m.Name(), v.Allowed)
 	// Output:
 	// PC allows Figure 2: true

@@ -3,6 +3,8 @@ package model
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,6 +118,10 @@ func Explain(m Model, s *history.System, v Verdict) (*Explanation, error) {
 	if w == nil {
 		return nil, fmt.Errorf("model: %s: allowed verdict without witness", m.Name())
 	}
+	sp, ok := m.(Spec)
+	if !ok {
+		return nil, fmt.Errorf("model: no explanation ingredients for model %q", m.Name())
+	}
 	e.WriteOrder = opRefs(s, w.WriteOrder)
 	if len(w.Coherence) > 0 {
 		e.Coherence = make(map[string][]OpRef, len(w.Coherence))
@@ -127,47 +133,30 @@ func Explain(m Model, s *history.System, v Verdict) (*Explanation, error) {
 	if len(w.LocSerializations) > 0 {
 		e.LocSerializations = make(map[string][]OpRef, len(w.LocSerializations))
 	}
-	var procs []history.Proc
-	for p := range w.Views {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
+	procs := slices.Sorted(maps.Keys(w.Views))
 	for _, proc := range procs {
 		view := w.Views[proc]
-		parts, closed, err := explainParts(m.Name(), s, w, proc)
+		parts, closed, err := explainParts(sp, s, w, proc)
 		if err != nil {
 			return nil, err
 		}
-		ve := ViewExplanation{Proc: int(proc), Order: opRefs(s, view)}
-		for i := 0; i+1 < len(view); i++ {
-			ve.Edges = append(ve.Edges, ExplainedEdge{
-				From: int(view[i]), To: int(view[i+1]),
-				Why: edgeWhy(parts, closed, view[i], view[i+1]),
-			})
-		}
-		e.Views = append(e.Views, ve)
+		e.Views = append(e.Views, explainView(s, int(proc), view, parts, closed))
 	}
-	// The Coherence model certifies with per-location serializations; the
-	// only ingredient is program order.
+	// The Coherence model certifies with per-location serializations.
 	if len(w.LocSerializations) > 0 {
 		var locs []string
 		for loc := range w.LocSerializations {
 			locs = append(locs, string(loc))
 		}
 		sort.Strings(locs)
-		po := order.Program(s)
-		parts := []search.Part{{Name: "po", Rel: po}}
+		parts, closed, err := explainParts(sp, s, w, -1)
+		if err != nil {
+			return nil, err
+		}
 		for _, loc := range locs {
 			view := w.LocSerializations[history.Loc(loc)]
 			e.LocSerializations[loc] = opRefs(s, view)
-			ve := ViewExplanation{Proc: -1, Order: opRefs(s, view)}
-			for i := 0; i+1 < len(view); i++ {
-				ve.Edges = append(ve.Edges, ExplainedEdge{
-					From: int(view[i]), To: int(view[i+1]),
-					Why: edgeWhy(parts, po, view[i], view[i+1]),
-				})
-			}
-			e.Views = append(e.Views, ve)
+			e.Views = append(e.Views, explainView(s, -1, view, parts, closed))
 		}
 	}
 	if e.Frontier == 0 {
@@ -180,6 +169,19 @@ func Explain(m Model, s *history.System, v Verdict) (*Explanation, error) {
 		}
 	}
 	return e, nil
+}
+
+// explainView renders one serialization with every consecutive pair
+// labeled by the constraints that forced it.
+func explainView(s *history.System, proc int, view history.View, parts []search.Part, closed *order.Relation) ViewExplanation {
+	ve := ViewExplanation{Proc: proc, Order: opRefs(s, view)}
+	for i := 0; i+1 < len(view); i++ {
+		ve.Edges = append(ve.Edges, ExplainedEdge{
+			From: int(view[i]), To: int(view[i+1]),
+			Why: edgeWhy(parts, closed, view[i], view[i+1]),
+		})
+	}
+	return ve
 }
 
 // opRefs renders a view as operation references.
@@ -224,112 +226,48 @@ func edgeWhy(parts []search.Part, closed *order.Relation, a, b history.OpID) []s
 	return []string{"solver"}
 }
 
-// explainParts reconstructs the named order ingredients of the model's
-// view requirement for processor proc's view, from the history and the
-// witness's mutual-consistency structures, plus the transitive closure of
-// their union (for "derived" attribution). It mirrors each checker's
-// construction in model/{sc,tso,pc,rc,wo,slow,tsoaxiom}.go; keep the two
-// in sync when a model's requirement changes.
-func explainParts(name string, s *history.System, w *Witness, proc history.Proc) (parts []search.Part, closed *order.Relation, err error) {
-	switch name {
-	case "SC", "PRAM":
-		parts = []search.Part{{Name: "po", Rel: order.Program(s)}}
-	case "Slow":
-		// Own operations in program order; others' writes ordered only
-		// within (processor, location) groups — proc-specific by design.
-		po := order.Program(s)
-		prec := order.New(s.NumOps())
-		for _, pr := range po.Pairs() {
-			a, b := s.Op(pr[0]), s.Op(pr[1])
-			if a.Proc == proc || a.Loc == b.Loc {
-				prec.Add(pr[0], pr[1])
-			}
-		}
-		parts = []search.Part{{Name: "po", Rel: prec}}
-	case "Causal":
-		co, cerr := order.Causal(s)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		parts = causalParts(s, co)
-	case "TSO":
-		parts = []search.Part{
-			{Name: "ppo", Rel: order.PartialProgram(s)},
-			{Name: "write-order", Rel: chainRel(s, w.WriteOrder)},
-		}
-	case "TSO-ax":
+// explainParts reconstructs the named order ingredients of the spec's
+// view requirement for processor proc's view (proc < 0: a per-location
+// serialization), from the history and the witness's mutual-consistency
+// structures, plus the transitive closure of their union (for "derived"
+// attribution). The per-history and per-candidate ingredients come from
+// the same builder the checker uses; the mutual-consistency structures
+// come from the witness.
+func explainParts(sp Spec, s *history.System, w *Witness, proc history.Proc) (parts []search.Part, closed *order.Relation, err error) {
+	in, err := sp.ingredients(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts = in.parts(s)
+	if sp.Order&OrderSlow != 0 && proc >= 0 {
+		parts = append(parts, search.Part{Name: "po", Rel: in.slowOrder(s, proc)})
+	}
+	switch sp.Mutual {
+	case MutualWriteOrder:
+		parts = append(parts, search.Part{Name: "write-order", Rel: chainRel(s, w.WriteOrder)})
+	case MutualStoreOrder:
 		// The axiomatic model's "views" render a memory order, not a view
 		// in the paper's sense; the ingredients are the store order and
 		// per-processor program order (forwarded loads produce "solver"
 		// edges — the freedom the Value axiom grants).
-		parts = []search.Part{
-			{Name: "store-order", Rel: chainRel(s, w.WriteOrder)},
-			{Name: "po", Rel: order.Program(s)},
-		}
-	case "PC":
-		coh, cerr := coherenceFromWitness(s, w)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		sem, cerr := order.SemiCausal(s, coh)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		parts = []search.Part{
-			{Name: "ppo", Rel: order.PartialProgram(s)},
-			{Name: "coherence", Rel: coh.Relation(s)},
-			{Name: "sem", Rel: sem},
-		}
-	case "PCG":
-		parts = []search.Part{
-			{Name: "po", Rel: order.Program(s)},
-			{Name: "coherence", Rel: chainsRel(s, w.Coherence)},
-		}
-	case "Causal+Coh", "Causal+LCoh":
-		co, cerr := order.Causal(s)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		parts = append(causalParts(s, co),
-			search.Part{Name: "coherence", Rel: chainsRel(s, w.Coherence)})
-	case "RCsc", "RCpc", "WO":
-		ppo := order.PartialProgram(s)
-		bracket, berr := bracketEdges(s)
-		if berr != nil {
-			return nil, nil, berr
-		}
-		parts = []search.Part{{Name: "ppo", Rel: ppo}, {Name: "bracket", Rel: bracket}}
-		if name == "WO" {
-			parts = append(parts, search.Part{Name: "fence", Rel: fenceEdges(s)})
-		}
+		parts = append(parts, search.Part{Name: "store-order", Rel: chainRel(s, w.WriteOrder)},
+			search.Part{Name: "po", Rel: in.po})
+	case MutualCoherence, MutualLabeledCoherence, MutualCoherenceLabeledSC:
 		parts = append(parts, search.Part{Name: "coherence", Rel: chainsRel(s, w.Coherence)})
 		if w.LabeledOrder != nil {
 			parts = append(parts, search.Part{Name: "labeled-order", Rel: chainRel(s, w.LabeledOrder)})
 		}
-		if name == "RCpc" {
-			sub, toGlobal := labeledSubsystem(s)
-			coh, cerr := coherenceFromWitness(s, w)
-			if cerr != nil {
-				return nil, nil, cerr
+		if sp.Order&perCandidate != 0 {
+			coh, err := coherenceFromWitness(s, w)
+			if err != nil {
+				return nil, nil, err
 			}
-			subCoh, cerr := restrictCoherence(s, sub, toGlobal, coh)
-			if cerr != nil {
-				return nil, nil, cerr
-			}
-			semSub, cerr := order.SemiCausal(sub, subCoh)
-			if cerr != nil {
-				return nil, nil, cerr
-			}
-			sem := order.New(s.NumOps())
-			for _, pr := range semSub.Pairs() {
-				sem.Add(toGlobal[pr[0]], toGlobal[pr[1]])
+			sem, err := in.candidateOrder(s, coh)
+			if err != nil {
+				return nil, nil, err
 			}
 			parts = append(parts, search.Part{Name: "sem", Rel: sem})
 		}
-	case "Coherence":
-		parts = []search.Part{{Name: "po", Rel: order.Program(s)}}
-	default:
-		return nil, nil, fmt.Errorf("model: no explanation ingredients for model %q", name)
 	}
 	closed = order.New(s.NumOps())
 	for _, p := range parts {
@@ -493,6 +431,10 @@ func ValidateExplanation(m Model, s *history.System, e *Explanation) error {
 	if !e.Decided || !e.Allowed {
 		return nil
 	}
+	sp, ok := m.(Spec)
+	if !ok {
+		return fmt.Errorf("model: no explanation ingredients for model %q", m.Name())
+	}
 	w := e.witness(s)
 	if err := VerifyWitness(m, s, w); err != nil {
 		return fmt.Errorf("model: explanation witness does not verify: %w", err)
@@ -501,21 +443,9 @@ func ValidateExplanation(m Model, s *history.System, e *Explanation) error {
 		if len(v.Edges) != max(0, len(v.Order)-1) {
 			return fmt.Errorf("model: %s: view of p%d has %d edges for %d operations", e.Model, v.Proc, len(v.Edges), len(v.Order))
 		}
-		var parts []search.Part
-		var closed *order.Relation
-		var err error
-		if v.Proc >= 0 {
-			parts, closed, err = explainParts(e.Model, s, w, history.Proc(v.Proc))
-		} else {
-			po := order.Program(s)
-			parts, closed = []search.Part{{Name: "po", Rel: po}}, po
-		}
+		parts, closed, err := explainParts(sp, s, w, history.Proc(v.Proc))
 		if err != nil {
 			return err
-		}
-		byName := make(map[string]*order.Relation, len(parts))
-		for _, p := range parts {
-			byName[p.Name] = p.Rel
 		}
 		for i, edge := range v.Edges {
 			a, b := history.OpID(edge.From), history.OpID(edge.To)
@@ -523,23 +453,10 @@ func ValidateExplanation(m Model, s *history.System, e *Explanation) error {
 				return fmt.Errorf("model: %s: view of p%d: edge %d does not connect consecutive operations", e.Model, v.Proc, i)
 			}
 			want := edgeWhy(parts, closed, a, b)
-			if !equalStrings(edge.Why, want) {
+			if !slices.Equal(edge.Why, want) {
 				return fmt.Errorf("model: %s: view of p%d: edge %v→%v claims %v, re-derivation gives %v", e.Model, v.Proc, a, b, edge.Why, want)
 			}
-			_ = byName
 		}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

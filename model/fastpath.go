@@ -85,26 +85,6 @@ func (r *run) fastFindView(s *history.System, ops []history.OpID, base *order.Re
 	return search.FindView(r.problem(s, ops, sat, parts))
 }
 
-// fastViews solves the per-processor δp = w view problems (own operations
-// plus every other processor's writes) through fastFindView. A nil map
-// with a nil error means some processor has no view — a sound rejection.
-func (r *run) fastViews(s *history.System, base *order.Relation, baseName string) (map[history.Proc]history.View, error) {
-	views := make(map[history.Proc]history.View, s.NumProcs())
-	for p := 0; p < s.NumProcs(); p++ {
-		proc := history.Proc(p)
-		v, ok, err := r.fastFindView(s, s.ViewOps(proc), base, baseName,
-			func() string { return fmt.Sprintf("processor p%d's view", p) })
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		views[proc] = v
-	}
-	return views, nil
-}
-
 // forcedWriteEdges runs the saturation pre-pass the enumerating checkers
 // (TSO, PC, PCG) use to shrink their candidate spaces: saturate each
 // processor's view problem under base and collect the forced write→write
@@ -166,6 +146,41 @@ func (r *run) forcedWriteEdges(s *history.System, base *order.Relation, sameLocO
 		return nil, false, nil
 	}
 	return forced, false, nil
+}
+
+// coherencePrepass is the RouteAuto pre-pass of the coherence specs the
+// procedure rule selects (PC, PCG): saturate each processor's view problem
+// under base and fold the forced same-location write→write edges — which
+// every view, and therefore the shared coherence order, must respect —
+// into the relation the per-location candidate extensions are generated
+// from. decided=true means a forced cycle already forbids the history.
+// When the pre-pass has nothing to offer (ambiguous reads-from, no forced
+// edge) the returned relation is po itself and the enumeration is
+// unpruned.
+func (r *run) coherencePrepass(s *history.System, po, base *order.Relation) (candRel *order.Relation, decided bool, err error) {
+	// With at most one write per location, every per-location order is a
+	// singleton: there is nothing to prune and the enumeration below is
+	// already trivial, so the saturation pass would be pure overhead.
+	prunable := false
+	for _, loc := range s.Locs() {
+		if len(s.WritesTo(loc)) > 1 {
+			prunable = true
+			break
+		}
+	}
+	if !prunable {
+		return po, false, nil
+	}
+	forced, decided, err := r.forcedWriteEdges(s, base, true)
+	if err != nil || decided {
+		return po, decided, err
+	}
+	if forced == nil {
+		return po, false, nil
+	}
+	candRel = po.Clone()
+	candRel.Union(forced)
+	return candRel, false, nil
 }
 
 // greedyView attempts to build a legal arrangement of ops respecting rel

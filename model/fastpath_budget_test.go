@@ -13,8 +13,8 @@ import (
 // mirror budget_test.go for these new code paths.
 func routedModels() []model.Model {
 	return []model.Model{
-		model.SC{}, model.PRAM{}, model.Causal{}, model.Coherence{},
-		model.TSO{}, model.PC{}, model.PCG{},
+		model.SC, model.PRAM, model.Causal, model.Coherence,
+		model.TSO, model.PC, model.PCG,
 	}
 }
 

@@ -2,6 +2,9 @@ package model
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/history"
@@ -53,19 +56,37 @@ func TestProcedureCoversAllModels(t *testing.T) {
 	}
 }
 
+// TestReadmeProcedureTable: README's model→procedure table is generated
+// from Procedure over All(); the test fails, printing the current table,
+// when README's copy drifts from the derived procedures.
+func TestReadmeProcedureTable(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("| Model | Procedure under `RouteAuto` |\n|---|---|\n")
+	for _, m := range All() {
+		fmt.Fprintf(&sb, "| %s | %s |\n", m.Name(), Procedure(m))
+	}
+	readme, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), sb.String()) {
+		t.Errorf("README.md's model→procedure table is stale; replace it with:\n%s", sb.String())
+	}
+}
+
 // TestRouterVerdictsMatchEnumerator is the model-layer differential test
 // for the fast paths: on every Figure 1–4 history (plus the enumeration-
 // stressing shapes), every model's RouteAuto verdict must equal its
 // RouteEnumerate verdict, and fast-path witnesses must independently
 // verify. The full-corpus version runs in litmus/differential_test.go.
 func TestRouterVerdictsMatchEnumerator(t *testing.T) {
-	fast := Router{Mode: RouteAuto}
-	oracle := Router{Mode: RouteEnumerate}
+	fast := WithRoute(context.Background(), RouteAuto)
+	oracle := WithRoute(context.Background(), RouteEnumerate)
 	for _, h := range differentialHistories {
 		s := parseDifferential(t, h.text)
 		for _, m := range All() {
-			fv, ferr := fast.AllowsCtx(context.Background(), m, s)
-			ev, eerr := oracle.AllowsCtx(context.Background(), m, s)
+			fv, ferr := AllowsCtx(fast, m, s)
+			ev, eerr := AllowsCtx(oracle, m, s)
 			if (ferr == nil) != (eerr == nil) {
 				t.Errorf("%s under %s: fast err=%v, enumerator err=%v", h.name, m.Name(), ferr, eerr)
 				continue

@@ -16,6 +16,11 @@
 // (Slow), and both memories the paper's Section 7 sketches
 // (CausalCoherent and CausalLabeledCoherent).
 //
+// Every model is data: a Spec of the paper's three parameters — the
+// operation set of each view, the mutual consistency across views, and the
+// order ingredients each view respects — interpreted by one checker. A new
+// memory in the framework is one more Spec value.
+//
 // Deciding these questions is NP-hard in general (it subsumes verifying
 // sequential consistency), so the checkers enumerate candidate mutual-
 // consistency structures (write orders, coherence orders) and solve
@@ -30,17 +35,17 @@
 // pool (internal/perm, internal/pool): the space of linear extensions or
 // coherence products is split by prefix into independent subtrees, workers
 // test candidates concurrently, and the first shard to find a witness
-// cancels the rest via context. Each model's Workers field sizes the pool —
-// 0 (the zero value) uses one worker per CPU, 1 selects the sequential
-// oracle path, larger values set the size explicitly — and WithWorkers sets
-// the knob generically. Verdicts are identical at every setting; the
+// cancels the rest via context. Spec.Workers sizes the pool — 0 (the zero
+// value) uses one worker per CPU, 1 selects the sequential oracle path,
+// larger values set the size explicitly — and WithWorkers sets the knob on
+// any model. Verdicts are identical at every setting; the
 // witness found may differ between runs, but every witness independently
 // verifies (VerifyWitness).
 //
 // # Bounded checking
 //
-// Because deciding membership is NP-hard, every checker is also available
-// in a budgeted, cancellable form: AllowsCtx(ctx, m, s) observes the
+// Because deciding membership is NP-hard, every check is budgeted and
+// cancellable: the one check call, AllowsCtx(ctx, m, s), observes the
 // context's deadline and cancellation plus any Budget attached with
 // WithBudget (candidate and search-node caps), and returns a three-valued
 // Verdict — Allowed, not allowed, or Unknown with a typed reason
@@ -51,13 +56,12 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/history"
 	"repro/internal/budget"
-	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/search"
 	"repro/order"
@@ -99,28 +103,29 @@ type Verdict struct {
 	// the check stopped short of deciding.
 	Unknown UnknownReason
 	// Progress counts candidates tested and search nodes expanded, for
-	// decided and Unknown verdicts alike. Open-loop checks (plain Allows,
-	// or a context with nothing that could stop the check) skip the
-	// accounting and report zeros.
+	// decided and Unknown verdicts alike. Open-loop checks (a context with
+	// nothing that could stop the check) skip the accounting and report
+	// zeros.
 	Progress Progress
 }
 
 // Decided reports whether the verdict answers the membership question.
 func (v Verdict) Decided() bool { return v.Unknown == NotUnknown }
 
-// Model decides membership of histories in a consistency model. Allows
-// returns an error only when the question itself is malformed for the
-// checker (too many operations, ambiguous reads-from where the model's
-// orders require resolution) — never to signal "not allowed".
-//
-// Every model in this package also implements ContextModel; use the
-// package-level AllowsCtx to check under a deadline, budget, or
-// cancellable context.
+// Model decides membership of histories in a consistency model. Every
+// model in this package is a Spec; check one through the package-level
+// AllowsCtx.
 type Model interface {
 	Name() string
 	// Allows reports whether the system execution history is one of the
-	// histories permitted by this memory model.
-	Allows(s *history.System) (Verdict, error)
+	// histories permitted by this memory model, observing the context's
+	// cancellation, deadline, route and any Budget attached with
+	// WithBudget. It returns an Unknown verdict (never an error) when the
+	// budget or deadline cuts the check short; an error means only that
+	// the question itself is malformed for the checker (too many
+	// operations, ambiguous reads-from where the model's orders require
+	// resolution) — never "not allowed".
+	Allows(ctx context.Context, s *history.System) (Verdict, error)
 }
 
 // checkSize guards the solver's operation-count limit with a model-specific
@@ -132,9 +137,6 @@ func checkSize(name string, s *history.System) error {
 	return nil
 }
 
-// allowedVerdict assembles a positive verdict.
-func allowedVerdict(w *Witness) Verdict { return Verdict{Allowed: true, Witness: w} }
-
 // rejected is the negative verdict.
 var rejected = Verdict{}
 
@@ -143,8 +145,8 @@ var rejected = Verdict{}
 // may be modified.
 func All() []Model {
 	return []Model{
-		SC{}, TSO{}, TSOAxiomatic{}, PC{}, Causal{}, PRAM{}, Coherence{},
-		WO{}, RCsc{}, RCpc{}, PCG{}, CausalCoherent{}, CausalLabeledCoherent{}, Slow{},
+		SC, TSO, TSOAxiomatic, PC, Causal, PRAM, Coherence,
+		WO, RCsc, RCpc, PCG, CausalCoherent, CausalLabeledCoherent, Slow,
 	}
 }
 
@@ -162,65 +164,27 @@ func ByName(name string) (Model, error) {
 	return nil, fmt.Errorf("model: unknown model %q (have %v)", name, names)
 }
 
-// SolveView decides whether a legal sequential arrangement of the given
-// operations exists that respects prec, returning one if so. Together with
-// SolveViews and order.LinearExtensions this is the toolkit for defining
-// new memory models in the paper's framework (its Section 7): pick the
-// operation set, enumerate a mutual-consistency structure, encode the
-// ordering requirement as a relation, and solve.
-func SolveView(s *history.System, ops []history.OpID, prec *order.Relation) (history.View, bool, error) {
-	return search.FindView(search.Problem{Sys: s, Ops: ops, Prec: prec})
-}
-
-// SolveViews solves the per-processor view problems for the δp = w
-// operation set (own operations plus all other processors' writes) under a
-// common precedence relation. It returns nil (and no error) when some
-// processor has no legal view.
-func SolveViews(s *history.System, prec *order.Relation) (map[history.Proc]history.View, error) {
-	return solveViews(s, prec, nil)
-}
-
-// solveViews runs the per-processor view-existence subproblems shared by
-// every δp = w model: for each processor, find a legal arrangement of its
-// own operations plus all other processors' writes that respects prec.
-// It returns nil if any processor has no view. A non-nil meter bounds the
-// search; a budget stop surfaces as the meter's *budget.StopError.
-func solveViews(s *history.System, prec *order.Relation, meter *budget.Meter) (map[history.Proc]history.View, error) {
-	return solveViewsObs(s, prec, meter, nil, nil, nil)
-}
-
-// solveViewsObs is solveViews with the observability wiring: probe and
-// parts drive solver statistics and prune attribution (nil for the
-// un-instrumented path), and frontier, when non-nil, is raised to the
-// deepest partial linearization any of the searches reached.
-func solveViewsObs(s *history.System, prec *order.Relation, meter *budget.Meter, probe *obs.Probe, parts []search.Part, frontier *atomic.Int64) (map[history.Proc]history.View, error) {
-	views := make(map[history.Proc]history.View, s.NumProcs())
-	for p := 0; p < s.NumProcs(); p++ {
-		proc := history.Proc(p)
-		v, ok, err := search.FindView(search.Problem{Sys: s, Ops: s.ViewOps(proc), Prec: prec, Meter: meter,
-			Probe: probe, Parts: parts, Frontier: frontier})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		views[proc] = v
-	}
-	return views, nil
-}
-
 // coherenceCandidates materializes, per location, every total order of the
-// location's writes that respects program order (same-processor writes to
-// one location are never reordered by any model in the paper). The
-// enumeration of mutual-consistency structures in TSO/PC/PCG/RC iterates
-// over the cartesian product of these candidate lists. Materialization
-// itself can be the explosive step on write-heavy histories, so each
-// materialized extension is charged to the meter as a search node and a
-// budget stop aborts the materialization with the meter's error.
-func coherenceCandidates(s *history.System, po *order.Relation, meter *budget.Meter) (locs []history.Loc, candidates [][][]history.OpID, err error) {
+// location's writes (only its labeled writes, with labeledOnly) that
+// respects program order (same-processor writes to one location are never
+// reordered by any model in the paper). The enumeration of coherence
+// specs iterates over the cartesian product of these candidate lists.
+// Materialization itself can be the explosive step on write-heavy
+// histories, so each materialized extension is charged to the meter as a
+// search node and a budget stop aborts the materialization with the
+// meter's error.
+func coherenceCandidates(s *history.System, po *order.Relation, labeledOnly bool, meter *budget.Meter) (locs []history.Loc, candidates [][][]history.OpID, err error) {
 	for _, loc := range s.Locs() {
 		writes := s.WritesTo(loc)
+		if labeledOnly {
+			var labeled []history.OpID
+			for _, id := range writes {
+				if s.Op(id).Labeled {
+					labeled = append(labeled, id)
+				}
+			}
+			writes = labeled
+		}
 		if len(writes) == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"repro/history"
@@ -38,7 +39,7 @@ func parse(t *testing.T, text string) *history.System {
 // verdict.
 func check(t *testing.T, m Model, s *history.System) bool {
 	t.Helper()
-	v, err := m.Allows(s)
+	v, err := m.Allows(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s.Allows: %v", m.Name(), err)
 	}
@@ -138,7 +139,7 @@ func TestSCAcceptsSequentialHistory(t *testing.T) {
 
 func TestSCWitnessIsSingleSerialization(t *testing.T) {
 	s := parse(t, "p0: w(x)1\np1: r(x)1")
-	v, err := SC{}.Allows(s)
+	v, err := SC.Allows(context.Background(), s)
 	if err != nil || !v.Allowed {
 		t.Fatalf("Allows = %+v, %v", v, err)
 	}
@@ -227,24 +228,24 @@ func TestRCscAllowsSequentialBakeryRound(t *testing.T) {
 
 func TestRCLabelSeparationEnforced(t *testing.T) {
 	s := parse(t, "p0: W(x)1\np1: r(x)1")
-	if _, err := (RCsc{}).Allows(s); err == nil {
+	if _, err := (RCsc).Allows(context.Background(), s); err == nil {
 		t.Error("mixed labeled/ordinary access to one location accepted")
 	}
-	if _, err := (RCpc{}).Allows(s); err == nil {
+	if _, err := (RCpc).Allows(context.Background(), s); err == nil {
 		t.Error("mixed labeled/ordinary access to one location accepted (RCpc)")
 	}
 }
 
 func TestAmbiguousReadsFromErrors(t *testing.T) {
 	s := parse(t, "p0: w(x)1 w(x)1\np1: r(x)1")
-	for _, m := range []Model{PC{}, Causal{}, RCsc{}, RCpc{}, CausalCoherent{}} {
-		if _, err := m.Allows(s); err == nil {
+	for _, m := range []Model{PC, Causal, RCsc, RCpc, CausalCoherent} {
+		if _, err := m.Allows(context.Background(), s); err == nil {
 			t.Errorf("%s accepted ambiguous reads-from", m.Name())
 		}
 	}
 	// Models that do not resolve reads-from tolerate duplicates.
-	for _, m := range []Model{SC{}, TSO{}, PRAM{}, PCG{}, Coherence{}} {
-		if _, err := m.Allows(s); err != nil {
+	for _, m := range []Model{SC, TSO, PRAM, PCG, Coherence} {
+		if _, err := m.Allows(context.Background(), s); err != nil {
 			t.Errorf("%s errored on duplicate values: %v", m.Name(), err)
 		}
 	}
@@ -265,7 +266,7 @@ func TestByName(t *testing.T) {
 func TestAllModelsOnEmptyishHistory(t *testing.T) {
 	s := parse(t, "p0: w(x)1\np1:")
 	for _, m := range All() {
-		v, err := m.Allows(s)
+		v, err := m.Allows(context.Background(), s)
 		if err != nil {
 			t.Errorf("%s on trivial history: %v", m.Name(), err)
 			continue
@@ -283,7 +284,7 @@ func TestSizeLimit(t *testing.T) {
 	}
 	s := b.System()
 	for _, m := range All() {
-		if _, err := m.Allows(s); err == nil {
+		if _, err := m.Allows(context.Background(), s); err == nil {
 			t.Errorf("%s accepted oversize history", m.Name())
 		}
 	}

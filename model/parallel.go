@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the model layer of the parallel enumeration engine. Every
-// checker that enumerates mutual-consistency structures — write orders
+// spec that enumerates mutual-consistency structures — write orders
 // (TSO, TSO-ax), coherence orders (PC, PCG, RC, WO, Causal+Coh) or labeled
 // coherence orders (Causal+LCoh) — funnels its candidate space through one
 // of the search helpers below. With workers == 1 the helpers run the
@@ -31,7 +31,7 @@ import (
 // scheduling — any witness independently verifies (VerifyWitness), so the
 // verdict, not the certificate, is the contract.
 //
-// Each AllowsCtx call owns one run: the context, the worker knob, and a
+// Each check owns one run: the context, the worker knob, and a
 // budget meter shared by every worker of that check. Candidates are charged
 // to the meter before they are tested, search nodes inside the view solver
 // are charged at a stride cadence, and when the meter latches a stop the
@@ -67,12 +67,12 @@ type run struct {
 	frontier atomic.Int64
 }
 
-// newRun builds the per-check state for one AllowsCtx call, adopting any
-// Budget attached to the context and starting the check's probe. When
-// nothing can stop the check — no budget, no deadline, no cancellation —
-// the meter stays nil, which every layer treats as open loop: plain Allows
-// calls then pay nothing over the pre-budget code (and report zero
-// Progress); likewise an un-instrumented context leaves the probe nil.
+// newRun builds the per-check state for one check, adopting any Budget
+// attached to the context and starting the check's probe. When nothing can
+// stop the check — no budget, no deadline, no cancellation — the meter
+// stays nil, which every layer treats as open loop: checks under a bare
+// context.Background then pay nothing over the pre-budget code (and report
+// zero Progress); likewise an un-instrumented context leaves the probe nil.
 func newRun(ctx context.Context, name string, workers int, s *history.System) *run {
 	r := &run{ctx: ctx, workers: workers, route: RouteFromContext(ctx)}
 	r.probe = obs.Start(ctx, name, s.NumOps(), s.NumProcs())
@@ -108,9 +108,22 @@ func (r *run) instrumented() bool { return r.probe != nil }
 
 // solveViews runs the shared per-processor view subproblems under this
 // run's meter, probe, frontier, and the given prune-attribution parts
-// (pass nil when not instrumented).
+// (pass nil when not instrumented). It returns nil (and no error) if any
+// processor has no view.
 func (r *run) solveViews(s *history.System, prec *order.Relation, parts []search.Part) (map[history.Proc]history.View, error) {
-	return solveViewsObs(s, prec, r.meter, r.probe, parts, &r.frontier)
+	views := make(map[history.Proc]history.View, s.NumProcs())
+	for p := 0; p < s.NumProcs(); p++ {
+		proc := history.Proc(p)
+		v, ok, err := search.FindView(r.problem(s, s.ViewOps(proc), prec, parts))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, nil
+		}
+		views[proc] = v
+	}
+	return views, nil
 }
 
 // problem assembles a view-existence problem wired to this run.
@@ -253,50 +266,45 @@ func (r *run) settle(c *capture, exhausted bool, poolErr error) (*Witness, error
 // (every checker's test builds candidate-local state, so this holds by
 // construction).
 func (r *run) searchLinearExtensions(n int, before func(a, b int) bool, test func(ord []int) (*Witness, error)) (*Witness, error) {
-	test = r.wrapTest(test)
-	if pool.Size(r.workers) == 1 || perm.CountLinearExtensionsUpTo(n, before, smallSpace) < smallSpace {
-		var (
-			witness *Witness
-			err     error
-		)
-		perm.LinearExtensions(n, before, func(ord []int) bool {
-			witness, err = test(ord)
-			return witness == nil && err == nil
+	parallel := pool.Size(r.workers) > 1 && perm.CountLinearExtensionsUpTo(n, before, smallSpace) >= smallSpace
+	return r.search(parallel, test,
+		func(yield func([]int) bool) { perm.LinearExtensions(n, before, yield) },
+		func(ctx context.Context, yield func([]int) bool) (bool, error) {
+			return perm.LinearExtensionsParallel(ctx, r.workers, n, before, yield)
 		})
-		return witness, err
-	}
-	ctx, cancel := context.WithCancel(r.ctx)
-	defer cancel()
-	var c capture
-	exhausted, poolErr := perm.LinearExtensionsParallel(ctx, r.workers, n, before, func(ord []int) bool {
-		w, err := test(ord)
-		if w != nil || err != nil {
-			c.set(w, err)
-			return false
-		}
-		return true
-	})
-	return r.settle(&c, exhausted, poolErr)
 }
 
 // searchProducts applies test to every index vector of the cartesian
 // product of sizes until one returns a witness or an error, with the same
 // reuse and concurrency contract as searchLinearExtensions.
 func (r *run) searchProducts(sizes []int, test func(idx []int) (*Witness, error)) (*Witness, error) {
-	test = r.wrapTest(test)
 	total := 1
 	for _, s := range sizes {
 		if total *= s; total >= smallSpace {
 			break
 		}
 	}
-	if pool.Size(r.workers) == 1 || total < smallSpace {
+	return r.search(pool.Size(r.workers) > 1 && total >= smallSpace, test,
+		func(yield func([]int) bool) { perm.Products(sizes, yield) },
+		func(ctx context.Context, yield func([]int) bool) (bool, error) {
+			return perm.ProductsParallel(ctx, r.workers, sizes, yield)
+		})
+}
+
+// search applies test to the candidates a space yields until one returns a
+// witness or an error: in order through seq, or, when parallel, sharded
+// through par under a context the first outcome cancels.
+func (r *run) search(parallel bool, test func([]int) (*Witness, error),
+	seq func(yield func([]int) bool),
+	par func(ctx context.Context, yield func([]int) bool) (exhausted bool, err error)) (*Witness, error) {
+	test = r.wrapTest(test)
+	if !parallel {
 		var (
 			witness *Witness
 			err     error
 		)
-		perm.Products(sizes, func(idx []int) bool {
-			witness, err = test(idx)
+		seq(func(x []int) bool {
+			witness, err = test(x)
 			return witness == nil && err == nil
 		})
 		return witness, err
@@ -304,8 +312,8 @@ func (r *run) searchProducts(sizes []int, test func(idx []int) (*Witness, error)
 	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
 	var c capture
-	exhausted, poolErr := perm.ProductsParallel(ctx, r.workers, sizes, func(idx []int) bool {
-		w, err := test(idx)
+	exhausted, poolErr := par(ctx, func(x []int) bool {
+		w, err := test(x)
 		if w != nil || err != nil {
 			c.set(w, err)
 			return false
@@ -316,12 +324,13 @@ func (r *run) searchProducts(sizes []int, test func(idx []int) (*Witness, error)
 }
 
 // searchCoherence enumerates every coherence order (one total order of
-// writes per location, each a linear extension of program order) and
+// writes per location, each a linear extension of po) — or, with
+// labeledOnly, every order of the labeled writes per location — and
 // applies test to each until one yields a witness. It is the shared outer
-// loop of PC, PCG, Causal+Coh, WO and the RC models, parallelized across
-// the product of per-location candidate lists.
-func (r *run) searchCoherence(s *history.System, po *order.Relation, test func(coh *order.Coherence) (*Witness, error)) (*Witness, error) {
-	locs, candidates, err := coherenceCandidates(s, po, r.meter)
+// loop of every coherence spec, parallelized across the product of
+// per-location candidate lists.
+func (r *run) searchCoherence(s *history.System, po *order.Relation, labeledOnly bool, test func(seqs map[history.Loc][]history.OpID) (*Witness, error)) (*Witness, error) {
+	locs, candidates, err := coherenceCandidates(s, po, labeledOnly, r.meter)
 	if err != nil {
 		return nil, err
 	}
@@ -334,49 +343,6 @@ func (r *run) searchCoherence(s *history.System, po *order.Relation, test func(c
 		for i, loc := range locs {
 			m[loc] = candidates[i][idx[i]]
 		}
-		coh, err := order.NewCoherence(s, m)
-		if err != nil {
-			return nil, err
-		}
-		return test(coh)
+		return test(m)
 	})
-}
-
-// WithWorkers returns a copy of m with its worker-count knob set, for the
-// models that enumerate mutual-consistency structures; models with nothing
-// to parallelize (SC, PRAM, Causal, Coherence, Slow — a fixed handful of
-// view problems each) are returned unchanged. The knob follows the pool
-// convention: 0 = one worker per CPU (the default), 1 = the sequential
-// oracle path, larger = an explicit pool size.
-func WithWorkers(m Model, workers int) Model {
-	switch t := m.(type) {
-	case TSO:
-		t.Workers = workers
-		return t
-	case TSOAxiomatic:
-		t.Workers = workers
-		return t
-	case PC:
-		t.Workers = workers
-		return t
-	case PCG:
-		t.Workers = workers
-		return t
-	case RCsc:
-		t.Workers = workers
-		return t
-	case RCpc:
-		t.Workers = workers
-		return t
-	case WO:
-		t.Workers = workers
-		return t
-	case CausalCoherent:
-		t.Workers = workers
-		return t
-	case CausalLabeledCoherent:
-		t.Workers = workers
-		return t
-	}
-	return m
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"repro/history"
@@ -43,8 +44,8 @@ func TestParallelVerdictsMatchSequential(t *testing.T) {
 		for _, m := range All() {
 			seq := WithWorkers(m, 1)
 			par := WithWorkers(m, 4)
-			sv, serr := seq.Allows(s)
-			pv, perr := par.Allows(s)
+			sv, serr := seq.Allows(context.Background(), s)
+			pv, perr := par.Allows(context.Background(), s)
 			if (serr == nil) != (perr == nil) {
 				t.Errorf("%s under %s: sequential err=%v, parallel err=%v", h.name, m.Name(), serr, perr)
 				continue

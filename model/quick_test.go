@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -51,29 +52,29 @@ var quickCfg = &quick.Config{MaxCount: 120}
 // weaker must allow.
 func TestQuickContainments(t *testing.T) {
 	pairs := [][2]Model{
-		{SC{}, TSO{}},
-		{SC{}, Coherence{}},
-		{TSO{}, TSOAxiomatic{}},
-		{TSOAxiomatic{}, PC{}},
-		{TSO{}, Causal{}},
-		{PC{}, PRAM{}},
-		{Causal{}, PRAM{}},
-		{CausalCoherent{}, Causal{}},
-		{CausalCoherent{}, PCG{}},
-		{PCG{}, PRAM{}},
-		{WO{}, RCsc{}},
-		{SC{}, WO{}},
+		{SC, TSO},
+		{SC, Coherence},
+		{TSO, TSOAxiomatic},
+		{TSOAxiomatic, PC},
+		{TSO, Causal},
+		{PC, PRAM},
+		{Causal, PRAM},
+		{CausalCoherent, Causal},
+		{CausalCoherent, PCG},
+		{PCG, PRAM},
+		{WO, RCsc},
+		{SC, WO},
 	}
 	prop := func(g genHistory) bool {
 		for _, pr := range pairs {
-			strong, err := pr[0].Allows(g.Sys)
+			strong, err := pr[0].Allows(context.Background(), g.Sys)
 			if err != nil {
 				return false
 			}
 			if !strong.Allowed {
 				continue
 			}
-			weak, err := pr[1].Allows(g.Sys)
+			weak, err := pr[1].Allows(context.Background(), g.Sys)
 			if err != nil {
 				return false
 			}
@@ -94,7 +95,7 @@ func TestQuickContainments(t *testing.T) {
 func TestQuickWitnessesVerify(t *testing.T) {
 	prop := func(g genHistory) bool {
 		for _, m := range All() {
-			v, err := m.Allows(g.Sys)
+			v, err := m.Allows(context.Background(), g.Sys)
 			if err != nil {
 				return false // generator guarantees classifiability
 			}
@@ -119,7 +120,7 @@ func TestQuickWitnessesVerify(t *testing.T) {
 // respecting serialization yields identical processor views.
 func TestQuickSCImpliesIdenticalViews(t *testing.T) {
 	prop := func(g genHistory) bool {
-		v, err := SC{}.Allows(g.Sys)
+		v, err := SC.Allows(context.Background(), g.Sys)
 		if err != nil || !v.Allowed {
 			return err == nil
 		}
@@ -142,11 +143,11 @@ func TestQuickSCImpliesIdenticalViews(t *testing.T) {
 // quick-check half of the differential suite (the corpus half lives in
 // litmus/parallel_test.go).
 func TestQuickParallelEquivalence(t *testing.T) {
-	models := []Model{TSO{}, TSOAxiomatic{}, PC{}, PCG{}, RCsc{}, RCpc{}}
+	models := []Model{TSO, TSOAxiomatic, PC, PCG, RCsc, RCpc}
 	prop := func(g genHistory) bool {
 		for _, m := range models {
-			sv, serr := WithWorkers(m, 1).Allows(g.Sys)
-			pv, perr := WithWorkers(m, 3).Allows(g.Sys)
+			sv, serr := WithWorkers(m, 1).Allows(context.Background(), g.Sys)
+			pv, perr := WithWorkers(m, 3).Allows(context.Background(), g.Sys)
 			if (serr == nil) != (perr == nil) {
 				t.Logf("%s: sequential err=%v, parallel err=%v\n%s", m.Name(), serr, perr, g.Sys)
 				return false
@@ -176,9 +177,9 @@ func TestQuickParallelEquivalence(t *testing.T) {
 // TestQuickDeterminism: checkers are deterministic — two calls agree.
 func TestQuickDeterminism(t *testing.T) {
 	prop := func(g genHistory) bool {
-		for _, m := range []Model{TSO{}, PC{}, Causal{}, RCsc{}} {
-			a, err1 := m.Allows(g.Sys)
-			b, err2 := m.Allows(g.Sys)
+		for _, m := range []Model{TSO, PC, Causal, RCsc} {
+			a, err1 := m.Allows(context.Background(), g.Sys)
+			b, err2 := m.Allows(context.Background(), g.Sys)
 			if (err1 == nil) != (err2 == nil) || a.Allowed != b.Allowed {
 				return false
 			}
@@ -192,15 +193,15 @@ func TestQuickDeterminism(t *testing.T) {
 
 func TestVerifyWitnessRejectsForgeries(t *testing.T) {
 	s := parse(t, "p0: w(x)1 r(y)0\np1: w(y)1 r(x)0")
-	v, err := TSO{}.Allows(s)
+	v, err := TSO.Allows(context.Background(), s)
 	if err != nil || !v.Allowed {
 		t.Fatal("TSO should allow Figure 1")
 	}
-	if err := VerifyWitness(TSO{}, s, v.Witness); err != nil {
+	if err := VerifyWitness(TSO, s, v.Witness); err != nil {
 		t.Fatalf("genuine witness rejected: %v", err)
 	}
 	// Forgery 1: nil witness.
-	if VerifyWitness(TSO{}, s, nil) == nil {
+	if VerifyWitness(TSO, s, nil) == nil {
 		t.Error("nil witness accepted")
 	}
 	// Forgery 2: swap two operations to break legality.
@@ -214,12 +215,12 @@ func TestVerifyWitnessRejectsForgeries(t *testing.T) {
 	// moved after the write of 1) or breaks write-order agreement.
 	v0 := forged.Views[0]
 	v0[len(v0)-2], v0[len(v0)-1] = v0[len(v0)-1], v0[len(v0)-2]
-	if VerifyWitness(TSO{}, s, forged) == nil {
+	if VerifyWitness(TSO, s, forged) == nil {
 		t.Error("forged views accepted")
 	}
 	// Forgery 3: drop a view.
 	delete(forged.Views, 1)
-	if VerifyWitness(TSO{}, s, forged) == nil {
+	if VerifyWitness(TSO, s, forged) == nil {
 		t.Error("missing view accepted")
 	}
 }

@@ -1,163 +1,12 @@
 package model
 
 import (
-	"context"
 	"fmt"
 
 	"repro/history"
 	"repro/internal/search"
 	"repro/order"
 )
-
-// RCsc is release consistency with sequentially consistent synchronization
-// operations, as provided by the DASH architecture (Gharachorloo et al.
-// 1990; paper Section 3.4). Views have δp = w, mutual consistency is
-// coherence over all writes, local operations respect →ppo, ordinary
-// operations are bracketed by the labeled operations around them (an
-// ordinary operation follows the write its preceding acquire observed, and
-// precedes any later release by the same processor, in every view), and the
-// labeled operations admit a single legal sequentially consistent
-// serialization that every view embeds.
-type RCsc struct {
-	// Workers sizes the coherence-order enumeration pool; see TSO.Workers
-	// for the convention.
-	Workers int
-}
-
-// Name implements Model.
-func (RCsc) Name() string { return "RCsc" }
-
-// Allows implements Model.
-func (m RCsc) Allows(s *history.System) (Verdict, error) {
-	return m.AllowsCtx(context.Background(), s)
-}
-
-// AllowsCtx implements ContextModel.
-func (m RCsc) AllowsCtx(ctx context.Context, s *history.System) (Verdict, error) {
-	return rcAllows(ctx, "RCsc", s, true, m.Workers)
-}
-
-// RCpc is release consistency with processor consistent synchronization
-// operations: identical to RCsc except the labeled operations need only
-// satisfy PC — each processor may arrange others' labeled writes in its own
-// semi-causally consistent order. The paper's Section 5 shows Lamport's
-// Bakery algorithm is correct on RCsc but not on RCpc; package explore
-// reproduces that separation.
-type RCpc struct {
-	// Workers sizes the coherence-order enumeration pool; see TSO.Workers
-	// for the convention.
-	Workers int
-}
-
-// Name implements Model.
-func (RCpc) Name() string { return "RCpc" }
-
-// Allows implements Model.
-func (m RCpc) Allows(s *history.System) (Verdict, error) {
-	return m.AllowsCtx(context.Background(), s)
-}
-
-// AllowsCtx implements ContextModel.
-func (m RCpc) AllowsCtx(ctx context.Context, s *history.System) (Verdict, error) {
-	return rcAllows(ctx, "RCpc", s, false, m.Workers)
-}
-
-// rcAllows is the shared RC decision procedure.
-//
-// Note on the paper's second bracketing condition: the text reads "if o is
-// an ordinary operation of p that precedes a labeled write operation
-// (release) o_w of p, then o follows o_w in all histories", but the
-// sentence that follows ("these two conditions ensure that ordinary
-// operations are ordered, in all views, between the labeled operations
-// that bracket them") and the RC definition it formalizes ("an ordinary
-// operation completes before the following release operation is
-// performed") make clear this is a typo for "o precedes o_w"; we implement
-// the bracketing reading.
-func rcAllows(ctx context.Context, name string, s *history.System, labeledSC bool, workers int) (Verdict, error) {
-	if err := checkSize(name, s); err != nil {
-		return rejected, err
-	}
-	if err := requireUnambiguousReadsFrom(name, s); err != nil {
-		return rejected, err
-	}
-	if err := validateLabelSeparation(name, s); err != nil {
-		return rejected, err
-	}
-	po := order.Program(s)
-	ppo := order.PartialProgram(s)
-	bracket, err := bracketEdges(s)
-	if err != nil {
-		return rejected, fmt.Errorf("model: %s: %w", name, err)
-	}
-	base := ppo.Clone()
-	base.Union(bracket)
-
-	labeled := s.Labeled()
-	sub, toGlobal := labeledSubsystem(s)
-
-	r := newRun(ctx, name, workers, s)
-	// baseParts attributes prunes from the static ingredients; candidate-
-	// specific relations (coherence, labeled order) are appended per
-	// candidate. Built once; nil when un-instrumented.
-	var baseParts []search.Part
-	if r.instrumented() {
-		baseParts = []search.Part{{Name: "ppo", Rel: ppo}, {Name: "bracket", Rel: bracket}}
-	}
-	witness, err := r.searchCoherence(s, po, func(coh *order.Coherence) (*Witness, error) {
-		cohRel := coh.Relation(s)
-		prec0 := r.cloneRel(base)
-		prec0.Union(cohRel)
-		defer r.releaseRel(prec0)
-		var parts []search.Part
-		if r.instrumented() {
-			parts = append(baseParts[:len(baseParts):len(baseParts)],
-				search.Part{Name: "coherence", Rel: cohRel})
-		}
-		if labeledSC {
-			w, err := rcscLabeledSearch(r, s, labeled, po, coh, prec0, parts)
-			if err != nil || w == nil {
-				return nil, err
-			}
-			w.Coherence = coherenceWitness(coh)
-			return w, nil
-		}
-		// RCpc: impose the semi-causality order of the labeled
-		// subhistory, computed against this coherence order.
-		subCoh, err := restrictCoherence(s, sub, toGlobal, coh)
-		if err != nil {
-			return nil, err
-		}
-		semSub, err := order.SemiCausal(sub, subCoh)
-		if err != nil {
-			return nil, err
-		}
-		if semSub.HasCycle() {
-			r.probe.Constraint("sem-cycle", "labeled-subhistory semi-causal order is cyclic under this coherence order")
-			return nil, nil
-		}
-		prec := r.cloneRel(prec0)
-		var sem *order.Relation
-		if parts != nil {
-			sem = order.New(s.NumOps())
-		}
-		for _, pr := range semSub.Pairs() {
-			prec.Add(toGlobal[pr[0]], toGlobal[pr[1]])
-			if sem != nil {
-				sem.Add(toGlobal[pr[0]], toGlobal[pr[1]])
-			}
-		}
-		if sem != nil {
-			parts = append(parts, search.Part{Name: "sem", Rel: sem})
-		}
-		views, err := r.solveViews(s, prec, parts)
-		r.releaseRel(prec)
-		if err != nil || views == nil {
-			return nil, err
-		}
-		return &Witness{Views: views, Coherence: coherenceWitness(coh)}, nil
-	})
-	return r.finish(witness, err)
-}
 
 // rcscLabeledSearch enumerates the legal sequentially consistent
 // serializations of the labeled operations (legality-pruned, so impossible
@@ -268,6 +117,23 @@ func bracketEdges(s *history.System) (*order.Relation, error) {
 		}
 	}
 	return r, nil
+}
+
+// fenceEdges orders, per processor, every (ordinary, labeled) pair in
+// program order, in both directions: labeled operations are full fences.
+func fenceEdges(s *history.System) *order.Relation {
+	r := order.New(s.NumOps())
+	for p := 0; p < s.NumProcs(); p++ {
+		ops := s.ProcOps(history.Proc(p))
+		for i, a := range ops {
+			for _, b := range ops[i+1:] {
+				if s.Op(a).Labeled != s.Op(b).Labeled {
+					r.Add(a, b)
+				}
+			}
+		}
+	}
+	return r
 }
 
 // validateLabelSeparation enforces the paper's Section 5 assumption for RC

@@ -3,8 +3,6 @@ package model
 import (
 	"context"
 	"fmt"
-
-	"repro/history"
 )
 
 // RouteMode selects which family of decision procedures a check uses.
@@ -52,43 +50,4 @@ func RouteFromContext(ctx context.Context) RouteMode {
 		return m
 	}
 	return RouteAuto
-}
-
-// Router checks histories under a fixed route mode. It is a thin,
-// explicit alternative to WithRoute for callers that hold both procedures
-// side by side — the differential tests and benchmarks compare
-// Router{RouteAuto} against Router{RouteEnumerate} on identical inputs.
-type Router struct {
-	Mode RouteMode
-}
-
-// AllowsCtx checks m against s with the router's mode attached, observing
-// the context's deadline, cancellation and budget exactly like the
-// package-level AllowsCtx.
-func (rt Router) AllowsCtx(ctx context.Context, m Model, s *history.System) (Verdict, error) {
-	return AllowsCtx(WithRoute(ctx, rt.Mode), m, s)
-}
-
-// Procedure names the decision procedure the router dispatches m to under
-// RouteAuto. The table is documentation made executable — README's
-// model→procedure table is generated from the same switch — and the
-// differential tests iterate All() against it to keep the two in sync.
-func Procedure(m Model) string {
-	switch m.(type) {
-	case SC:
-		return "saturate + greedy construction (pruned search fallback)"
-	case PRAM:
-		return "per-process saturate + greedy construction"
-	case Causal:
-		return "per-process saturate + greedy construction over causal order"
-	case Coherence:
-		return "per-location saturate + greedy construction"
-	case TSO:
-		return "forced-edge pre-pass + write-order enumeration"
-	case PC:
-		return "forced-edge pre-pass + coherence enumeration"
-	case PCG:
-		return "forced-edge pre-pass + coherence enumeration"
-	}
-	return "enumeration"
 }

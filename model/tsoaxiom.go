@@ -1,86 +1,8 @@
 package model
 
 import (
-	"context"
-
 	"repro/history"
-	"repro/order"
 )
-
-// TSOAxiomatic is the SPARC total store ordering of Sindhu, Frailong and
-// Cekleov [17], which the paper's Section 3.2 claims its view-based TSO
-// captures and Section 6 compares against. The axioms, over a memory order
-// on operations:
-//
-//   - Order: the stores are totally ordered, consistently with each
-//     processor's program order (StoreStore).
-//   - LoadOp: a load precedes, in memory order, every program-order-later
-//     operation of its processor.
-//   - Value: a load L of location x returns the value of the memory-order
-//     maximum of {stores to x at or before L in memory order} ∪ {stores to
-//     x issued by L's processor before L in program order} — the second
-//     set is store-buffer forwarding: a processor may read its own store
-//     before the store reaches memory.
-//   - Termination: every operation eventually performs (implicit here,
-//     as in the paper's framework: every operation is placed).
-//
-// There is deliberately no Store→Load order axiom — that is the TSO
-// relaxation — and, unlike the paper's view-based TSO, no same-location
-// write→read ordering either: forwarding lets a load complete before its
-// own processor's earlier store to the same location. The two models
-// therefore differ, and this checker makes the difference measurable: the
-// SB+rfi history is allowed here and rejected by the paper's TSO.
-//
-// In the containment order, paper-TSO ⊊ TSOAxiomatic ⊊ PRAM, and
-// TSOAxiomatic is INCOMPARABLE with the paper's PC: PC lacks a global
-// store order (Figure 2 is PC-only), but PC's ppo also forbids store
-// forwarding, which this model requires (litmus test TSOax-not-PC, found
-// by the exhaustive shape sweep). The paper's framework cannot express
-// forwarding in any of its models, because view legality makes a read
-// observe the most recent write *placed before it*.
-//
-// The checker enumerates store orders (linear extensions of per-processor
-// store order) and, for each, greedily assigns every load a position —
-// the number of stores memory-ordered before it — in program order per
-// processor; minimal feasible positions are optimal, so the greedy
-// assignment is complete.
-type TSOAxiomatic struct {
-	// Workers sizes the store-order enumeration pool; see TSO.Workers for
-	// the convention.
-	Workers int
-}
-
-// Name implements Model.
-func (TSOAxiomatic) Name() string { return "TSO-ax" }
-
-// Allows implements Model.
-func (m TSOAxiomatic) Allows(s *history.System) (Verdict, error) {
-	return m.AllowsCtx(context.Background(), s)
-}
-
-// AllowsCtx implements ContextModel.
-func (m TSOAxiomatic) AllowsCtx(ctx context.Context, s *history.System) (Verdict, error) {
-	if err := checkSize("TSO-ax", s); err != nil {
-		return rejected, err
-	}
-	po := order.Program(s)
-	writes := s.Writes()
-	r := newRun(ctx, "TSO-ax", m.Workers, s)
-	witness, err := r.searchLinearExtensions(len(writes), func(a, b int) bool {
-		return po.Has(writes[a], writes[b])
-	}, func(ord []int) (*Witness, error) {
-		wseq := make([]history.OpID, len(ord))
-		for i, k := range ord {
-			wseq[i] = writes[k]
-		}
-		views, ok := axiomaticAssign(s, wseq)
-		if !ok {
-			return nil, nil
-		}
-		return &Witness{Views: views, WriteOrder: wseq}, nil
-	})
-	return r.finish(witness, err)
-}
 
 // axiomaticAssign tries to place every load against the store order wseq.
 // On success it returns, per processor, a view-like rendering of the

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func axAllows(t *testing.T, text string) bool {
 	t.Helper()
 	s := parse(t, text)
-	v, err := TSOAxiomatic{}.Allows(s)
+	v, err := TSOAxiomatic.Allows(context.Background(), s)
 	if err != nil {
 		t.Fatalf("TSO-ax: %v", err)
 	}
@@ -33,7 +34,7 @@ func TestTSOAxiomaticSBrfi(t *testing.T) {
 		t.Error("TSO-ax rejects SB+rfi; SPARC allows it (forwarding)")
 	}
 	s := parse(t, sbrfi)
-	v, err := TSO{}.Allows(s)
+	v, err := TSO.Allows(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestPaperTSOSubsetAxiomatic(t *testing.T) {
 			Ops: 8 + rng.Intn(4), MaxWrites: 5, PInternal: 0.4,
 			DataLocs: []history.Loc{"x", "y"},
 		})
-		paper, err := TSO{}.Allows(h)
+		paper, err := TSO.Allows(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, err := TSOAxiomatic{}.Allows(h)
+		ax, err := TSOAxiomatic.Allows(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestAxiomaticIncomparableWithPC(t *testing.T) {
 		t.Error("TSO-ax allows Figure 2; a single store order should forbid it")
 	}
 	s := parse(t, fig2)
-	if v, err := (PC{}).Allows(s); err != nil || !v.Allowed {
+	if v, err := (PC).Allows(context.Background(), s); err != nil || !v.Allowed {
 		t.Errorf("PC rejects Figure 2: %v", err)
 	}
 	// TSO-ax \ PC: the forwarding counterexample.
@@ -130,7 +131,7 @@ func TestAxiomaticIncomparableWithPC(t *testing.T) {
 		t.Error("TSO-ax rejects the forwarding counterexample")
 	}
 	s = parse(t, fwd)
-	if v, err := (PC{}).Allows(s); err != nil || v.Allowed {
+	if v, err := (PC).Allows(context.Background(), s); err != nil || v.Allowed {
 		t.Errorf("PC accepts the forwarding counterexample (err=%v)", err)
 	}
 }
@@ -147,12 +148,12 @@ func TestAxiomaticSubsetPRAM(t *testing.T) {
 			Ops: 8, MaxWrites: 5, PInternal: 0.3,
 			DataLocs: []history.Loc{"x", "y"},
 		})
-		ax, err := TSOAxiomatic{}.Allows(h)
+		ax, err := TSOAxiomatic.Allows(context.Background(), h)
 		if err != nil || !ax.Allowed {
 			continue
 		}
 		checked++
-		pram, err := PRAM{}.Allows(h)
+		pram, err := PRAM.Allows(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestAxiomaticSubsetPRAM(t *testing.T) {
 
 func TestTSOAxiomaticWitnessStoreOrder(t *testing.T) {
 	s := parse(t, "p0: w(x)1 w(y)2\np1: r(y)2 r(x)1")
-	v, err := TSOAxiomatic{}.Allows(s)
+	v, err := TSOAxiomatic.Allows(context.Background(), s)
 	if err != nil || !v.Allowed {
 		t.Fatalf("Allows = %+v, %v", v, err)
 	}

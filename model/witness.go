@@ -41,9 +41,12 @@ func (w *Witness) Format(s *history.System) string {
 
 // poRespecting lists the models whose views must present each processor's
 // own operations in full program order (the others use the partial program
-// order, which permits write→read bypass).
+// order, which permits write→read bypass). The table is kept by hand,
+// apart from the Spec table the checkers interpret, so that a mistake in a
+// Spec cannot also hide in the audit of its certificates.
 var poRespecting = map[string]bool{
 	"SC": true, "PRAM": true, "Causal": true, "PCG": true, "Causal+Coh": true,
+	"Causal+LCoh": true, "Slow": true,
 }
 
 // VerifyWitness re-validates a positive verdict's certificate

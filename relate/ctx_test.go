@@ -15,7 +15,7 @@ func TestBuildMatrixCtxUnknownColumn(t *testing.T) {
 	models := model.All()
 	ctx := model.WithBudget(context.Background(),
 		model.Budget{MaxCandidates: 4, MaxNodes: 50})
-	mx, err := BuildMatrixCtx(ctx, hs, models, 2)
+	mx, err := BuildMatrix(ctx, hs, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBuildMatrixCtxUnknownColumn(t *testing.T) {
 
 	// Soundness: every separation the starved matrix reports must also
 	// exist in the unbudgeted matrix (Unknown may hide, never fabricate).
-	full := BuildMatrixParallel(hs, models, 2)
+	full := mustMatrix(t, hs, models, 2)
 	for _, a := range mx.Models {
 		for _, b := range mx.Models {
 			if mx.Sep[a][b] > 0 && full.Sep[a][b] == 0 {
@@ -43,16 +43,17 @@ func TestBuildMatrixCtxUnknownColumn(t *testing.T) {
 	}
 }
 
-// TestBuildMatrixCtxNoBudgetMatchesLegacy: under an open context the Ctx
-// variant is exactly BuildMatrix — no Unknown entries, same counts.
+// TestBuildMatrixCtxNoBudgetMatchesLegacy: under an open context the
+// parallel matrix is exactly the sequential one — no Unknown entries, same
+// counts.
 func TestBuildMatrixCtxNoBudgetMatchesLegacy(t *testing.T) {
 	hs := CorpusHistories()
-	models := []model.Model{model.SC{}, model.TSO{}, model.PRAM{}}
-	mx, err := BuildMatrixCtx(context.Background(), hs, models, 2)
+	models := []model.Model{model.SC, model.TSO, model.PRAM}
+	mx, err := BuildMatrix(context.Background(), hs, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := BuildMatrix(hs, models)
+	ref := mustMatrix(t, hs, models, 1)
 	for _, name := range mx.Models {
 		if mx.Unknown[name] != 0 {
 			t.Errorf("%s: %d unknown without any budget", name, mx.Unknown[name])
@@ -70,7 +71,7 @@ func TestBuildMatrixCtxNoBudgetMatchesLegacy(t *testing.T) {
 func TestDensityCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := DensityCtx(ctx, 2, 2, 2, 2, []model.Model{model.SC{}})
+	_, _, _, err := Density(ctx, 2, 2, 2, 2, []model.Model{model.SC})
 	if err == nil {
 		t.Fatal("cancelled exhaustive sweep returned no error")
 	}
@@ -80,7 +81,7 @@ func TestDensityCtxCancelled(t *testing.T) {
 // reports the cut-short checks per model instead of dropping them.
 func TestDensityCtxUnknownTally(t *testing.T) {
 	ctx := model.WithBudget(context.Background(), model.Budget{MaxNodes: 10})
-	counts, unknown, total, err := DensityCtx(ctx, 2, 2, 2, 2, []model.Model{model.SC{}})
+	counts, unknown, total, err := Density(ctx, 2, 2, 2, 2, []model.Model{model.SC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/history"
-	"repro/model"
 )
 
 // EnumerateHistories yields every (unlabeled) system execution history of
@@ -94,87 +93,4 @@ func EnumerateHistories(procs, opsPerProc, locs int, yield func(*history.System)
 		return true
 	}
 	emit(0)
-}
-
-// Density reports, for each model, how many histories of the enumerated
-// shape it allows — an exhaustive measure of relative strictness. The
-// returned total is the number of histories in the shape.
-func Density(procs, opsPerProc, locs int, models []model.Model) (counts map[string]int, total int, err error) {
-	counts = make(map[string]int, len(models))
-	EnumerateHistories(procs, opsPerProc, locs, func(s *history.System) bool {
-		total++
-		for _, m := range models {
-			v, e := m.Allows(s)
-			if e != nil {
-				err = fmt.Errorf("relate: density: %s on %q: %w", m.Name(), s, e)
-				return false
-			}
-			if v.Allowed {
-				counts[m.Name()]++
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return counts, total, nil
-}
-
-// CheckLatticeExhaustive verifies every containment of PaperLattice over
-// the complete space of histories with the given shape, returning the
-// first counterexample found per violated containment.
-func CheckLatticeExhaustive(procs, opsPerProc, locs int) (violations []string, total int, err error) {
-	byName := map[string]model.Model{}
-	for _, m := range model.All() {
-		byName[m.Name()] = m
-	}
-	lattice := PaperLattice()
-	seen := map[string]bool{}
-	EnumerateHistories(procs, opsPerProc, locs, func(s *history.System) bool {
-		total++
-		verdict := map[string]bool{}
-		get := func(name string) (bool, bool) {
-			if v, ok := verdict[name]; ok {
-				return v, true
-			}
-			m, ok := byName[name]
-			if !ok {
-				return false, false
-			}
-			v, e := m.Allows(s)
-			if e != nil {
-				err = e
-				return false, false
-			}
-			verdict[name] = v.Allowed
-			return v.Allowed, true
-		}
-		for _, c := range lattice {
-			if seen[c.Strong+c.Weak] {
-				continue // already violated; report once
-			}
-			strong, ok := get(c.Strong)
-			if err != nil {
-				return false
-			}
-			if !ok || !strong {
-				continue
-			}
-			weak, ok := get(c.Weak)
-			if err != nil {
-				return false
-			}
-			if ok && !weak {
-				seen[c.Strong+c.Weak] = true
-				violations = append(violations,
-					fmt.Sprintf("%s ⊆ %s violated by %q", c.Strong, c.Weak, s))
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, total, err
-	}
-	return violations, total, nil
 }

@@ -1,6 +1,7 @@
 package relate
 
 import (
+	"context"
 	"testing"
 
 	"repro/history"
@@ -53,7 +54,7 @@ func TestFigure5ExhaustiveOn2x2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive shape check is slow in -short mode")
 	}
-	violations, total, err := CheckLatticeExhaustive(2, 2, 2)
+	violations, total, err := CheckLatticeExhaustive(context.Background(), 2, 2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDensityOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("density scan is slow in -short mode")
 	}
-	counts, total, err := Density(2, 2, 2, model.All())
+	counts, _, total, err := Density(context.Background(), 2, 2, 2, 1, model.All())
 	if err != nil {
 		t.Fatal(err)
 	}

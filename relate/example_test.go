@@ -1,6 +1,7 @@
 package relate_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/model"
@@ -9,7 +10,10 @@ import (
 
 func ExampleBuildMatrix() {
 	// Classify the paper's figures and read containments off the matrix.
-	mx := relate.BuildMatrix(relate.CorpusHistories(), model.All())
+	mx, err := relate.BuildMatrix(context.Background(), relate.CorpusHistories(), model.All(), 1)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("SC ⊆ TSO over the corpus:", mx.StrongerEq("SC", "TSO"))
 	fmt.Println("TSO ⊂ PC strictly:", mx.StrictlyStronger("TSO", "PC"))
 	fmt.Println("PC ∥ Causal:", mx.Incomparable("PC", "Causal"))
@@ -22,7 +26,7 @@ func ExampleBuildMatrix() {
 func ExampleDensity() {
 	// Exhaustive classification of EVERY 1-processor 2-operation history
 	// over one location: SC allows 4 of the 6.
-	counts, total, err := relate.Density(1, 2, 1, []model.Model{model.SC{}})
+	counts, _, total, err := relate.Density(context.Background(), 1, 2, 1, 1, []model.Model{model.SC})
 	if err != nil {
 		panic(err)
 	}
@@ -32,7 +36,7 @@ func ExampleDensity() {
 }
 
 func ExampleCheckLatticeExhaustive() {
-	violations, total, err := relate.CheckLatticeExhaustive(2, 2, 1)
+	violations, total, err := relate.CheckLatticeExhaustive(context.Background(), 2, 2, 1, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -26,16 +26,14 @@ func sweepScope(ctx context.Context, kind string, items int64) func(done int64) 
 // The classification sweeps — thousands of histories, each decided under a
 // dozen models — are embarrassingly parallel: checkers are pure functions
 // of their inputs (every Model in package model is a stateless value type,
-// and each Allows call builds its own solver state). The parallel variants
-// below shard histories across the shared worker pool (internal/pool — the
-// same pool the model checkers and the explorer use) and aggregate;
-// results are identical to the sequential versions, deterministically.
-//
-// Every sweep is also available in a context-aware form (BuildMatrixCtx,
-// DensityCtx, CheckLatticeExhaustiveCtx): the context's deadline,
-// cancellation and budget (model.WithBudget) apply per check, and a check
-// the budget cuts short lands in the matrix's Unknown column instead of
-// silently vanishing or miscounting as a rejection.
+// and each check builds its own solver state). Each sweep below is one
+// function that shards histories across the shared worker pool
+// (internal/pool — the same pool the model checkers and the explorer use)
+// and aggregates; results are identical at every worker count,
+// deterministically. The context's deadline, cancellation and budget
+// (model.WithBudget) apply per check, and a check the budget cuts short
+// lands in the matrix's Unknown column instead of silently vanishing or
+// miscounting as a rejection.
 
 // classification is one history's verdict vector.
 type classification struct {
@@ -66,15 +64,17 @@ func classify(ctx context.Context, h *history.System, models []model.Model) clas
 	return c
 }
 
-// BuildMatrixCtx classifies every history under every model, fanning the
+// BuildMatrix classifies every history under every model, fanning the
 // per-history classification out over `workers` goroutines (0 = GOMAXPROCS,
-// 1 = sequential). The context applies to every check: its deadline,
-// cancellation and any model.WithBudget budget. Checks cut short are
-// tallied per model in the matrix's Unknown column and excluded from
+// 1 = sequential). Checker errors (ambiguous reads-from, mixed-label
+// locations) exclude that history from that model's rows and columns
+// rather than failing the build. The context applies to every check: its
+// deadline, cancellation and any model.WithBudget budget. Checks cut short
+// are tallied per model in the matrix's Unknown column and excluded from
 // Classified, Allowed and Sep — an undecided check never contributes a
 // separation. The error is non-nil only for a contained worker fault
 // (*pool.PanicError).
-func BuildMatrixCtx(ctx context.Context, histories []*history.System, models []model.Model, workers int) (*Matrix, error) {
+func BuildMatrix(ctx context.Context, histories []*history.System, models []model.Model, workers int) (*Matrix, error) {
 	names := make([]string, len(models))
 	for i, m := range models {
 		names[i] = m.Name()
@@ -126,19 +126,6 @@ func BuildMatrixCtx(ctx context.Context, histories []*history.System, models []m
 	return mx, nil
 }
 
-// BuildMatrixParallel is BuildMatrix with the per-history classification
-// fanned out over `workers` goroutines (0 = GOMAXPROCS). The resulting
-// matrix is identical to the sequential one: classifications land in a
-// per-history slot and are folded in order. A checker panic propagates
-// (use BuildMatrixCtx for the structured-error form).
-func BuildMatrixParallel(histories []*history.System, models []model.Model, workers int) *Matrix {
-	mx, err := BuildMatrixCtx(context.Background(), histories, models, workers)
-	if err != nil {
-		panic(err)
-	}
-	return mx
-}
-
 // shutdownFeed winds down a Feed/Drain pair: cancel the producer, drain the
 // channel until it closes (no goroutine outlives the sweep), and return the
 // first fault — a drain-worker one before a producer one.
@@ -152,13 +139,16 @@ func shutdownFeed[T any](cancel context.CancelFunc, jobs <-chan T, feedErr func(
 	return feedErr()
 }
 
-// DensityCtx is Density under a context and worker pool: it enumerates the
-// complete history shape and counts, per model, the histories each allows,
-// plus the histories whose check the budget or deadline cut short
-// (undecided checks are counted in unknown, never in counts). A cancelled
-// context aborts the sweep with the context's error — a partial density
-// over an exhaustive shape would be misleading.
-func DensityCtx(ctx context.Context, procs, opsPerProc, locs, workers int, models []model.Model) (counts, unknown map[string]int, total int, err error) {
+// Density reports, for each model, how many histories of the enumerated
+// shape it allows — an exhaustive measure of relative strictness — plus
+// the histories whose check the budget or deadline cut short (undecided
+// checks are counted in unknown, never in counts); total is the number of
+// histories in the shape. Enumeration is sequential (it is cheap);
+// classification is fanned out over `workers` goroutines, with per-worker
+// partial counts merged at the end. A cancelled context aborts the sweep
+// with the context's error — a partial density over an exhaustive shape
+// would be misleading.
+func Density(ctx context.Context, procs, opsPerProc, locs, workers int, models []model.Model) (counts, unknown map[string]int, total int, err error) {
 	w := pool.Size(workers)
 	finish := sweepScope(ctx, "density", 0)
 	type partial struct {
@@ -225,20 +215,12 @@ func DensityCtx(ctx context.Context, procs, opsPerProc, locs, workers int, model
 	return counts, unknown, total, nil
 }
 
-// DensityParallel is Density with a worker pool (workers = 0 means
-// GOMAXPROCS). Enumeration is sequential (it is cheap); classification is
-// fanned out, with per-worker partial counts merged at the end.
-func DensityParallel(procs, opsPerProc, locs, workers int, models []model.Model) (map[string]int, int, error) {
-	counts, _, total, err := DensityCtx(context.Background(), procs, opsPerProc, locs, workers, models)
-	return counts, total, err
-}
-
-// CheckLatticeExhaustiveCtx verifies every PaperLattice containment over
-// the complete shape under ctx, collecting at most one counterexample per
-// violated containment. Undecided checks (budget, deadline) classify the
+// CheckLatticeExhaustive verifies every PaperLattice containment over the
+// complete space of histories with the given shape under ctx, collecting
+// at most one counterexample per violated containment. Undecided checks (budget, deadline) classify the
 // history under neither side of an edge, so they can hide a violation but
 // never fabricate one; a cancelled context aborts with the context's error.
-func CheckLatticeExhaustiveCtx(ctx context.Context, procs, opsPerProc, locs, workers int) (violations []string, total int, err error) {
+func CheckLatticeExhaustive(ctx context.Context, procs, opsPerProc, locs, workers int) (violations []string, total int, err error) {
 	byName := map[string]model.Model{}
 	needed := map[string]bool{}
 	lattice := PaperLattice()
@@ -310,11 +292,4 @@ func CheckLatticeExhaustiveCtx(ctx context.Context, procs, opsPerProc, locs, wor
 	}
 	finish(int64(total))
 	return violations, total, nil
-}
-
-// CheckLatticeExhaustiveParallel verifies every PaperLattice containment
-// over the complete shape using a worker pool, collecting at most one
-// counterexample per violated containment.
-func CheckLatticeExhaustiveParallel(procs, opsPerProc, locs, workers int) (violations []string, total int, err error) {
-	return CheckLatticeExhaustiveCtx(context.Background(), procs, opsPerProc, locs, workers)
 }

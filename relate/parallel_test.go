@@ -1,10 +1,13 @@
 package relate
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/history"
 	"repro/model"
 )
 
@@ -14,9 +17,9 @@ func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		hs = append(hs, RandomHistory(rng, GenConfig{}))
 	}
-	seq := BuildMatrix(hs, model.All())
+	seq := mustMatrix(t, hs, model.All(), 1)
 	for _, workers := range []int{1, 2, 4} {
-		par := BuildMatrixParallel(hs, model.All(), workers)
+		par := mustMatrix(t, hs, model.All(), workers)
 		if !reflect.DeepEqual(seq.Allowed, par.Allowed) {
 			t.Errorf("workers=%d: Allowed differs: %v vs %v", workers, seq.Allowed, par.Allowed)
 		}
@@ -30,11 +33,11 @@ func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 }
 
 func TestDensityParallelMatchesSequential(t *testing.T) {
-	seqCounts, seqTotal, err := Density(2, 2, 2, model.All())
+	seqCounts, seqTotal, err := density(2, 2, 2, model.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCounts, parTotal, err := DensityParallel(2, 2, 2, 4, model.All())
+	parCounts, _, parTotal, err := Density(context.Background(), 2, 2, 2, 4, model.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestDensityParallelMatchesSequential(t *testing.T) {
 }
 
 func TestCheckLatticeExhaustiveParallelClean(t *testing.T) {
-	violations, total, err := CheckLatticeExhaustiveParallel(2, 2, 2, 0)
+	violations, total, err := CheckLatticeExhaustive(context.Background(), 2, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +60,19 @@ func TestCheckLatticeExhaustiveParallelClean(t *testing.T) {
 	for _, v := range violations {
 		t.Errorf("violation: %s", v)
 	}
+	seqViolations, seqTotal, err := checkLatticeExhaustive(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqTotal != total || len(seqViolations) != len(violations) {
+		t.Errorf("sequential reference: %d histories, %d violations; parallel: %d, %d",
+			seqTotal, len(seqViolations), total, len(violations))
+	}
 }
 
 func TestDensityParallelDefaultWorkers(t *testing.T) {
 	// workers = 0 must resolve to GOMAXPROCS and still be correct.
-	counts, total, err := DensityParallel(1, 2, 1, 0, []model.Model{model.SC{}})
+	counts, _, total, err := Density(context.Background(), 1, 2, 1, 0, []model.Model{model.SC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,4 +85,97 @@ func TestDensityParallelDefaultWorkers(t *testing.T) {
 	if counts["SC"] != 4 {
 		t.Errorf("SC density = %d, want 4", counts["SC"])
 	}
+}
+
+// mustMatrix is BuildMatrix under a bare context, failing the test on a
+// worker fault.
+func mustMatrix(t testing.TB, hs []*history.System, models []model.Model, workers int) *Matrix {
+	t.Helper()
+	mx, err := BuildMatrix(context.Background(), hs, models, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mx
+}
+
+// density is the independent sequential reference for Density: one loop
+// over the shape, every model checked in turn.
+func density(procs, opsPerProc, locs int, models []model.Model) (counts map[string]int, total int, err error) {
+	counts = make(map[string]int, len(models))
+	EnumerateHistories(procs, opsPerProc, locs, func(s *history.System) bool {
+		total++
+		for _, m := range models {
+			v, e := m.Allows(context.Background(), s)
+			if e != nil {
+				err = fmt.Errorf("relate: density: %s on %q: %w", m.Name(), s, e)
+				return false
+			}
+			if v.Allowed {
+				counts[m.Name()]++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return counts, total, nil
+}
+
+// checkLatticeExhaustive is the independent sequential reference for
+// CheckLatticeExhaustive, returning the first counterexample found per
+// violated containment.
+func checkLatticeExhaustive(procs, opsPerProc, locs int) (violations []string, total int, err error) {
+	byName := map[string]model.Model{}
+	for _, m := range model.All() {
+		byName[m.Name()] = m
+	}
+	lattice := PaperLattice()
+	seen := map[string]bool{}
+	EnumerateHistories(procs, opsPerProc, locs, func(s *history.System) bool {
+		total++
+		verdict := map[string]bool{}
+		get := func(name string) (bool, bool) {
+			if v, ok := verdict[name]; ok {
+				return v, true
+			}
+			m, ok := byName[name]
+			if !ok {
+				return false, false
+			}
+			v, e := m.Allows(context.Background(), s)
+			if e != nil {
+				err = e
+				return false, false
+			}
+			verdict[name] = v.Allowed
+			return v.Allowed, true
+		}
+		for _, c := range lattice {
+			if seen[c.Strong+c.Weak] {
+				continue // already violated; report once
+			}
+			strong, ok := get(c.Strong)
+			if err != nil {
+				return false
+			}
+			if !ok || !strong {
+				continue
+			}
+			weak, ok := get(c.Weak)
+			if err != nil {
+				return false
+			}
+			if ok && !weak {
+				seen[c.Strong+c.Weak] = true
+				violations = append(violations,
+					fmt.Sprintf("%s ⊆ %s violated by %q", c.Strong, c.Weak, s))
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, total, err
+	}
+	return violations, total, nil
 }

@@ -19,7 +19,6 @@ import (
 
 	"repro/history"
 	"repro/litmus"
-	"repro/model"
 	"repro/sim"
 )
 
@@ -168,14 +167,6 @@ type Matrix struct {
 	// Sep[a][b] counts histories allowed by a but rejected by b, among
 	// histories classified by both.
 	Sep map[string]map[string]int
-}
-
-// BuildMatrix classifies every history under every model. Checker errors
-// (ambiguous reads-from, mixed-label locations) exclude that history from
-// that model's rows and columns rather than failing the build. Use
-// BuildMatrixCtx to sweep under a deadline or budget.
-func BuildMatrix(histories []*history.System, models []model.Model) *Matrix {
-	return BuildMatrixParallel(histories, models, 1)
 }
 
 // StrongerEq reports the empirical claim "every classified history allowed

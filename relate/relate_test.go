@@ -1,6 +1,7 @@
 package relate
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func corpusMatrix(t *testing.T, extraRandom, perSim int) *Matrix {
 			hs = append(hs, RandomLabeledHistory(rng, GenConfig{}))
 		}
 	}
-	return BuildMatrix(hs, model.All())
+	return mustMatrix(t, hs, model.All(), 1)
 }
 
 // TestFigure5Lattice is the reproduction of the paper's Figure 5: over the
@@ -71,7 +72,7 @@ func TestMatrixSeparationsMatchPairwise(t *testing.T) {
 	// Hand-build a matrix over the paper figures only and check a few
 	// known entries: Fig1 separates TSO from SC; Fig2 separates PC from
 	// TSO and from Causal; Fig3 separates Causal (and PRAM) from PC.
-	mx := BuildMatrix(CorpusHistories(), model.All())
+	mx := mustMatrix(t, CorpusHistories(), model.All(), 1)
 	if !mx.StrictlyStronger("SC", "TSO") {
 		t.Errorf("SC ⊂ TSO not confirmed: sep[SC][TSO]=%d sep[TSO][SC]=%d",
 			mx.Sep["SC"]["TSO"], mx.Sep["TSO"]["SC"])
@@ -89,7 +90,7 @@ func TestMatrixSeparationsMatchPairwise(t *testing.T) {
 }
 
 func TestMatrixStringRenders(t *testing.T) {
-	mx := BuildMatrix(CorpusHistories()[:3], []model.Model{model.SC{}, model.PRAM{}})
+	mx := mustMatrix(t, CorpusHistories()[:3], []model.Model{model.SC, model.PRAM}, 1)
 	s := mx.String()
 	if s == "" || len(s) < 20 {
 		t.Errorf("matrix rendering too small: %q", s)
@@ -107,11 +108,11 @@ func TestTSOSubsetPC(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		hs := SimHistories(rng, 1)
 		for _, h := range hs {
-			tso, err := model.TSO{}.Allows(h)
+			tso, err := model.TSO.Allows(context.Background(), h)
 			if err != nil || !tso.Allowed {
 				continue
 			}
-			pc, err := model.PC{}.Allows(h)
+			pc, err := model.PC.Allows(context.Background(), h)
 			if err != nil {
 				t.Fatalf("PC error on TSO history: %v", err)
 			}
@@ -138,11 +139,11 @@ func TestPCGvsPCIncomparable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := model.PC{}.Allows(tc.History)
+		pc, err := model.PC.Allows(context.Background(), tc.History)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcg, err := model.PCG{}.Allows(tc.History)
+		pcg, err := model.PCG.Allows(context.Background(), tc.History)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +164,8 @@ func TestPCGvsPCIncomparable(t *testing.T) {
 	found := false
 	for i := 0; i < n && !found; i++ {
 		h := RandomHistory(rng, GenConfig{Procs: 3, Ops: 8, Locs: 3, MaxWrites: 4})
-		pc, err1 := model.PC{}.Allows(h)
-		pcg, err2 := model.PCG{}.Allows(h)
+		pc, err1 := model.PC.Allows(context.Background(), h)
+		pcg, err2 := model.PCG.Allows(context.Background(), h)
 		if err1 != nil || err2 != nil {
 			continue
 		}

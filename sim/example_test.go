@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/model"
@@ -19,7 +20,7 @@ func ExampleTSOMemory() {
 	// The recorded (tagged) history is Figure 1, and the TSO checker
 	// accepts it.
 	h := m.Recorder().System()
-	v, _ := model.TSO{}.Allows(h)
+	v, _ := model.TSO.Allows(context.Background(), h)
 	fmt.Println("TSO checker accepts the recorded run:", v.Allowed)
 	// Output:
 	// p0 reads y: 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -44,11 +45,11 @@ func TestTSOBufferingProducesSB(t *testing.T) {
 		t.Errorf("p1 read x = %d, want 0", v)
 	}
 	s := m.Recorder().System()
-	v, err := model.TSO{}.Allows(s)
+	v, err := model.TSO.Allows(context.Background(), s)
 	if err != nil || !v.Allowed {
 		t.Errorf("recorded SB history rejected by TSO checker: %+v, %v", v, err)
 	}
-	if sc, _ := (model.SC{}).Allows(s); sc.Allowed {
+	if sc, _ := (model.SC).Allows(context.Background(), s); sc.Allowed {
 		t.Error("SB history accepted by SC checker")
 	}
 }
@@ -138,10 +139,10 @@ func TestPRAMIndependentChannels(t *testing.T) {
 		t.Errorf("p1 after delivery: got %d, want 1 (p0's update overwrites)", v)
 	}
 	s := m.Recorder().System()
-	if v, err := (model.PRAM{}).Allows(s); err != nil || !v.Allowed {
+	if v, err := (model.PRAM).Allows(context.Background(), s); err != nil || !v.Allowed {
 		t.Errorf("PRAM checker rejected Figure-3 history: %+v, %v", v, err)
 	}
-	if v, _ := (model.TSO{}).Allows(s); v.Allowed {
+	if v, _ := (model.TSO).Allows(context.Background(), s); v.Allowed {
 		t.Error("TSO checker accepted Figure-3 history")
 	}
 }
@@ -324,18 +325,18 @@ var simChecker = []struct {
 	mk    func(int) Memory
 	check model.Model
 }{
-	{func(n int) Memory { return NewSC(n) }, model.SC{}},
-	{func(n int) Memory { return NewTSONoForward(n) }, model.TSO{}},
+	{func(n int) Memory { return NewSC(n) }, model.SC},
+	{func(n int) Memory { return NewTSONoForward(n) }, model.TSO},
 	// Forwarding escapes the paper's TSO — and its PC too (see litmus
 	// test TSOax-not-PC) — so the forwarding machine validates against
 	// the axiomatic TSO it implements.
-	{func(n int) Memory { return NewTSO(n) }, model.TSOAxiomatic{}},
-	{func(n int) Memory { return NewPRAM(n) }, model.PRAM{}},
-	{func(n int) Memory { return NewPCG(n) }, model.PCG{}},
-	{func(n int) Memory { return NewCausal(n) }, model.Causal{}},
-	{func(n int) Memory { return NewRCsc(n) }, model.RCsc{}},
-	{func(n int) Memory { return NewRCpc(n) }, model.RCpc{}},
-	{func(n int) Memory { return NewSlow(n) }, model.Slow{}},
+	{func(n int) Memory { return NewTSO(n) }, model.TSOAxiomatic},
+	{func(n int) Memory { return NewPRAM(n) }, model.PRAM},
+	{func(n int) Memory { return NewPCG(n) }, model.PCG},
+	{func(n int) Memory { return NewCausal(n) }, model.Causal},
+	{func(n int) Memory { return NewRCsc(n) }, model.RCsc},
+	{func(n int) Memory { return NewRCpc(n) }, model.RCpc},
+	{func(n int) Memory { return NewSlow(n) }, model.Slow},
 }
 
 // TestCrossValidation is the repository's strongest evidence that the
@@ -365,7 +366,7 @@ func TestCrossValidation(t *testing.T) {
 					cfg.SyncLocs = []history.Loc{"s", "u"}
 				}
 				s := RandomRun(mem, rng, cfg)
-				v, err := sc.check.Allows(s)
+				v, err := sc.check.Allows(context.Background(), s)
 				if err != nil {
 					t.Fatalf("seed %d: checker error: %v\nhistory:\n%s", seed, err, s)
 				}
@@ -382,13 +383,13 @@ func TestCrossValidation(t *testing.T) {
 // (containment at the simulator level): SC runs pass everything, TSO runs
 // pass PC and PRAM.
 func TestCrossValidationWeaker(t *testing.T) {
-	weaker := []model.Model{model.PC{}, model.Causal{}, model.PRAM{}, model.PCG{}}
+	weaker := []model.Model{model.PC, model.Causal, model.PRAM, model.PCG}
 	for seed := 0; seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		mem := NewSC(2)
 		s := RandomRun(mem, rng, RandomRunConfig{Ops: 8, MaxWrites: 4})
 		for _, m := range weaker {
-			v, err := m.Allows(s)
+			v, err := m.Allows(context.Background(), s)
 			if err != nil || !v.Allowed {
 				t.Fatalf("seed %d: SC history rejected by %s: %v", seed, m.Name(), err)
 			}
@@ -569,10 +570,10 @@ func TestSlowMemoryFlagOvertakesData(t *testing.T) {
 	// The recorded history is exactly MP — rejected by PRAM, allowed by
 	// slow memory.
 	h := m.Recorder().System()
-	if v, err := (model.PRAM{}).Allows(h); err != nil || v.Allowed {
+	if v, err := (model.PRAM).Allows(context.Background(), h); err != nil || v.Allowed {
 		t.Errorf("PRAM accepted the slow-memory MP run (err=%v)", err)
 	}
-	if v, err := (model.Slow{}).Allows(h); err != nil || !v.Allowed {
+	if v, err := (model.Slow).Allows(context.Background(), h); err != nil || !v.Allowed {
 		t.Errorf("Slow checker rejected its own machine's run (err=%v)", err)
 	}
 }
