@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -190,14 +191,27 @@ func TestGoPanicContained(t *testing.T) {
 }
 
 func TestIndexedPanicCancelsSiblings(t *testing.T) {
-	const n = 10_000
-	var processed atomic.Int32
-	err := Indexed(4, n, func(i int) {
-		if i == 5 {
-			panic(errors.New("index fault"))
-		}
-		processed.Add(1)
-	})
+	// Siblings must stop claiming work. The index space is too large to
+	// finish, so Indexed returns only if they stop, however the panicking
+	// worker is scheduled against them (a finite space lets the siblings
+	// claim all of it while the panic's stack is captured); the watchdog
+	// turns a regression into a failure instead of a hang.
+	const n = math.MaxInt
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = Indexed(4, n, func(i int) {
+			if i == 5 {
+				panic(errors.New("index fault"))
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("siblings kept claiming indices for a minute after the panic")
+	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v, want *PanicError", err)
@@ -208,10 +222,6 @@ func TestIndexedPanicCancelsSiblings(t *testing.T) {
 	// The wrapped error must be reachable through errors.Is.
 	if !strings.Contains(err.Error(), "index fault") {
 		t.Errorf("error text %q does not mention the panic value", err)
-	}
-	// Siblings must stop claiming work: far fewer than n indices processed.
-	if got := processed.Load(); int(got) >= n-1 {
-		t.Errorf("siblings processed %d/%d indices after the panic", got, n)
 	}
 }
 

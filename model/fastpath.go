@@ -9,17 +9,19 @@ import (
 	"repro/order"
 )
 
-// This file implements the polynomial fast paths the router (router.go)
-// dispatches to under RouteAuto. Each fast path is CERTIFIED rather than
+// This file implements the polynomial fast paths and the enumeration
+// pre-passes RouteAuto uses (Spec.procedure picks one per spec; TSO-ax's
+// store-order pre-pass is in tsoaxiom.go). Each is CERTIFIED rather than
 // trusted: it only ever decides through an artifact the slow path would
 // also accept — a rejection comes from a cycle of forced edges
 // (order.SaturateForced derives only edges every legal view must contain),
 // and an acceptance comes from an explicitly constructed view that is
-// re-verified legal before it is returned. When neither certificate
-// materializes (the greedy construction gets stuck, or reads-from is
-// ambiguous), the path falls back to the memoized solver or the full
-// enumerator, so verdicts are identical to RouteEnumerate by construction;
-// the differential-oracle CI matrix pins that equivalence empirically.
+// re-verified legal before it is returned, or from a candidate the
+// enumeration itself tests. When neither certificate materializes (the
+// greedy construction gets stuck, or reads-from is ambiguous), the path
+// falls back to the memoized solver or the full enumerator, so verdicts
+// are identical to RouteEnumerate by construction; the differential-oracle
+// CI matrix pins that equivalence empirically.
 
 // errFastPathUnavailable reports that a fast path cannot apply to this
 // history (ambiguous reads-from resolution); callers fall back to the
@@ -85,12 +87,18 @@ func (r *run) fastFindView(s *history.System, ops []history.OpID, base *order.Re
 	return search.FindView(r.problem(s, ops, sat, parts))
 }
 
-// forcedWriteEdges runs the saturation pre-pass the enumerating checkers
-// (TSO, PC, PCG) use to shrink their candidate spaces: saturate each
-// processor's view problem under base and collect the forced write→write
-// edges. For TSO every such edge constrains the agreed global write order;
-// for PC and PCG only same-location pairs constrain the coherence order,
-// so those callers set sameLocOnly.
+// forcedWriteEdges runs the saturation pre-pass the write-order and
+// coherence specs (TSO; PC, PCG, WO, RCsc, RCpc, Causal+Coh) use to shrink
+// their candidate spaces: saturate each processor's view problem under
+// base and collect the forced write→write edges. For a write order every
+// such edge constrains the agreed global order; for a coherence order
+// only same-location pairs do, so those callers set sameLocOnly.
+//
+// Each view is saturated under base restricted to the view's operations,
+// because that is all the enumeration's view search enforces: base is a
+// union of orders (ppo ∪ bracket ∪ fence) that need not be closed, and a
+// chain through another processor's read — an acquire's observed write,
+// an ordinary read, the next release — does not bind this view.
 //
 // decided=true means some processor's forced edges are cyclic — the
 // history is forbidden outright, no enumeration needed. A nil forced
@@ -118,6 +126,7 @@ func (r *run) forcedWriteEdges(s *history.System, base *order.Relation, sameLocO
 			continue
 		}
 		scratch.CopyFrom(base)
+		scratch.RestrictTo(ops)
 		acyclic, rounds, serr := order.SaturateForced(s, ops, scratch)
 		if serr != nil {
 			return nil, false, nil // ambiguous reads-from: skip the pre-pass
@@ -148,15 +157,17 @@ func (r *run) forcedWriteEdges(s *history.System, base *order.Relation, sameLocO
 	return forced, false, nil
 }
 
-// coherencePrepass is the RouteAuto pre-pass of the coherence specs the
-// procedure rule selects (PC, PCG): saturate each processor's view problem
-// under base and fold the forced same-location write→write edges — which
-// every view, and therefore the shared coherence order, must respect —
-// into the relation the per-location candidate extensions are generated
-// from. decided=true means a forced cycle already forbids the history.
-// When the pre-pass has nothing to offer (ambiguous reads-from, no forced
-// edge) the returned relation is po itself and the enumeration is
-// unpruned.
+// coherencePrepass is the RouteAuto pre-pass of every coherence spec the
+// procedure rule selects (PC, PCG, WO, RCsc, RCpc, Causal+Coh): saturate
+// each processor's view problem under base and fold the forced
+// same-location write→write edges — which every view, and therefore the
+// shared coherence order, must respect — into the relation the
+// per-location candidate extensions are generated from. Per-candidate
+// orders (semi-causality) and the labeled SC serialization only add
+// constraints, so edges forced under base stay forced under them.
+// decided=true means a forced cycle already forbids the history. When the
+// pre-pass has nothing to offer (ambiguous reads-from, no forced edge) the
+// returned relation is po itself and the enumeration is unpruned.
 func (r *run) coherencePrepass(s *history.System, po, base *order.Relation) (candRel *order.Relation, decided bool, err error) {
 	// With at most one write per location, every per-location order is a
 	// singleton: there is nothing to prune and the enumeration below is

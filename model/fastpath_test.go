@@ -40,6 +40,7 @@ func TestProcedureCoversAllModels(t *testing.T) {
 	special := map[string]bool{
 		"SC": true, "PRAM": true, "Causal": true, "Coherence": true,
 		"TSO": true, "PC": true, "PCG": true,
+		"TSO-ax": true, "WO": true, "RCsc": true, "RCpc": true, "Causal+Coh": true,
 	}
 	for _, m := range All() {
 		p := Procedure(m)

@@ -13,10 +13,13 @@ type RouteMode uint8
 
 const (
 	// RouteAuto — the default — dispatches each model to its cheapest
-	// sound procedure: the polynomial fast paths for SC, PRAM, causal and
-	// coherence, the forced-edge pre-pass ahead of TSO/PC/PCG enumeration,
-	// and plain enumeration everywhere else. Verdicts are identical to
-	// RouteEnumerate on every input; only the work differs.
+	// sound procedure (Procedure names it): the polynomial fast paths for
+	// SC, PRAM, causal and coherence; the forced-edge pre-pass ahead of
+	// the write-order and coherence enumerations of TSO, PC, PCG, WO, RCsc,
+	// RCpc and Causal+Coh; the value-axiom pre-pass ahead of TSO-ax's
+	// store-order enumeration; and plain enumeration for Causal+LCoh and
+	// Slow. Verdicts are identical to RouteEnumerate on every input; only
+	// the work differs.
 	RouteAuto RouteMode = iota
 	// RouteEnumerate forces the pure enumeration procedures — the
 	// differential oracle the fast paths are pinned against in CI.

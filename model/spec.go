@@ -20,9 +20,9 @@ import (
 // The procedure a check uses under RouteAuto is derived from the
 // parameters, not chosen per model (see Procedure): independent views, or
 // one common serialization, under an order built once per history are
-// decided by the polynomial fast path; a write order or coherence order
-// over program order alone is enumerated behind the forced-edge pre-pass;
-// everything else is plain enumeration.
+// decided by the polynomial fast path; a write order, coherence order or
+// store order is enumerated behind a forced-edge pre-pass; everything else
+// is plain enumeration.
 type Spec struct {
 	// Title is the model's name, as Name reports it.
 	Title string
@@ -171,10 +171,11 @@ var TSO = Spec{Title: "TSO", Ops: OpsWrites, Mutual: MutualWriteOrder, Order: Or
 // kind, MutualStoreOrder.
 //
 // The checker enumerates store orders (linear extensions of per-processor
-// store order) and, for each, greedily assigns every load a position —
-// the number of stores memory-ordered before it — in program order per
-// processor; minimal feasible positions are optimal, so the greedy
-// assignment is complete.
+// store order; under RouteAuto, also of the store→store edges the axioms
+// force, see storeOrderEdges) and, for each, greedily assigns every load a
+// position — the number of stores memory-ordered before it — in program
+// order per processor; minimal feasible positions are optimal, so the
+// greedy assignment is complete.
 var TSOAxiomatic = Spec{Title: "TSO-ax", Ops: OpsWrites, Mutual: MutualStoreOrder}
 
 // PC is processor consistency as defined operationally by Gharachorloo et
@@ -336,24 +337,27 @@ const (
 	prePass                    // forced-edge pre-pass ahead of the enumeration
 )
 
-// procedure derives the spec's RouteAuto procedure from its parameters.
-// Independent (or identical) views under an order built once per history
-// take the fast path. A write order or coherence order whose per-history
-// order is program order alone (po or ppo; a per-candidate semi-causal
-// order is added after the pre-pass) is enumerated behind the forced-edge
-// pre-pass. Everything else — a per-view order, causal, bracket or fence
-// ingredients under enumeration, labeled coherence, store orders — is
-// plain enumeration.
+// procedure derives the spec's RouteAuto procedure from its parameters,
+// one rule per kind of mutual consistency. Independent (or identical)
+// views under an order built once per history take the fast path. A write
+// order or a coherence order (with or without a labeled SC serialization)
+// is enumerated behind the forced-edge pre-pass: every per-history
+// ingredient — program order, bracket, fence, causal order — binds every
+// view on the view's own operations, so saturating each view under it
+// (restricted to those operations) derives only edges the shared order
+// must contain, and per-candidate ingredients only add constraints after
+// it. A store order is enumerated behind the value-axiom pre-pass
+// (storeOrderEdges). A per-view order (slow memory, which validate admits
+// only with independent views) and labeled coherence are plain
+// enumeration.
 func (sp Spec) procedure() procedure {
 	switch sp.Mutual {
 	case MutualNone, MutualIdentical:
 		if sp.Order&OrderSlow == 0 {
 			return fastPath
 		}
-	case MutualWriteOrder, MutualCoherence:
-		if sp.Order&^(OrderPO|OrderPPO|perCandidate) == 0 {
-			return prePass
-		}
+	case MutualWriteOrder, MutualCoherence, MutualCoherenceLabeledSC, MutualStoreOrder:
+		return prePass
 	}
 	return plainEnumeration
 }
@@ -378,8 +382,11 @@ func Procedure(m Model) string {
 		}
 		return "per-process saturate + greedy construction"
 	case prePass:
-		if sp.Mutual == MutualWriteOrder {
+		switch sp.Mutual {
+		case MutualWriteOrder:
 			return "forced-edge pre-pass + write-order enumeration"
+		case MutualStoreOrder:
+			return "value-axiom store-order pre-pass + store-order enumeration"
 		}
 		return "forced-edge pre-pass + coherence enumeration"
 	}
@@ -670,10 +677,18 @@ func (sp Spec) searchWriteOrders(r *run, s *history.System, in *ingredients) (*W
 		parts = in.parts(s)
 	}
 	if r.fastpath() && sp.procedure() == prePass {
-		// Every forced write→write edge of any processor's view is an edge
-		// of the agreed global write order, so it prunes the linear-
-		// extension space up front; a forced cycle forbids outright.
-		forced, decided, err := r.forcedWriteEdges(s, in.base, false)
+		// Every forced write→write edge of any processor's view (every
+		// store→store edge the TSO-ax axioms force) is an edge of the
+		// agreed global order, so it prunes the linear-extension space up
+		// front; a forced cycle forbids outright.
+		var forced *order.Relation
+		var decided bool
+		var err error
+		if sp.Mutual == MutualStoreOrder {
+			forced, decided, err = r.storeOrderPrepass(s)
+		} else {
+			forced, decided, err = r.forcedWriteEdges(s, in.base, false)
+		}
 		if err != nil || decided {
 			return nil, err
 		}

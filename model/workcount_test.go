@@ -25,16 +25,16 @@ type work struct{ checks, candidates, nodes int64 }
 var goldenWork = map[string][4]work{
 	"SC":          {{22, 0, 454}, {22, 0, 342}, {792, 0, 5560}, {792, 0, 4170}},
 	"TSO":         {{22, 8, 582}, {22, 62, 659}, {792, 530, 11788}, {792, 1038, 6498}},
-	"TSO-ax":      {{22, 61, 0}, {22, 61, 0}, {792, 1038, 0}, {792, 1038, 0}},
+	"TSO-ax":      {{22, 10, 350}, {22, 61, 0}, {792, 702, 6552}, {792, 1038, 0}},
 	"PC":          {{22, 15, 554}, {22, 31, 468}, {792, 688, 9686}, {792, 924, 7540}},
 	"Causal":      {{22, 0, 357}, {22, 0, 367}, {792, 0, 4892}, {792, 0, 5432}},
 	"PRAM":        {{22, 0, 345}, {22, 0, 406}, {792, 0, 6032}, {792, 0, 5902}},
 	"Coherence":   {{22, 0, 248}, {22, 0, 249}, {792, 0, 4984}, {792, 0, 4294}},
-	"WO":          {{22, 58, 566}, {22, 58, 566}, {792, 1848, 8588}, {792, 1848, 8588}},
-	"RCsc":        {{22, 58, 577}, {22, 58, 577}, {792, 1848, 8588}, {792, 1848, 8588}},
-	"RCpc":        {{22, 31, 507}, {22, 31, 507}, {792, 924, 7664}, {792, 924, 7664}},
+	"WO":          {{22, 26, 589}, {22, 58, 566}, {792, 1376, 10442}, {792, 1848, 8588}},
+	"RCsc":        {{22, 28, 614}, {22, 58, 577}, {792, 1376, 10442}, {792, 1848, 8588}},
+	"RCpc":        {{22, 15, 575}, {22, 31, 507}, {792, 688, 9754}, {792, 924, 7664}},
 	"PCG":         {{22, 13, 548}, {22, 33, 519}, {792, 688, 9752}, {792, 926, 7682}},
-	"Causal+Coh":  {{22, 32, 478}, {22, 32, 478}, {792, 762, 6896}, {792, 762, 6896}},
+	"Causal+Coh":  {{22, 12, 519}, {22, 32, 478}, {792, 642, 9064}, {792, 762, 6896}},
 	"Causal+LCoh": {{22, 23, 378}, {22, 23, 378}, {792, 676, 5432}, {792, 676, 5432}},
 	"Slow":        {{22, 0, 484}, {22, 0, 484}, {792, 0, 6038}, {792, 0, 6038}},
 }

@@ -249,18 +249,3 @@ func LinearExtensions(ops []history.OpID, rel *Relation, yield func([]history.Op
 		return yield(ext)
 	})
 }
-
-// Restrict returns a copy of r keeping only pairs whose endpoints both
-// satisfy keep. Use it to project a globally-closed order (causal,
-// semi-causal) onto the operations present in one processor's view; the
-// closure must be taken before restriction, because a chain may pass
-// through operations outside the view.
-func Restrict(r *Relation, keep func(history.OpID) bool) *Relation {
-	out := New(r.n)
-	for _, pr := range r.Pairs() {
-		if keep(pr[0]) && keep(pr[1]) {
-			out.Add(pr[0], pr[1])
-		}
-	}
-	return out
-}

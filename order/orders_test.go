@@ -261,16 +261,22 @@ func TestSemiCausalCombines(t *testing.T) {
 }
 
 func TestRestrict(t *testing.T) {
+	keep := []history.OpID{0, 2, 3}
 	r := New(4)
 	r.Add(0, 1)
 	r.Add(1, 2)
 	r.TransitiveClosure() // adds (0,2)
-	keep := func(id history.OpID) bool { return id != 1 }
-	got := Restrict(r, keep)
+	got := r.Clone().RestrictTo(keep)
 	if !got.Has(0, 2) {
 		t.Error("restriction lost closed pair (0,2)")
 	}
 	if got.Has(0, 1) || got.Has(1, 2) {
 		t.Error("restriction kept pairs touching excluded op")
+	}
+	open := New(4)
+	open.Add(0, 1)
+	open.Add(1, 2)
+	if open.RestrictTo(keep).TransitiveClosure().Has(0, 2) {
+		t.Error("restricting before closing kept the chain through the excluded op")
 	}
 }

@@ -89,6 +89,35 @@ func (r *Relation) Union(other *Relation) {
 	}
 }
 
+// RestrictTo removes, in place, every pair with an endpoint outside ops,
+// and returns r. Where the closure is taken matters: a closed order (such
+// as causal order) restricted to one view keeps the chains that pass
+// through operations outside it, while a relation restricted before it is
+// closed keeps only what binds a view that respects the pairs between its
+// own operations.
+func (r *Relation) RestrictTo(ops []history.OpID) *Relation {
+	var keepBuf [1]uint64
+	keep := keepBuf[:]
+	if r.words > 1 {
+		keep = make([]uint64, r.words)
+	}
+	for _, id := range ops {
+		keep[int(id)/64] |= 1 << (uint(id) % 64)
+	}
+	for i := 0; i < r.n; i++ {
+		row := r.row(i)
+		in := keep[i/64]&(1<<(uint(i)%64)) != 0
+		for w := range row {
+			if in {
+				row[w] &= keep[w]
+			} else {
+				row[w] = 0
+			}
+		}
+	}
+	return r
+}
+
 // TransitiveClosure closes the relation in place: after the call,
 // Has(a, c) whenever a chain a < b < ... < c existed. It returns r.
 func (r *Relation) TransitiveClosure() *Relation {

@@ -9,11 +9,13 @@ import (
 
 // TestBuildMatrixCtxUnknownColumn starves the big models with a tiny
 // budget: cut-short checks must land in the Unknown column and be excluded
-// from Classified, Allowed and Sep — never counted as rejections.
+// from Classified, Allowed and Sep — never counted as rejections. The
+// checks run under RouteEnumerate, whose cost does not fall as RouteAuto's
+// pre-passes prune more, so the budget keeps starving some of them.
 func TestBuildMatrixCtxUnknownColumn(t *testing.T) {
 	hs := CorpusHistories()
 	models := model.All()
-	ctx := model.WithBudget(context.Background(),
+	ctx := model.WithBudget(model.WithRoute(context.Background(), model.RouteEnumerate),
 		model.Budget{MaxCandidates: 4, MaxNodes: 50})
 	mx, err := BuildMatrix(ctx, hs, models, 2)
 	if err != nil {
