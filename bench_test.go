@@ -165,6 +165,28 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 	}
 }
 
+// BenchmarkBakeryRCpcComplete runs the bakery-explore workload's
+// exploration — all of Bakery(2,2) on RCpc, no checker — on the sequential
+// search, so ns/op, B/op and allocs/op measure explore, program and sim
+// alone.
+func BenchmarkBakeryRCpcComplete(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := explore.Exhaustive(m, explore.Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Complete || res.States != 84448 || len(res.Violations) != 930 {
+			b.Fatalf("complete=%v states=%d violations=%d, want complete 84448/930",
+				res.Complete, res.States, len(res.Violations))
+		}
+	}
+}
+
 // BenchmarkBakeryPaperHistory measures checking the paper's own 12-op
 // Section 5 violation history under both RC models.
 func BenchmarkBakeryPaperHistory(b *testing.B) {

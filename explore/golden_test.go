@@ -44,9 +44,13 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 // TestExploreMallocsPerTransition gates the explorer's allocation rate, a
 // count that does not depend on timing: the sequential search of
 // Bakery(2,1) on RCpc must stay at or below maxMallocsPerTransition heap
-// allocations per explored transition.
+// allocations per explored transition. The gates sit about 30% above the
+// measured 12.2, and 20.0 under -race.
 func TestExploreMallocsPerTransition(t *testing.T) {
-	const maxMallocsPerTransition = 40
+	maxMallocsPerTransition := 16.0
+	if raceEnabled {
+		maxMallocsPerTransition = 26
+	}
 	m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -59,6 +63,6 @@ func TestExploreMallocsPerTransition(t *testing.T) {
 	per := float64(after.Mallocs-before.Mallocs) / float64(res.Transitions)
 	t.Logf("%d transitions, %.1f mallocs per transition", res.Transitions, per)
 	if per > maxMallocsPerTransition {
-		t.Errorf("%.1f mallocs per transition, want <= %d", per, maxMallocsPerTransition)
+		t.Errorf("%.1f mallocs per transition, want <= %.0f", per, maxMallocsPerTransition)
 	}
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/pool"
@@ -172,6 +173,7 @@ func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
 // stripedSet is a string set sharded across independently locked maps, so
 // many workers can probe membership without contending on one mutex.
 type stripedSet struct {
+	seed   maphash.Seed
 	shards [64]struct {
 		mu sync.Mutex
 		m  map[string]struct{}
@@ -179,7 +181,7 @@ type stripedSet struct {
 }
 
 func newStripedSet() *stripedSet {
-	s := &stripedSet{}
+	s := &stripedSet{seed: maphash.MakeSeed()}
 	for i := range s.shards {
 		s.shards[i].m = map[string]struct{}{}
 	}
@@ -190,12 +192,7 @@ func (s *stripedSet) shard(key string) *struct {
 	mu sync.Mutex
 	m  map[string]struct{}
 } {
-	// FNV-1a, inline so a probe allocates nothing.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &s.shards[h%uint32(len(s.shards))]
+	return &s.shards[maphash.String(s.seed, key)%uint64(len(s.shards))]
 }
 
 // Has reports membership.

@@ -3,7 +3,7 @@ package program
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"sync"
 
 	"repro/history"
 	"repro/sim"
@@ -220,10 +220,11 @@ func (m *Machine) Clone() *Machine {
 // thread pcs, registers, critical-section and halt flags, then the
 // memory's live state — as a binary string for visited-state detection.
 // Integers are varints and the register vector is length-prefixed.
-// Recorded history is deliberately excluded.
+// Recorded history is deliberately excluded. The encoding is built in a
+// pooled buffer, so the returned string is its only copy.
 func (m *Machine) Fingerprint() string {
-	var arr [128]byte
-	buf := arr[:0]
+	bp := fpBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
 	for _, t := range m.threads {
 		buf = binary.AppendVarint(buf, int64(t.pc))
 		buf = binary.AppendUvarint(buf, uint64(len(t.regs)))
@@ -239,10 +240,11 @@ func (m *Machine) Fingerprint() string {
 		}
 		buf = append(buf, flags)
 	}
-	mem := m.mem.Fingerprint()
-	var sb strings.Builder
-	sb.Grow(len(buf) + len(mem))
-	sb.Write(buf)
-	sb.WriteString(mem)
-	return sb.String()
+	buf = m.mem.AppendFingerprint(buf)
+	s := string(buf)
+	*bp = buf
+	fpBufs.Put(bp)
+	return s
 }
+
+var fpBufs = sync.Pool{New: func() any { return new([]byte) }}

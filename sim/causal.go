@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/history"
@@ -18,34 +17,36 @@ import (
 // memory's requirement that views respect →co = (→po ∪ →wb)+.
 type CausalMemory struct {
 	nprocs  int
-	stores  []map[history.Loc]cell
-	clocks  [][]int       // clocks[p][q] = number of q's writes applied at p
+	locs    *locTable
+	stores  grid[cell]    // a row per replica
+	clocks  []int         // clocks[p*nprocs+q] = number of q's writes applied at p
 	pending [][]causalMsg // per receiver, arbitrary order
 	rec     Recorder
 }
 
+// causalMsg is an update in flight; vc is shared between the broadcast's
+// copies and never mutated, and loc is the location's id.
 type causalMsg struct {
 	sender history.Proc
 	vc     []int
-	loc    history.Loc
+	loc    int
 	cell   cell
 }
 
 // NewCausal returns a causal memory for nprocs processors.
 func NewCausal(nprocs int) *CausalMemory {
-	m := &CausalMemory{
+	return &CausalMemory{
 		nprocs:  nprocs,
-		stores:  make([]map[history.Loc]cell, nprocs),
-		clocks:  make([][]int, nprocs),
+		locs:    new(locTable),
+		stores:  grid[cell]{rows: nprocs},
+		clocks:  make([]int, nprocs*nprocs),
 		pending: make([][]causalMsg, nprocs),
+		rec:     newRecorder(nprocs),
 	}
-	for p := range m.stores {
-		m.stores[p] = make(map[history.Loc]cell)
-		m.clocks[p] = make([]int, nprocs)
-	}
-	m.rec = newRecorder(nprocs)
-	return m
 }
+
+// clock returns processor p's vector clock.
+func (m *CausalMemory) clock(p int) []int { return m.clocks[p*m.nprocs : (p+1)*m.nprocs] }
 
 // Name implements Memory.
 func (m *CausalMemory) Name() string { return "Causal" }
@@ -55,7 +56,7 @@ func (m *CausalMemory) NumProcs() int { return m.nprocs }
 
 // Read implements Memory: local replica.
 func (m *CausalMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.Value {
-	c := m.stores[p][loc]
+	c := m.stores.at(int(p), m.locs.id(loc))
 	m.rec.Read(p, loc, c.tag, labeled)
 	return c.val
 }
@@ -63,14 +64,15 @@ func (m *CausalMemory) Read(p history.Proc, loc history.Loc, labeled bool) histo
 // Write implements Memory: bump own clock, apply locally, broadcast with
 // the post-increment clock.
 func (m *CausalMemory) Write(p history.Proc, loc history.Loc, v history.Value, labeled bool) {
+	id := m.locs.id(loc)
 	tag := m.rec.Write(p, loc, labeled)
-	m.clocks[p][p]++
+	m.clock(int(p))[p]++
 	c := cell{val: v, tag: tag}
-	m.stores[p][loc] = c
-	vc := append([]int(nil), m.clocks[p]...)
+	*m.stores.ref(int(p), id) = c
+	vc := slices.Clone(m.clock(int(p)))
 	for q := 0; q < m.nprocs; q++ {
 		if q != int(p) {
-			m.pending[q] = append(m.pending[q], causalMsg{sender: p, vc: vc, loc: loc, cell: c})
+			m.pending[q] = append(m.pending[q], causalMsg{sender: p, vc: vc, loc: id, cell: c})
 		}
 	}
 }
@@ -79,12 +81,13 @@ func (m *CausalMemory) Write(p history.Proc, loc history.Loc, v history.Value, l
 // next write of the sender, and every third-party write the sender had seen
 // must already be applied at r.
 func (m *CausalMemory) deliverable(r int, msg causalMsg) bool {
+	clock := m.clock(r)
 	for q := 0; q < m.nprocs; q++ {
 		if q == int(msg.sender) {
-			if m.clocks[r][q]+1 != msg.vc[q] {
+			if clock[q]+1 != msg.vc[q] {
 				return false
 			}
-		} else if m.clocks[r][q] < msg.vc[q] {
+		} else if clock[q] < msg.vc[q] {
 			return false
 		}
 	}
@@ -98,7 +101,7 @@ func (m *CausalMemory) Internal() []string {
 	for r := range m.pending {
 		for _, msg := range m.pending[r] {
 			if m.deliverable(r, msg) {
-				out = append(out, fmt.Sprintf("deliver p%d→p%d %s", msg.sender, r, msg.loc))
+				out = append(out, fmt.Sprintf("deliver p%d→p%d %s", msg.sender, r, m.locs.name(msg.loc)))
 			}
 		}
 	}
@@ -113,8 +116,8 @@ func (m *CausalMemory) Step(i int) {
 				continue
 			}
 			if i == 0 {
-				m.stores[r][msg.loc] = msg.cell
-				m.clocks[r][msg.sender]++
+				*m.stores.ref(r, msg.loc) = msg.cell
+				m.clock(r)[msg.sender]++
 				m.pending[r] = append(m.pending[r][:k:k], m.pending[r][k+1:]...)
 				return
 			}
@@ -126,31 +129,26 @@ func (m *CausalMemory) Step(i int) {
 
 // Clone implements Memory.
 func (m *CausalMemory) Clone() Memory {
-	c := &CausalMemory{
+	return &CausalMemory{
 		nprocs:  m.nprocs,
-		stores:  make([]map[history.Loc]cell, m.nprocs),
-		clocks:  make([][]int, m.nprocs),
-		pending: make([][]causalMsg, m.nprocs),
+		locs:    m.locs,
+		stores:  m.stores.clone(),
+		clocks:  slices.Clone(m.clocks),
+		pending: cloneQueues(m.pending),
 		rec:     m.rec,
 	}
-	for p := range m.stores {
-		c.stores[p] = maps.Clone(m.stores[p])
-		c.clocks[p] = append([]int(nil), m.clocks[p]...)
-		c.pending[p] = append([]causalMsg(nil), m.pending[p]...)
-	}
-	return c
 }
 
-// Fingerprint implements Memory. Cell tags are canonicalized through the
-// shared fingerprinter; vector clocks stay raw — their arithmetic (the
+// AppendFingerprint implements Memory. Cell tags are canonicalized through
+// the shared fingerprinter; vector clocks stay raw — their arithmetic (the
 // +1-adjacency of the delivery condition) is semantic, so causal memory's
 // state space genuinely grows with unbounded writes and write-looping
 // programs need bounded exploration on it.
-func (m *CausalMemory) Fingerprint() string {
-	f := newFingerprinter()
-	for p, store := range m.stores {
-		f.ints(m.clocks[p])
-		f.store(store)
+func (m *CausalMemory) AppendFingerprint(dst []byte) []byte {
+	f := newFingerprinter(m.locs)
+	for p := range m.nprocs {
+		f.ints(m.clock(p))
+		f.replica(m.stores.row(p))
 	}
 	for r := range m.pending {
 		// Pending updates are delivered in any order, so they are
@@ -171,7 +169,7 @@ func (m *CausalMemory) Fingerprint() string {
 			f.cell(msg.loc, msg.cell)
 		}
 	}
-	return f.finish()
+	return f.finish(dst)
 }
 
 // Recorder implements Memory.

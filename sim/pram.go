@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/history"
 )
@@ -23,9 +23,10 @@ type PRAMMemory struct {
 	name     string
 	nprocs   int
 	coherent bool
-	stores   []map[history.Loc]cell
-	channels [][][]update // channels[sender][receiver], oldest first
-	versions map[history.Loc]int
+	locs     *locTable
+	stores   grid[cell] // a row per replica
+	channels [][]update // channels[sender*nprocs+receiver], oldest first
+	versions []int      // by location id
 	rec      Recorder
 }
 
@@ -37,20 +38,15 @@ func NewPRAM(nprocs int) *PRAMMemory { return newReplicated("PRAM", nprocs, fals
 func NewPCG(nprocs int) *PRAMMemory { return newReplicated("PCG", nprocs, true) }
 
 func newReplicated(name string, nprocs int, coherent bool) *PRAMMemory {
-	m := &PRAMMemory{
+	return &PRAMMemory{
 		name:     name,
 		nprocs:   nprocs,
 		coherent: coherent,
-		stores:   make([]map[history.Loc]cell, nprocs),
-		channels: make([][][]update, nprocs),
-		versions: make(map[history.Loc]int),
+		locs:     new(locTable),
+		stores:   grid[cell]{rows: nprocs},
+		channels: make([][]update, nprocs*nprocs),
 		rec:      newRecorder(nprocs),
 	}
-	for p := range m.stores {
-		m.stores[p] = make(map[history.Loc]cell)
-		m.channels[p] = make([][]update, nprocs)
-	}
-	return m
 }
 
 // Name implements Memory.
@@ -61,7 +57,7 @@ func (m *PRAMMemory) NumProcs() int { return m.nprocs }
 
 // Read implements Memory: local replica.
 func (m *PRAMMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.Value {
-	c := m.stores[p][loc]
+	c := m.stores.at(int(p), m.locs.id(loc))
 	m.rec.Read(p, loc, c.tag, labeled)
 	return c.val
 }
@@ -78,25 +74,27 @@ func (m *PRAMMemory) Read(p history.Proc, loc history.Loc, labeled bool) history
 // same-location writes its own write supersedes (found by the
 // simulator-versus-checker cross-validation tests).
 func (m *PRAMMemory) Write(p history.Proc, loc history.Loc, v history.Value, labeled bool) {
+	id := m.locs.id(loc)
 	if m.coherent {
-		m.pullPrefix(p, loc)
+		m.pullPrefix(p, id)
 	}
 	tag := m.rec.Write(p, loc, labeled)
-	m.versions[loc]++
-	c := cell{val: v, tag: tag, version: m.versions[loc]}
-	m.apply(p, loc, c)
+	m.versions = bump(m.versions, id)
+	c := cell{val: v, tag: tag, version: m.versions[id]}
+	m.apply(p, id, c)
 	for q := 0; q < m.nprocs; q++ {
 		if q != int(p) {
-			m.channels[p][q] = append(m.channels[p][q], update{loc: loc, cell: c, labeled: labeled})
+			ch := &m.channels[int(p)*m.nprocs+q]
+			*ch = append(*ch, update{loc: id, cell: c, labeled: labeled})
 		}
 	}
 }
 
 // pullPrefix delivers, from every channel into p, the prefix up to and
-// including the last queued write to loc.
-func (m *PRAMMemory) pullPrefix(p history.Proc, loc history.Loc) {
-	for s := range m.channels {
-		ch := m.channels[s][p]
+// including the last queued write to location id.
+func (m *PRAMMemory) pullPrefix(p history.Proc, loc int) {
+	for s := 0; s < m.nprocs; s++ {
+		ch := m.channels[s*m.nprocs+int(p)]
 		last := -1
 		for i, u := range ch {
 			if u.loc == loc {
@@ -109,26 +107,24 @@ func (m *PRAMMemory) pullPrefix(p history.Proc, loc history.Loc) {
 		for i := 0; i <= last; i++ {
 			m.apply(p, ch[i].loc, ch[i].cell)
 		}
-		m.channels[s][p] = append([]update(nil), ch[last+1:]...)
+		m.channels[s*m.nprocs+int(p)] = append([]update(nil), ch[last+1:]...)
 	}
 }
 
 // apply installs a cell into a replica, honoring coherence if enabled.
-func (m *PRAMMemory) apply(p history.Proc, loc history.Loc, c cell) {
-	if m.coherent && m.stores[p][loc].version > c.version {
+func (m *PRAMMemory) apply(p history.Proc, loc int, c cell) {
+	if m.coherent && m.stores.at(int(p), loc).version > c.version {
 		return // a newer write already reached this replica
 	}
-	m.stores[p][loc] = c
+	*m.stores.ref(int(p), loc) = c
 }
 
 // Internal implements Memory: one delivery per nonempty channel.
 func (m *PRAMMemory) Internal() []string {
 	var out []string
-	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) > 0 {
-				out = append(out, fmt.Sprintf("deliver p%d→p%d %s", s, r, ch[0].loc))
-			}
+	for i, ch := range m.channels {
+		if len(ch) > 0 {
+			out = append(out, fmt.Sprintf("deliver p%d→p%d %s", i/m.nprocs, i%m.nprocs, m.locs.name(ch[0].loc)))
 		}
 	}
 	return out
@@ -136,58 +132,44 @@ func (m *PRAMMemory) Internal() []string {
 
 // Step implements Memory.
 func (m *PRAMMemory) Step(i int) {
-	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) == 0 {
-				continue
-			}
-			if i == 0 {
-				m.apply(history.Proc(r), ch[0].loc, ch[0].cell)
-				m.channels[s][r] = ch[1:]
-				return
-			}
-			i--
+	for k, ch := range m.channels {
+		if len(ch) == 0 {
+			continue
 		}
+		if i == 0 {
+			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
+			m.channels[k] = ch[1:]
+			return
+		}
+		i--
 	}
 	panic("sim: PRAM Step index out of range")
 }
 
 // Clone implements Memory.
 func (m *PRAMMemory) Clone() Memory {
-	c := &PRAMMemory{
+	return &PRAMMemory{
 		name:     m.name,
 		nprocs:   m.nprocs,
 		coherent: m.coherent,
-		stores:   make([]map[history.Loc]cell, m.nprocs),
-		channels: make([][][]update, m.nprocs),
-		versions: make(map[history.Loc]int, len(m.versions)),
+		locs:     m.locs,
+		stores:   m.stores.clone(),
+		channels: cloneQueues(m.channels),
+		versions: slices.Clone(m.versions),
 		rec:      m.rec,
 	}
-	for p := range m.stores {
-		c.stores[p] = maps.Clone(m.stores[p])
-		c.channels[p] = make([][]update, m.nprocs)
-		for q := range m.channels[p] {
-			c.channels[p][q] = append([]update(nil), m.channels[p][q]...)
-		}
-	}
-	for k, v := range m.versions {
-		c.versions[k] = v
-	}
-	return c
 }
 
-// Fingerprint implements Memory.
-func (m *PRAMMemory) Fingerprint() string {
-	f := newFingerprinter()
-	for _, store := range m.stores {
-		f.store(store)
+// AppendFingerprint implements Memory.
+func (m *PRAMMemory) AppendFingerprint(dst []byte) []byte {
+	f := newFingerprinter(m.locs)
+	for p := range m.nprocs {
+		f.replica(m.stores.row(p))
 	}
-	for s := range m.channels {
-		for _, ch := range m.channels[s] {
-			f.queue(ch)
-		}
+	for _, ch := range m.channels {
+		f.queue(ch)
 	}
-	return f.finish()
+	return f.finish(dst)
 }
 
 // Recorder implements Memory.

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/history"
 )
@@ -31,10 +31,11 @@ type RCMemory struct {
 	name      string
 	nprocs    int
 	labeledSC bool
-	syncStore map[history.Loc]cell // RCsc only
-	stores    []map[history.Loc]cell
-	channels  [][][]update // channels[sender][receiver]
-	versions  map[history.Loc]int
+	locs      *locTable
+	syncStore grid[cell] // RCsc only; one row
+	stores    grid[cell] // a row per replica
+	channels  [][]update // channels[sender*nprocs+receiver], oldest first
+	versions  []int      // by location id
 	rec       Recorder
 }
 
@@ -47,21 +48,16 @@ func NewRCsc(nprocs int) *RCMemory { return newRC("RCsc", nprocs, true) }
 func NewRCpc(nprocs int) *RCMemory { return newRC("RCpc", nprocs, false) }
 
 func newRC(name string, nprocs int, labeledSC bool) *RCMemory {
-	m := &RCMemory{
+	return &RCMemory{
 		name:      name,
 		nprocs:    nprocs,
 		labeledSC: labeledSC,
-		syncStore: make(map[history.Loc]cell),
-		stores:    make([]map[history.Loc]cell, nprocs),
-		channels:  make([][][]update, nprocs),
-		versions:  make(map[history.Loc]int),
+		locs:      new(locTable),
+		syncStore: grid[cell]{rows: 1},
+		stores:    grid[cell]{rows: nprocs},
+		channels:  make([][]update, nprocs*nprocs),
 		rec:       newRecorder(nprocs),
 	}
-	for p := range m.stores {
-		m.stores[p] = make(map[history.Loc]cell)
-		m.channels[p] = make([][]update, nprocs)
-	}
-	return m
 }
 
 // Name implements Memory.
@@ -72,12 +68,13 @@ func (m *RCMemory) NumProcs() int { return m.nprocs }
 
 // Read implements Memory.
 func (m *RCMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.Value {
+	id := m.locs.id(loc)
 	if labeled && m.labeledSC {
-		c := m.syncStore[loc]
+		c := m.syncStore.at(0, id)
 		m.rec.Read(p, loc, c.tag, labeled)
 		return c.val
 	}
-	c := m.stores[p][loc]
+	c := m.stores.at(int(p), id)
 	m.rec.Read(p, loc, c.tag, labeled)
 	return c.val
 }
@@ -90,17 +87,19 @@ func (m *RCMemory) Write(p history.Proc, loc history.Loc, v history.Value, label
 		// outgoing channels synchronously.
 		m.flush(p)
 	}
+	id := m.locs.id(loc)
 	tag := m.rec.Write(p, loc, labeled)
 	if labeled && m.labeledSC {
-		m.syncStore[loc] = cell{val: v, tag: tag}
+		*m.syncStore.ref(0, id) = cell{val: v, tag: tag}
 		return
 	}
-	m.versions[loc]++
-	c := cell{val: v, tag: tag, version: m.versions[loc]}
-	m.apply(p, loc, c)
+	m.versions = bump(m.versions, id)
+	c := cell{val: v, tag: tag, version: m.versions[id]}
+	m.apply(p, id, c)
 	for q := 0; q < m.nprocs; q++ {
 		if q != int(p) {
-			m.channels[p][q] = append(m.channels[p][q], update{loc: loc, cell: c, labeled: labeled})
+			ch := &m.channels[int(p)*m.nprocs+q]
+			*ch = append(*ch, update{loc: id, cell: c, labeled: labeled})
 		}
 	}
 }
@@ -116,7 +115,8 @@ func (m *RCMemory) Write(p history.Proc, loc history.Loc, v history.Value, label
 // delivered with it to preserve per-sender FIFO order.
 func (m *RCMemory) flush(p history.Proc) {
 	for q := 0; q < m.nprocs; q++ {
-		ch := m.channels[p][q]
+		k := int(p)*m.nprocs + q
+		ch := m.channels[k]
 		last := -1
 		for i, u := range ch {
 			if !u.labeled {
@@ -129,26 +129,24 @@ func (m *RCMemory) flush(p history.Proc) {
 		for i := 0; i <= last; i++ {
 			m.apply(history.Proc(q), ch[i].loc, ch[i].cell)
 		}
-		m.channels[p][q] = append([]update(nil), ch[last+1:]...)
+		m.channels[k] = append([]update(nil), ch[last+1:]...)
 	}
 }
 
-// apply installs a cell coherently (newer versions win).
-func (m *RCMemory) apply(p history.Proc, loc history.Loc, c cell) {
-	if m.stores[p][loc].version > c.version {
+// apply installs a cell of location id coherently (newer versions win).
+func (m *RCMemory) apply(p history.Proc, id int, c cell) {
+	if m.stores.at(int(p), id).version > c.version {
 		return
 	}
-	m.stores[p][loc] = c
+	*m.stores.ref(int(p), id) = c
 }
 
 // Internal implements Memory: one delivery per nonempty channel.
 func (m *RCMemory) Internal() []string {
 	var out []string
-	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) > 0 {
-				out = append(out, fmt.Sprintf("deliver p%d→p%d %s", s, r, ch[0].loc))
-			}
+	for k, ch := range m.channels {
+		if len(ch) > 0 {
+			out = append(out, fmt.Sprintf("deliver p%d→p%d %s", k/m.nprocs, k%m.nprocs, m.locs.name(ch[0].loc)))
 		}
 	}
 	return out
@@ -156,60 +154,46 @@ func (m *RCMemory) Internal() []string {
 
 // Step implements Memory.
 func (m *RCMemory) Step(i int) {
-	for s := range m.channels {
-		for r, ch := range m.channels[s] {
-			if len(ch) == 0 {
-				continue
-			}
-			if i == 0 {
-				m.apply(history.Proc(r), ch[0].loc, ch[0].cell)
-				m.channels[s][r] = ch[1:]
-				return
-			}
-			i--
+	for k, ch := range m.channels {
+		if len(ch) == 0 {
+			continue
 		}
+		if i == 0 {
+			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
+			m.channels[k] = ch[1:]
+			return
+		}
+		i--
 	}
 	panic("sim: RC Step index out of range")
 }
 
 // Clone implements Memory.
 func (m *RCMemory) Clone() Memory {
-	c := &RCMemory{
+	return &RCMemory{
 		name:      m.name,
 		nprocs:    m.nprocs,
 		labeledSC: m.labeledSC,
-		syncStore: maps.Clone(m.syncStore),
-		stores:    make([]map[history.Loc]cell, m.nprocs),
-		channels:  make([][][]update, m.nprocs),
-		versions:  make(map[history.Loc]int, len(m.versions)),
+		locs:      m.locs,
+		syncStore: m.syncStore.clone(),
+		stores:    m.stores.clone(),
+		channels:  cloneQueues(m.channels),
+		versions:  slices.Clone(m.versions),
 		rec:       m.rec,
 	}
-	for p := range m.stores {
-		c.stores[p] = maps.Clone(m.stores[p])
-		c.channels[p] = make([][]update, m.nprocs)
-		for q := range m.channels[p] {
-			c.channels[p][q] = append([]update(nil), m.channels[p][q]...)
-		}
-	}
-	for k, v := range m.versions {
-		c.versions[k] = v
-	}
-	return c
 }
 
-// Fingerprint implements Memory.
-func (m *RCMemory) Fingerprint() string {
-	f := newFingerprinter()
-	f.store(m.syncStore)
-	for _, store := range m.stores {
-		f.store(store)
+// AppendFingerprint implements Memory.
+func (m *RCMemory) AppendFingerprint(dst []byte) []byte {
+	f := newFingerprinter(m.locs)
+	f.replica(m.syncStore.row(0))
+	for p := range m.nprocs {
+		f.replica(m.stores.row(p))
 	}
-	for s := range m.channels {
-		for _, ch := range m.channels[s] {
-			f.queue(ch)
-		}
+	for _, ch := range m.channels {
+		f.queue(ch)
 	}
-	return f.finish()
+	return f.finish(dst)
 }
 
 // Recorder implements Memory.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"maps"
-
-	"repro/history"
-)
+import "repro/history"
 
 // SCMemory is a single-ported sequentially consistent memory: one copy of
 // every location, operations applied atomically in invocation order. It
@@ -12,7 +8,8 @@ import (
 // the scheduler is the serialization.
 type SCMemory struct {
 	nprocs int
-	store  map[history.Loc]cell
+	locs   *locTable
+	store  grid[cell] // one row
 	rec    Recorder
 }
 
@@ -20,7 +17,8 @@ type SCMemory struct {
 func NewSC(nprocs int) *SCMemory {
 	return &SCMemory{
 		nprocs: nprocs,
-		store:  make(map[history.Loc]cell),
+		locs:   new(locTable),
+		store:  grid[cell]{rows: 1},
 		rec:    newRecorder(nprocs),
 	}
 }
@@ -33,7 +31,7 @@ func (m *SCMemory) NumProcs() int { return m.nprocs }
 
 // Read implements Memory.
 func (m *SCMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.Value {
-	c := m.store[loc]
+	c := m.store.at(0, m.locs.id(loc))
 	m.rec.Read(p, loc, c.tag, labeled)
 	return c.val
 }
@@ -41,7 +39,7 @@ func (m *SCMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.V
 // Write implements Memory.
 func (m *SCMemory) Write(p history.Proc, loc history.Loc, v history.Value, labeled bool) {
 	tag := m.rec.Write(p, loc, labeled)
-	m.store[loc] = cell{val: v, tag: tag}
+	*m.store.ref(0, m.locs.id(loc)) = cell{val: v, tag: tag}
 }
 
 // Internal implements Memory; SC memory has no internal actions.
@@ -52,14 +50,14 @@ func (m *SCMemory) Step(int) { panic("sim: SC memory has no internal actions") }
 
 // Clone implements Memory.
 func (m *SCMemory) Clone() Memory {
-	return &SCMemory{nprocs: m.nprocs, store: maps.Clone(m.store), rec: m.rec}
+	return &SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.clone(), rec: m.rec}
 }
 
-// Fingerprint implements Memory.
-func (m *SCMemory) Fingerprint() string {
-	f := newFingerprinter()
-	f.store(m.store)
-	return f.finish()
+// AppendFingerprint implements Memory.
+func (m *SCMemory) AppendFingerprint(dst []byte) []byte {
+	f := newFingerprinter(m.locs)
+	f.replica(m.store.row(0))
+	return f.finish(dst)
 }
 
 // Recorder implements Memory.

@@ -28,7 +28,6 @@
 package sim
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -43,9 +42,9 @@ import (
 // enabled internal transitions (deliveries, drains), and Step performs one.
 // Clone must copy all state so that the clone and the original evolve
 // independently; the recorder's recorded prefix may be shared (see
-// Recorder), since recorded operations are never mutated. Fingerprint must
-// canonically and exactly encode the live state (excluding the recorder)
-// so explorers can detect revisited states.
+// Recorder), since recorded operations are never mutated.
+// AppendFingerprint must canonically and exactly encode the live state
+// (excluding the recorder) so explorers can detect revisited states.
 type Memory interface {
 	// Name identifies the simulated memory model, matching the
 	// corresponding checker's name in package model where one exists.
@@ -65,9 +64,10 @@ type Memory interface {
 	Step(i int)
 	// Clone returns an independent copy.
 	Clone() Memory
-	// Fingerprint canonically encodes live state (not the recorder) as
-	// an exact binary string.
-	Fingerprint() string
+	// AppendFingerprint appends a canonical, exact binary encoding of
+	// the live state (not the recorder) to dst and returns the extended
+	// slice.
+	AppendFingerprint(dst []byte) []byte
 	// Recorder returns the tagged-history recorder.
 	Recorder() *Recorder
 }
@@ -81,9 +81,10 @@ type cell struct {
 	version int
 }
 
-// update is an in-flight write propagating between replicas.
+// update is an in-flight write propagating between replicas; loc is the
+// location's id in the memory's locTable.
 type update struct {
-	loc     history.Loc
+	loc     int
 	cell    cell
 	labeled bool
 }
@@ -194,7 +195,9 @@ func (r *Recorder) Clone() *Recorder {
 // fingerprint only if they are equal up to the canonicalization below.
 // Integers are varints, location names are length-prefixed, and every
 // variable-length section (a replica, a queue, a clock) starts with its
-// length, so the encoding of a state is unambiguous.
+// length, so the encoding of a state is unambiguous. Replicas list their
+// written cells in location-name order, so the encoding does not depend
+// on the order in which a memory numbered its locations.
 //
 // Raw tags and versions grow monotonically with every write — a program
 // that writes in a retry loop would make semantically identical states
@@ -211,36 +214,33 @@ func (r *Recorder) Clone() *Recorder {
 // Two states with equal canonical fingerprints are bisimilar for invariant
 // reachability. Fingerprinters are pooled; finish returns one to the pool.
 type fingerprinter struct {
+	locs  *locSnap        // names and name order of the memory's locations
 	raw   []byte          // literal bytes, with the cells spliced in by finish
 	cells []fpCell        // canonicalizable cells, in encoding order
-	vers  []locVer        // every (location, version) pair seen, for ranking
+	vers  [][]int         // distinct versions seen, by location id
 	tags  []history.Value // raw tags by canonical id
-	locs  []history.Loc   // scratch for sorting a replica's locations
-	out   []byte
 }
 
 // fpCell is a cell to canonicalize; at is the length of raw when it was
 // appended, i.e. where it belongs in the encoding.
 type fpCell struct {
-	at  int
-	loc history.Loc
-	c   cell
-}
-
-type locVer struct {
-	loc history.Loc
-	ver int
-}
-
-func compareLocVer(a, b locVer) int {
-	return cmp.Or(cmp.Compare(a.loc, b.loc), cmp.Compare(a.ver, b.ver))
+	at int
+	id int
+	c  cell
 }
 
 var fingerprinters = sync.Pool{New: func() any { return new(fingerprinter) }}
 
-func newFingerprinter() *fingerprinter {
+func newFingerprinter(t *locTable) *fingerprinter {
 	f := fingerprinters.Get().(*fingerprinter)
-	f.raw, f.cells, f.vers, f.tags, f.out = f.raw[:0], f.cells[:0], f.vers[:0], f.tags[:0], f.out[:0]
+	f.locs = t.load()
+	f.raw, f.cells, f.tags = f.raw[:0], f.cells[:0], f.tags[:0]
+	if n := len(f.locs.names); len(f.vers) < n {
+		f.vers = append(f.vers, make([][]int, n-len(f.vers))...)
+	}
+	for i := range f.vers {
+		f.vers[i] = f.vers[i][:0]
+	}
 	return f
 }
 
@@ -256,8 +256,9 @@ func (f *fingerprinter) bool(b bool) {
 	}
 }
 
-// loc appends a length-prefixed location name.
-func (f *fingerprinter) loc(l history.Loc) {
+// loc appends the length-prefixed name of location id.
+func (f *fingerprinter) loc(id int) {
+	l := f.locs.names[id]
 	f.int(len(l))
 	f.raw = append(f.raw, l...)
 }
@@ -270,23 +271,29 @@ func (f *fingerprinter) ints(xs []int) {
 	}
 }
 
-// cell appends a canonicalizable cell.
-func (f *fingerprinter) cell(loc history.Loc, c cell) {
-	f.cells = append(f.cells, fpCell{at: len(f.raw), loc: loc, c: c})
-	f.vers = append(f.vers, locVer{loc, c.version})
+// cell appends a canonicalizable cell of location id.
+func (f *fingerprinter) cell(id int, c cell) {
+	f.cells = append(f.cells, fpCell{at: len(f.raw), id: id, c: c})
+	if !slices.Contains(f.vers[id], c.version) {
+		f.vers[id] = append(f.vers[id], c.version)
+	}
 }
 
-// store appends a replica's cells in location order.
-func (f *fingerprinter) store(store map[history.Loc]cell) {
-	f.locs = f.locs[:0]
-	for l := range store {
-		f.locs = append(f.locs, l)
+// replica appends a replica's written cells, named, in location-name
+// order. The replica is indexed by location id.
+func (f *fingerprinter) replica(cells []cell) {
+	n := 0
+	for _, c := range cells {
+		if c.tag != 0 {
+			n++
+		}
 	}
-	slices.Sort(f.locs)
-	f.int(len(f.locs))
-	for _, l := range f.locs {
-		f.loc(l)
-		f.cell(l, store[l])
+	f.int(n)
+	for _, id := range f.locs.byName {
+		if id < len(cells) && cells[id].tag != 0 {
+			f.loc(id)
+			f.cell(id, cells[id])
+		}
 	}
 }
 
@@ -300,13 +307,12 @@ func (f *fingerprinter) queue(q []update) {
 	}
 }
 
-// finish renders the canonical fingerprint and returns f to the pool.
-func (f *fingerprinter) finish() string {
-	slices.SortFunc(f.vers, compareLocVer)
-	f.vers = slices.Compact(f.vers)
+// finish appends the canonical fingerprint to dst and returns f to the
+// pool.
+func (f *fingerprinter) finish(dst []byte) []byte {
 	prev := 0
 	for _, t := range f.cells {
-		f.out = append(f.out, f.raw[prev:t.at]...)
+		dst = append(dst, f.raw[prev:t.at]...)
 		prev = t.at
 		id := slices.Index(f.tags, t.c.tag)
 		if id < 0 {
@@ -315,16 +321,18 @@ func (f *fingerprinter) finish() string {
 		}
 		// The rank is the number of distinct smaller versions held for
 		// the same location.
-		i, _ := slices.BinarySearchFunc(f.vers, locVer{t.loc, t.c.version}, compareLocVer)
-		first, _ := slices.BinarySearchFunc(f.vers[:i], t.loc, func(lv locVer, l history.Loc) int {
-			return cmp.Compare(lv.loc, l)
-		})
-		f.out = binary.AppendVarint(f.out, int64(t.c.val))
-		f.out = binary.AppendUvarint(f.out, uint64(id))
-		f.out = binary.AppendUvarint(f.out, uint64(i-first))
+		rank := 0
+		for _, v := range f.vers[t.id] {
+			if v < t.c.version {
+				rank++
+			}
+		}
+		dst = binary.AppendVarint(dst, int64(t.c.val))
+		dst = binary.AppendUvarint(dst, uint64(id))
+		dst = binary.AppendUvarint(dst, uint64(rank))
 	}
-	f.out = append(f.out, f.raw[prev:]...)
-	s := string(f.out)
+	dst = append(dst, f.raw[prev:]...)
+	f.locs = nil
 	fingerprinters.Put(f)
-	return s
+	return dst
 }

@@ -271,7 +271,7 @@ func TestCloneIndependence(t *testing.T) {
 		if m.Recorder().Len() == c.Recorder().Len() {
 			t.Errorf("%s: clone shares recorder", m.Name())
 		}
-		if m.Fingerprint() == c.Fingerprint() {
+		if string(m.AppendFingerprint(nil)) == string(c.AppendFingerprint(nil)) {
 			t.Errorf("%s: clone shares state (fingerprints equal after divergence)", m.Name())
 		}
 		// The clone shares the recorded prefix w(x); operations recorded
@@ -313,8 +313,23 @@ func TestFingerprintDeterministic(t *testing.T) {
 		}
 		script(a)
 		script(b)
-		if a.Fingerprint() != b.Fingerprint() {
+		if string(a.AppendFingerprint(nil)) != string(b.AppendFingerprint(nil)) {
 			t.Errorf("%s: identical runs fingerprint differently", a.Name())
+		}
+	}
+	// The same state reached by touching locations in opposite orders
+	// fingerprints identically: the encoding follows location names, not
+	// the order in which a memory first saw them.
+	for i := range Memories(3) {
+		a, b := Memories(3)[i], Memories(3)[i]
+		a.Write(0, "x", 1, false)
+		a.Write(1, "y", 2, true)
+		a.Read(2, "a[1]", false)
+		b.Read(2, "a[1]", false)
+		b.Write(1, "y", 2, true)
+		b.Write(0, "x", 1, false)
+		if string(a.AppendFingerprint(nil)) != string(b.AppendFingerprint(nil)) {
+			t.Errorf("%s: location touch order changes the fingerprint", a.Name())
 		}
 	}
 }
@@ -442,14 +457,14 @@ func TestQuickCloneEquivalence(t *testing.T) {
 			}
 			script(mem, rand.New(rand.NewSource(seed)))
 			clone := mem.Clone()
-			if clone.Fingerprint() != mem.Fingerprint() {
+			if string(clone.AppendFingerprint(nil)) != string(mem.AppendFingerprint(nil)) {
 				t.Logf("%s: clone fingerprint differs", mem.Name())
 				return false
 			}
 			// Same continuation on both must stay in lockstep.
 			script(mem, rand.New(rand.NewSource(seed+1)))
 			script(clone, rand.New(rand.NewSource(seed+1)))
-			if clone.Fingerprint() != mem.Fingerprint() {
+			if string(clone.AppendFingerprint(nil)) != string(mem.AppendFingerprint(nil)) {
 				t.Logf("%s: divergence after identical continuations", mem.Name())
 				return false
 			}
@@ -498,9 +513,9 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		b.Write(0, "x", 3, false)
 	}
 	b.Write(0, "x", 7, false)
-	if a.Fingerprint() != b.Fingerprint() {
+	if string(a.AppendFingerprint(nil)) != string(b.AppendFingerprint(nil)) {
 		t.Errorf("SC fingerprints differ after equivalent overwrites:\n%q\n%q",
-			a.Fingerprint(), b.Fingerprint())
+			string(a.AppendFingerprint(nil)), string(b.AppendFingerprint(nil)))
 	}
 
 	// PCG: version ranks, not raw versions, must appear.
@@ -513,15 +528,15 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 	pb.Write(0, "x", 1, false)
 	Quiesce(pb)
-	if pa.Fingerprint() != pb.Fingerprint() {
+	if string(pa.AppendFingerprint(nil)) != string(pb.AppendFingerprint(nil)) {
 		t.Errorf("PCG fingerprints differ after equivalent quiesced overwrites:\n%q\n%q",
-			pa.Fingerprint(), pb.Fingerprint())
+			string(pa.AppendFingerprint(nil)), string(pb.AppendFingerprint(nil)))
 	}
 
 	// Distinct semantic values must still be distinguished.
 	c := NewSC(1)
 	c.Write(0, "x", 8, false)
-	if a.Fingerprint() == c.Fingerprint() {
+	if string(a.AppendFingerprint(nil)) == string(c.AppendFingerprint(nil)) {
 		t.Error("different semantic values fingerprint identically")
 	}
 
@@ -534,7 +549,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	d2 := NewPRAM(2)
 	d2.Write(0, "x", 5, false)
 	d2.Write(1, "x", 5, false) // each replica holds its own write
-	if d1.Fingerprint() == d2.Fingerprint() {
+	if string(d1.AppendFingerprint(nil)) == string(d2.AppendFingerprint(nil)) {
 		t.Error("same-write and different-write replica states fingerprint identically")
 	}
 }

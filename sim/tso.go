@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/history"
 )
@@ -27,7 +26,8 @@ import (
 type TSOMemory struct {
 	nprocs  int
 	forward bool
-	store   map[history.Loc]cell
+	locs    *locTable
+	store   grid[cell] // one row
 	buffers [][]update // per processor, oldest first
 	rec     Recorder
 }
@@ -44,7 +44,8 @@ func newTSO(nprocs int, forward bool) *TSOMemory {
 	return &TSOMemory{
 		nprocs:  nprocs,
 		forward: forward,
-		store:   make(map[history.Loc]cell),
+		locs:    new(locTable),
+		store:   grid[cell]{rows: 1},
 		buffers: make([][]update, nprocs),
 		rec:     newRecorder(nprocs),
 	}
@@ -68,9 +69,10 @@ func (m *TSOMemory) NumProcs() int { return m.nprocs }
 // non-forwarding variant instead drains the processor's own buffer when it
 // holds a write to the location, then reads memory.
 func (m *TSOMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.Value {
+	id := m.locs.id(loc)
 	buf := m.buffers[p]
 	for i := len(buf) - 1; i >= 0; i-- {
-		if buf[i].loc != loc {
+		if buf[i].loc != id {
 			continue
 		}
 		if m.forward {
@@ -80,12 +82,12 @@ func (m *TSOMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.
 		// Drain through the most recent write to loc, preserving
 		// FIFO order, then fall through to the memory read.
 		for j := 0; j <= i; j++ {
-			m.store[buf[j].loc] = buf[j].cell
+			*m.store.ref(0, buf[j].loc) = buf[j].cell
 		}
 		m.buffers[p] = append([]update(nil), buf[i+1:]...)
 		break
 	}
-	c := m.store[loc]
+	c := m.store.at(0, id)
 	m.rec.Read(p, loc, c.tag, labeled)
 	return c.val
 }
@@ -93,7 +95,7 @@ func (m *TSOMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.
 // Write implements Memory: append to the processor's FIFO buffer.
 func (m *TSOMemory) Write(p history.Proc, loc history.Loc, v history.Value, labeled bool) {
 	tag := m.rec.Write(p, loc, labeled)
-	m.buffers[p] = append(m.buffers[p], update{loc: loc, cell: cell{val: v, tag: tag}, labeled: labeled})
+	m.buffers[p] = append(m.buffers[p], update{loc: m.locs.id(loc), cell: cell{val: v, tag: tag}, labeled: labeled})
 }
 
 // Internal implements Memory: one drain action per nonempty buffer.
@@ -101,7 +103,7 @@ func (m *TSOMemory) Internal() []string {
 	var out []string
 	for p, buf := range m.buffers {
 		if len(buf) > 0 {
-			out = append(out, fmt.Sprintf("drain p%d %s", p, buf[0].loc))
+			out = append(out, fmt.Sprintf("drain p%d %s", p, m.locs.name(buf[0].loc)))
 		}
 	}
 	return out
@@ -114,7 +116,7 @@ func (m *TSOMemory) Step(i int) {
 			continue
 		}
 		if i == 0 {
-			m.store[buf[0].loc] = buf[0].cell
+			*m.store.ref(0, buf[0].loc) = buf[0].cell
 			m.buffers[p] = buf[1:]
 			return
 		}
@@ -125,27 +127,24 @@ func (m *TSOMemory) Step(i int) {
 
 // Clone implements Memory.
 func (m *TSOMemory) Clone() Memory {
-	c := &TSOMemory{
+	return &TSOMemory{
 		nprocs:  m.nprocs,
 		forward: m.forward,
-		store:   maps.Clone(m.store),
-		buffers: make([][]update, m.nprocs),
+		locs:    m.locs,
+		store:   m.store.clone(),
+		buffers: cloneQueues(m.buffers),
 		rec:     m.rec,
 	}
-	for p, buf := range m.buffers {
-		c.buffers[p] = append([]update(nil), buf...)
-	}
-	return c
 }
 
-// Fingerprint implements Memory.
-func (m *TSOMemory) Fingerprint() string {
-	f := newFingerprinter()
-	f.store(m.store)
+// AppendFingerprint implements Memory.
+func (m *TSOMemory) AppendFingerprint(dst []byte) []byte {
+	f := newFingerprinter(m.locs)
+	f.replica(m.store.row(0))
 	for _, buf := range m.buffers {
 		f.queue(buf)
 	}
-	return f.finish()
+	return f.finish(dst)
 }
 
 // Recorder implements Memory.
