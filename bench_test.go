@@ -166,24 +166,29 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 }
 
 // BenchmarkBakeryRCpcComplete runs the bakery-explore workload's
-// exploration — all of Bakery(2,2) on RCpc, no checker — on the sequential
-// search, so ns/op, B/op and allocs/op measure explore, program and sim
-// alone.
+// exploration — all of Bakery(2,2) on RCpc, no checker — so ns/op, B/op and
+// allocs/op measure explore, program and sim alone: on the sequential
+// search (workers=1) and on the default worker count the workload runs
+// (workers=0, one per CPU).
 func BenchmarkBakeryRCpcComplete(b *testing.B) {
-	b.ReportAllocs()
-	for b.Loop() {
-		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := explore.Exhaustive(m, explore.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Complete || res.States != 84448 || len(res.Violations) != 930 {
-			b.Fatalf("complete=%v states=%d violations=%d, want complete 84448/930",
-				res.Complete, res.States, len(res.Violations))
-		}
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := explore.Exhaustive(m, explore.Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Complete || res.States != 84448 || len(res.Violations) != 930 {
+					b.Fatalf("complete=%v states=%d violations=%d, want complete 84448/930",
+						res.Complete, res.States, len(res.Violations))
+				}
+			}
+		})
 	}
 }
 

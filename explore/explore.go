@@ -197,11 +197,14 @@ func ctxReason(err error) IncompleteReason {
 }
 
 // node is a search node: a machine state, the last step of the schedule
-// that reached it, and that schedule's length.
+// that reached it, and that schedule's length. A node on the parallel
+// search's frontier is built lazily: m stays nil, and parent holds the
+// machine step is applied to, until the node's own expansion builds it.
 type node struct {
-	m     *program.Machine
-	step  *step
-	depth int
+	m      *program.Machine
+	parent *program.Machine
+	step   *step
+	depth  int
 }
 
 // step is one scheduling choice, linked to the step before it. Nodes share
@@ -221,6 +224,18 @@ func (s step) String() string {
 		return fmt.Sprintf("internal %d (%s)", s.index, s.desc)
 	}
 	return fmt.Sprintf("thread %d", s.index)
+}
+
+// apply performs the step on m, a copy of the state it was chosen in.
+func (s *step) apply(m *program.Machine) error {
+	if s.internal {
+		m.Mem().Step(s.index)
+		return nil
+	}
+	if err := m.StepThread(s.index); err != nil {
+		return fmt.Errorf("explore: step thread %d: %w", s.index, err)
+	}
+	return nil
 }
 
 // trace renders the schedule ending in s, oldest step first.
@@ -250,22 +265,49 @@ func (n node) violation(err error) Violation {
 	}
 }
 
-// successors generates n's children, program steps first, then internal
-// actions, in index order, passing each stepped clone and the step that
-// produced it to yield. The step is a value, so a child the search drops
-// costs no step allocation.
-func (n node) successors(yield func(*program.Machine, step)) error {
-	for _, ti := range n.m.Runnable() {
-		child := n.m.Clone()
-		if err := child.StepThread(ti); err != nil {
-			return fmt.Errorf("explore: step thread %d: %w", ti, err)
+// scratch is one searcher's reusable successor storage: the machine each
+// successor is stepped in and the buffer it is fingerprinted into. Most
+// successors reach a state the search has already visited, so a successor
+// is fingerprinted before anything is allocated for it; only one the
+// search keeps takes the machine over, and the next successor is then
+// stepped in fresh storage.
+type scratch struct {
+	m  *program.Machine
+	fp []byte
+	// The parallel search's expansions of one chunk record their
+	// successors here, back to back, for the chunk's merge.
+	fps      []byte
+	children []childEdge
+}
+
+// successors steps each of n's successors in s, program steps first, then
+// internal actions, in index order, and passes the stepped machine, its
+// fingerprint and the step that produced it to yield. yield reports
+// whether it keeps the machine; the fingerprint, and a machine yield does
+// not keep, are overwritten by the next successor. The step is a value, so
+// a child the search drops costs no step allocation.
+func (s *scratch) successors(n node, yield func(m *program.Machine, fp []byte, st step) bool) error {
+	visit := func(st step) error {
+		m := n.m.CloneInto(s.m)
+		if err := st.apply(m); err != nil {
+			return err
 		}
-		yield(child, step{parent: n.step, index: ti})
+		s.fp = m.AppendFingerprint(s.fp[:0])
+		s.m = m
+		if yield(m, s.fp, st) {
+			s.m = nil
+		}
+		return nil
+	}
+	for _, ti := range n.m.Runnable() {
+		if err := visit(step{parent: n.step, index: ti}); err != nil {
+			return err
+		}
 	}
 	for ii, desc := range n.m.Mem().Internal() {
-		child := n.m.Clone()
-		child.Mem().Step(ii)
-		yield(child, step{parent: n.step, internal: true, index: ii, desc: desc})
+		if err := visit(step{parent: n.step, internal: true, index: ii, desc: desc}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -353,6 +395,7 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 	}
 	visited := map[string]struct{}{m0.Fingerprint(): {}}
 	stack := []node{{m: m0.Clone()}}
+	var s scratch
 
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -396,17 +439,17 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			continue
 		}
 
-		err := n.successors(func(child *program.Machine, st step) {
+		err := s.successors(n, func(child *program.Machine, fp []byte, st step) bool {
 			res.Transitions++
-			fp := child.Fingerprint()
 			if opts.TrackProgress {
-				res.edges[nFP] = append(res.edges[nFP], fp)
+				res.edges[nFP] = append(res.edges[nFP], string(fp))
 			}
-			if _, ok := visited[fp]; ok {
-				return
+			if _, ok := visited[string(fp)]; ok {
+				return false
 			}
-			visited[fp] = struct{}{}
+			visited[string(fp)] = struct{}{}
 			stack = append(stack, n.child(child, st))
+			return true
 		})
 		if err != nil {
 			return res, err

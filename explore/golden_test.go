@@ -42,27 +42,25 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 }
 
 // TestExploreMallocsPerTransition gates the explorer's allocation rate, a
-// count that does not depend on timing: the sequential search of
-// Bakery(2,1) on RCpc must stay at or below maxMallocsPerTransition heap
-// allocations per explored transition. The gates sit about 30% above the
-// measured 12.2, and 20.0 under -race.
+// count that does not depend on timing: exploring Bakery(2,1) on RCpc, the
+// sequential search and the two-worker parallel one must each stay at or
+// below maxMallocsPerTransition heap allocations per explored transition.
+// Both measure 6.8, and 12.8 under -race; the gates sit about 30% above.
 func TestExploreMallocsPerTransition(t *testing.T) {
-	maxMallocsPerTransition := 16.0
-	if raceEnabled {
-		maxMallocsPerTransition = 26
-	}
-	m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := Exhaustive(m, Options{Workers: 1})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := float64(after.Mallocs-before.Mallocs) / float64(res.Transitions)
-	t.Logf("%d transitions, %.1f mallocs per transition", res.Transitions, per)
-	if per > maxMallocsPerTransition {
-		t.Errorf("%.1f mallocs per transition, want <= %.0f", per, maxMallocsPerTransition)
+	for _, workers := range []int{1, 2} {
+		m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Exhaustive(m, Options{Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(res.Transitions)
+		t.Logf("workers=%d: %d transitions, %.1f mallocs per transition", workers, res.Transitions, per)
+		if per > maxMallocsPerTransition {
+			t.Errorf("workers=%d: %.1f mallocs per transition, want <= %d", workers, per, maxMallocsPerTransition)
+		}
 	}
 }

@@ -2,4 +2,5 @@
 
 package explore
 
-const raceEnabled = false
+// maxMallocsPerTransition gates TestExploreMallocsPerTransition.
+const maxMallocsPerTransition = 9

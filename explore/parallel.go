@@ -2,8 +2,6 @@ package explore
 
 import (
 	"context"
-	"hash/maphash"
-	"sync"
 
 	"repro/internal/pool"
 	"repro/program"
@@ -12,37 +10,51 @@ import (
 // This file holds the frontier-parallel breadth-first search behind
 // Exhaustive. The search proceeds level by level, and each level in chunks
 // of at most mergeChunk frontier states: every state of a chunk is expanded
-// concurrently (invariant check, terminal check, child generation — the
-// expensive machine cloning and stepping), then the chunk's results are
+// concurrently (building the state, invariant check, terminal check, and
+// stepping and fingerprinting its successors), then the chunk's results are
 // merged sequentially in frontier order, and each frontier state is dropped
 // once merged. All shared bookkeeping — state/transition counts, violation
 // reporting, progress edges, seen-set membership — happens in the merge, so
 // the result is bit-for-bit deterministic no matter how the workers are
 // scheduled, and on complete explorations the counts equal the sequential
 // depth-first search's (the visited-state set of a dedup-at-push search is
-// independent of search order). Chunking bounds the expansions held at
-// once: a level's children live only as long as their chunk's merge. The
-// seen-set is striped across mutexes so expansion workers can pre-filter
-// children concurrently; it only grows, so a child it already holds is one
-// the merge would drop anyway.
+// independent of search order).
+//
+// Expansion is fingerprint-first: each worker steps every successor in one
+// reused scratch machine and records it only as its step and fingerprint.
+// A successor the merge keeps becomes a lazy frontier node — its parent's
+// machine and the step — and its machine is built only at the start of its
+// own expansion, in parallel, by cloning the parent and replaying the step.
+// No machine is allocated for the many successors that reach a state the
+// search has already seen, and a level's new states are held as
+// steps, not machines, until they are expanded.
+//
+// The seen-set is a plain map and needs no lock: expansion workers only
+// read it, to drop successors it already holds (it only grows, so such a
+// successor is one the merge would drop anyway), and only the merge writes
+// it. pool.Indexed returns after every worker has finished, and starts the
+// next chunk's workers after the merge, so the reads and the writes never
+// overlap.
 
 // mergeChunk is the number of frontier states expanded before a merge.
 const mergeChunk = 1024
 
-// childEdge is one generated transition: the stepped clone, the choice that
-// produced it, and its fingerprint.
+// childEdge is one generated transition: the choice that produced it and
+// the end of its fingerprint in its expansion's fps.
 type childEdge struct {
-	m    *program.Machine
 	step step
-	fp   string
+	end  int
 }
 
-// expansion is what one worker produces for one frontier node.
+// expansion is what one worker produces for one frontier node. Its
+// children and their fingerprints live in the worker's scratch until the
+// chunk's merge.
 type expansion struct {
 	fp        string // the node's own fingerprint (TrackProgress only)
 	violation error
 	terminal  bool
 	err       error
+	fps       []byte // the children's fingerprints, back to back
 	children  []childEdge
 	// dropped counts children pre-filtered against the seen-set; they
 	// are still transitions and the merge counts them as such.
@@ -55,26 +67,37 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
-	seen := newStripedSet()
-	seen.Add(m0.Fingerprint())
+	seen := map[string]struct{}{m0.Fingerprint(): {}}
 	frontier := []node{{m: m0.Clone()}}
+	// One scratch per worker: at most workers expansions run at once.
+	ss := make([]scratch, workers)
+	scratches := make(chan *scratch, workers)
+	for i := range ss {
+		scratches <- &ss[i]
+	}
+	exps := make([]expansion, mergeChunk)
 
 	for len(frontier) > 0 {
 		var next []node
 		for lo := 0; lo < len(frontier); lo += mergeChunk {
 			chunk := frontier[lo:min(lo+mergeChunk, len(frontier))]
-			// Expansion phase: workers fill exps[i] from chunk[i]; the
-			// seen-set is only read (it is frozen between merges). A
-			// cancelled context short-circuits remaining expansions (the
-			// whole chunk is then discarded, so the empty expansions
-			// never reach the merge); a worker panic is contained by the
-			// pool and surfaces as a *pool.PanicError.
-			exps := make([]expansion, len(chunk))
+			for i := range ss {
+				ss[i].fps, ss[i].children = ss[i].fps[:0], ss[i].children[:0]
+			}
+			// Expansion phase: workers build chunk[i] and fill exps[i]
+			// from it; the seen-set is only read. A cancelled context
+			// short-circuits remaining expansions (the whole chunk is
+			// then discarded, so the empty expansions never reach the
+			// merge); a worker panic is contained by the pool and
+			// surfaces as a *pool.PanicError.
+			exps := exps[:len(chunk)]
 			if err := pool.Indexed(workers, len(chunk), func(i int) {
 				if ctx.Err() != nil {
 					return
 				}
-				exps[i] = expand(chunk[i], opts, inv, seen)
+				s := <-scratches
+				exps[i] = s.expand(&chunk[i], opts, inv, seen)
+				scratches <- s
 			}); err != nil {
 				return res, err
 			}
@@ -85,8 +108,8 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 
 			// Merge phase: sequential, in frontier order.
 			for i := range chunk {
-				n, exp := chunk[i], &exps[i]
-				chunk[i] = node{}
+				n, exp := chunk[i], exps[i]
+				chunk[i], exps[i] = node{}, expansion{}
 				res.States++
 				if exp.err != nil {
 					return res, exp.err
@@ -119,15 +142,20 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 					continue
 				}
 				res.Transitions += exp.dropped
+				start := 0
 				for _, c := range exp.children {
 					res.Transitions++
+					fp := exp.fps[start:c.end]
+					start = c.end
 					if opts.TrackProgress {
-						res.edges[exp.fp] = append(res.edges[exp.fp], c.fp)
+						res.edges[exp.fp] = append(res.edges[exp.fp], string(fp))
 					}
-					if !seen.Add(c.fp) {
+					if _, ok := seen[string(fp)]; ok {
 						continue
 					}
-					next = append(next, n.child(c.m, c.step))
+					seen[string(fp)] = struct{}{}
+					st := c.step
+					next = append(next, node{parent: n.m, step: &st, depth: n.depth + 1})
 				}
 			}
 		}
@@ -139,12 +167,20 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 	return res, nil
 }
 
-// expand evaluates one frontier node: invariant, terminal check, and child
-// generation. Children whose fingerprints the seen-set already contains are
-// dropped unless TrackProgress needs the edge; the authoritative dedup (and
-// all counting) happens in the merge.
-func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
+// expand builds frontier node n if it is lazy, then evaluates it:
+// invariant, terminal check, and successor generation. Successors whose
+// fingerprints the seen-set already contains are dropped unless
+// TrackProgress needs the edge; the authoritative dedup (and all counting)
+// happens in the merge.
+func (s *scratch) expand(n *node, opts Options, inv Invariant, seen map[string]struct{}) expansion {
 	var exp expansion
+	if n.m == nil {
+		m := n.parent.Clone()
+		if exp.err = n.step.apply(m); exp.err != nil {
+			return exp
+		}
+		n.m, n.parent = m, nil
+	}
 	if opts.TrackProgress {
 		exp.fp = n.m.Fingerprint()
 	}
@@ -159,59 +195,18 @@ func expand(n node, opts Options, inv Invariant, seen *stripedSet) expansion {
 	if n.depth >= opts.MaxDepth {
 		return exp
 	}
-	exp.err = n.successors(func(child *program.Machine, st step) {
-		fp := child.Fingerprint()
-		if !opts.TrackProgress && seen.Has(fp) {
-			exp.dropped++ // already reached
-			return
+	fps, children := len(s.fps), len(s.children)
+	exp.err = s.successors(*n, func(_ *program.Machine, fp []byte, st step) bool {
+		if !opts.TrackProgress {
+			if _, ok := seen[string(fp)]; ok {
+				exp.dropped++ // already reached
+				return false
+			}
 		}
-		exp.children = append(exp.children, childEdge{m: child, step: st, fp: fp})
+		s.fps = append(s.fps, fp...)
+		s.children = append(s.children, childEdge{step: st, end: len(s.fps) - fps})
+		return false
 	})
+	exp.fps, exp.children = s.fps[fps:], s.children[children:]
 	return exp
-}
-
-// stripedSet is a string set sharded across independently locked maps, so
-// many workers can probe membership without contending on one mutex.
-type stripedSet struct {
-	seed   maphash.Seed
-	shards [64]struct {
-		mu sync.Mutex
-		m  map[string]struct{}
-	}
-}
-
-func newStripedSet() *stripedSet {
-	s := &stripedSet{seed: maphash.MakeSeed()}
-	for i := range s.shards {
-		s.shards[i].m = map[string]struct{}{}
-	}
-	return s
-}
-
-func (s *stripedSet) shard(key string) *struct {
-	mu sync.Mutex
-	m  map[string]struct{}
-} {
-	return &s.shards[maphash.String(s.seed, key)%uint64(len(s.shards))]
-}
-
-// Has reports membership.
-func (s *stripedSet) Has(key string) bool {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	sh.mu.Unlock()
-	return ok
-}
-
-// Add inserts key, reporting whether it was new.
-func (s *stripedSet) Add(key string) bool {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	_, dup := sh.m[key]
-	if !dup {
-		sh.m[key] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return !dup
 }

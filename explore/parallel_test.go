@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -101,28 +100,5 @@ func TestExhaustiveParallelDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Violations[0].Trace, b.Violations[0].Trace) {
 		t.Errorf("violation traces differ:\n%v\n%v", a.Violations[0].Trace, b.Violations[0].Trace)
-	}
-}
-
-func TestStripedSet(t *testing.T) {
-	s := newStripedSet()
-	if s.Has("a") {
-		t.Error("empty set reports membership")
-	}
-	if !s.Add("a") {
-		t.Error("first Add not fresh")
-	}
-	if s.Add("a") {
-		t.Error("second Add fresh")
-	}
-	if !s.Has("a") {
-		t.Error("added key not found")
-	}
-	// Exercise many shards.
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if !s.Add(k) || !s.Has(k) {
-			t.Fatalf("key %s mishandled", k)
-		}
 	}
 }

@@ -8,31 +8,24 @@ import (
 	"repro/model"
 )
 
-// perCaseTimeout bounds one (test, model, workers) differential check. A
-// hung or pathologically slow check fails that single case with a clear
-// message instead of tripping the whole package's 10-minute deadline; the
-// parallel leg retries once before failing, because a deadline there is
-// occasionally scheduling jitter on a loaded CI box, not a verdict.
+// caseBudget bounds each differential check by search nodes, a count
+// that does not depend on timing. The corpus's largest check expands 124
+// nodes (PC-not-PCG under TSO on the enumeration route, at 1 and 4
+// workers); a check that needs more — or a nondeterministic one that only
+// sometimes does — returns Unknown and fails on its first attempt.
+var caseBudget = model.Budget{MaxNodes: 1 << 10}
+
+// perCaseTimeout is only a hang guard: a hung check fails its own case
+// with a clear message instead of tripping the package's 10-minute
+// deadline. A check that hits it is never retried.
 const perCaseTimeout = 30 * time.Second
 
-// checkWithDeadline runs model.AllowsCtx on route under the per-case deadline,
-// retrying once when workers > 1 and the only outcome was the deadline.
-func checkWithDeadline(route model.RouteMode, m model.Model, tc Test, workers int) (model.Verdict, error) {
-	attempts := 1
-	if workers > 1 {
-		attempts = 2
-	}
-	var v model.Verdict
-	var err error
-	for i := 0; i < attempts; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), perCaseTimeout)
-		v, err = model.AllowsCtx(model.WithRoute(ctx, route), m, tc.History)
-		cancel()
-		if err != nil || v.Unknown != model.DeadlineExceeded {
-			break
-		}
-	}
-	return v, err
+// checkBounded runs model.AllowsCtx on route under caseBudget and the hang
+// guard.
+func checkBounded(route model.RouteMode, m model.Model, tc Test) (model.Verdict, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), perCaseTimeout)
+	defer cancel()
+	return model.AllowsCtx(model.WithBudget(model.WithRoute(ctx, route), caseBudget), m, tc.History)
 }
 
 // TestFastPathMatchesEnumeratorOnCorpus is the differential-oracle matrix
@@ -47,8 +40,8 @@ func TestFastPathMatchesEnumeratorOnCorpus(t *testing.T) {
 	forEachCorpusModel(t, func(t *testing.T, tc Test, m model.Model) {
 		for _, workers := range []int{1, 4} {
 			wm := model.WithWorkers(m, workers)
-			fv, ferr := checkWithDeadline(fast, wm, tc, workers)
-			ev, eerr := checkWithDeadline(oracle, wm, tc, workers)
+			fv, ferr := checkBounded(fast, wm, tc)
+			ev, eerr := checkBounded(oracle, wm, tc)
 			if (ferr == nil) != (eerr == nil) {
 				t.Errorf("%s workers=%d: fast err=%v, enumerator err=%v",
 					m.Name(), workers, ferr, eerr)
@@ -58,8 +51,8 @@ func TestFastPathMatchesEnumeratorOnCorpus(t *testing.T) {
 				continue // both reject the history's shape identically
 			}
 			if !fv.Decided() || !ev.Decided() {
-				t.Errorf("%s workers=%d: check undecided within %v (fast=%v, enum=%v)",
-					m.Name(), workers, perCaseTimeout, fv.Unknown, ev.Unknown)
+				t.Errorf("%s workers=%d: check undecided within %d nodes and %v (fast=%v, enum=%v)",
+					m.Name(), workers, caseBudget.MaxNodes, perCaseTimeout, fv.Unknown, ev.Unknown)
 				continue
 			}
 			if fv.Allowed != ev.Allowed {

@@ -194,42 +194,59 @@ func (m *Machine) Registers(i int) map[string]int {
 }
 
 // Clone copies the machine, including its memory (the memory's recorded
-// history is shared as an immutable prefix). Compiled code is shared. All
-// threads' registers are copied into one backing array.
-func (m *Machine) Clone() *Machine {
-	n := 0
-	for _, t := range m.threads {
-		n += len(t.regs)
+// history is shared as an immutable prefix), into fresh storage; it is
+// CloneInto(nil).
+func (m *Machine) Clone() *Machine { return m.CloneInto(nil) }
+
+// CloneInto copies the machine into dst's storage, overwriting dst, and
+// returns the copy. dst is nil, which allocates fresh storage, or a machine
+// nothing else uses any more; a dst cloned from the same program reuses its
+// thread table, registers and memory storage. Compiled code is shared. A
+// fresh copy holds all threads' registers in one backing array.
+func (m *Machine) CloneInto(dst *Machine) *Machine {
+	if dst == nil {
+		dst = new(Machine)
 	}
-	regs := make([]int, 0, n)
-	c := &Machine{mem: m.mem.Clone(), progs: m.progs, threads: make([]threadState, len(m.threads))}
+	if len(dst.threads) != len(m.threads) {
+		dst.threads = make([]threadState, len(m.threads))
+	}
+	n, fits := 0, true
 	for i, t := range m.threads {
-		start := len(regs)
-		regs = append(regs, t.regs...)
-		c.threads[i] = threadState{
-			pc:     t.pc,
-			regs:   regs[start:len(regs):len(regs)],
-			inCS:   t.inCS,
-			halted: t.halted,
-		}
+		n += len(t.regs)
+		fits = fits && len(dst.threads[i].regs) == len(t.regs)
 	}
-	return c
+	var regs []int
+	if !fits {
+		regs = make([]int, 0, n)
+	}
+	for i, t := range m.threads {
+		r := dst.threads[i].regs
+		if fits {
+			copy(r, t.regs)
+		} else {
+			start := len(regs)
+			regs = append(regs, t.regs...)
+			r = regs[start:len(regs):len(regs)]
+		}
+		dst.threads[i] = threadState{pc: t.pc, regs: r, inCS: t.inCS, halted: t.halted}
+	}
+	dst.mem = m.mem.CloneInto(dst.mem)
+	dst.progs = m.progs
+	return dst
 }
 
-// Fingerprint canonically and exactly encodes the machine's live state —
-// thread pcs, registers, critical-section and halt flags, then the
-// memory's live state — as a binary string for visited-state detection.
-// Integers are varints and the register vector is length-prefixed.
-// Recorded history is deliberately excluded. The encoding is built in a
-// pooled buffer, so the returned string is its only copy.
-func (m *Machine) Fingerprint() string {
-	bp := fpBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
+// AppendFingerprint appends a canonical and exact encoding of the
+// machine's live state — thread pcs, registers, critical-section and halt
+// flags, then the memory's live state — to dst and returns the extended
+// slice, for visited-state detection. Integers are varints and the
+// register vector is length-prefixed. Recorded history is deliberately
+// excluded.
+func (m *Machine) AppendFingerprint(dst []byte) []byte {
 	for _, t := range m.threads {
-		buf = binary.AppendVarint(buf, int64(t.pc))
-		buf = binary.AppendUvarint(buf, uint64(len(t.regs)))
+		dst = binary.AppendVarint(dst, int64(t.pc))
+		dst = binary.AppendUvarint(dst, uint64(len(t.regs)))
 		for _, r := range t.regs {
-			buf = binary.AppendVarint(buf, int64(r))
+			dst = binary.AppendVarint(dst, int64(r))
 		}
 		var flags byte
 		if t.inCS {
@@ -238,11 +255,17 @@ func (m *Machine) Fingerprint() string {
 		if t.halted {
 			flags |= 2
 		}
-		buf = append(buf, flags)
+		dst = append(dst, flags)
 	}
-	buf = m.mem.AppendFingerprint(buf)
-	s := string(buf)
-	*bp = buf
+	return m.mem.AppendFingerprint(dst)
+}
+
+// Fingerprint returns AppendFingerprint's encoding as a string, built in a
+// pooled buffer, so the returned string is its only copy.
+func (m *Machine) Fingerprint() string {
+	bp := fpBufs.Get().(*[]byte)
+	*bp = m.AppendFingerprint((*bp)[:0])
+	s := string(*bp)
 	fpBufs.Put(bp)
 	return s
 }

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/sim"
@@ -251,6 +252,51 @@ func TestCloneAndFingerprint(t *testing.T) {
 	}
 	if m.Fingerprint() != fp {
 		t.Error("stepping the clone mutated the original")
+	}
+}
+
+// TestCloneIntoReusesScratch: copying into a machine that ran another
+// schedule reuses it and matches Clone, copying into a machine of another
+// shape still copies, and neither copy aliases the original.
+func TestCloneIntoReusesScratch(t *testing.T) {
+	progs := [][]Stmt{
+		{Store{Loc: "x", E: Const(1)}, Load{Dst: "a", Loc: "y"}, Store{Loc: "x", E: Const(2)}},
+		{Store{Loc: "y", E: Const(1)}, Load{Dst: "b", Loc: "x"}},
+	}
+	m, _ := NewMachine(sim.NewPRAM(2), progs)
+	scratch, _ := NewMachine(sim.NewPRAM(2), progs)
+	other, _ := NewMachine(sim.NewPRAM(1), progs[:1])
+	for _, st := range []struct {
+		m      *Machine
+		thread int
+	}{{m, 0}, {scratch, 1}, {scratch, 1}, {scratch, 0}, {scratch, 0}, {other, 0}} {
+		if err := st.m.StepThread(st.thread); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp := m.Fingerprint()
+	if got := string(m.AppendFingerprint([]byte("p"))); got != "p"+fp {
+		t.Errorf("AppendFingerprint does not append Fingerprint's bytes")
+	}
+	for _, dst := range []*Machine{scratch, other} {
+		c := m.CloneInto(dst)
+		if c != dst {
+			t.Error("CloneInto did not reuse its destination")
+		}
+		if c.Fingerprint() != fp || m.Clone().Fingerprint() != fp {
+			t.Error("copy fingerprints differently from the original")
+		}
+		for i := range m.NumThreads() {
+			if !reflect.DeepEqual(c.Registers(i), m.Registers(i)) {
+				t.Errorf("thread %d registers %v, want %v", i, c.Registers(i), m.Registers(i))
+			}
+		}
+		if err := c.StepThread(0); err != nil {
+			t.Fatal(err)
+		}
+		if m.Fingerprint() != fp {
+			t.Error("stepping the copy mutated the original")
+		}
 	}
 }
 

@@ -128,15 +128,23 @@ func (m *CausalMemory) Step(i int) {
 }
 
 // Clone implements Memory.
-func (m *CausalMemory) Clone() Memory {
-	return &CausalMemory{
+func (m *CausalMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *CausalMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*CausalMemory)
+	if d == nil {
+		d = new(CausalMemory)
+	}
+	*d = CausalMemory{
 		nprocs:  m.nprocs,
 		locs:    m.locs,
-		stores:  m.stores.clone(),
-		clocks:  slices.Clone(m.clocks),
-		pending: cloneQueues(m.pending),
+		stores:  m.stores.cloneInto(d.stores),
+		clocks:  append(d.clocks[:0], m.clocks...),
+		pending: cloneQueuesInto(d.pending, m.pending),
 		rec:     m.rec,
 	}
+	return d
 }
 
 // AppendFingerprint implements Memory. Cell tags are canonicalized through

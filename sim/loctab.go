@@ -105,32 +105,43 @@ func (g *grid[T]) ref(row, id int) *T {
 // row returns one row, indexed by location id.
 func (g *grid[T]) row(r int) []T { return g.a[r*g.width : (r+1)*g.width] }
 
-// clone returns a copy with its own backing array.
-func (g grid[T]) clone() grid[T] {
-	g.a = slices.Clone(g.a)
+// cloneInto copies g into dst's backing array, growing it if it is too
+// small, and returns the copy.
+func (g grid[T]) cloneInto(dst grid[T]) grid[T] {
+	g.a = append(dst.a[:0], g.a...)
 	return g
 }
 
-// cloneQueues copies a set of queues into one new header array backed by
-// one new element array. Each queue's capacity is clipped to its length,
-// so appending to one reallocates it instead of overwriting its neighbour.
-func cloneQueues[T any](qs [][]T) [][]T {
+// cloneQueuesInto copies a set of queues into dst's storage and returns
+// the copy. A queue whose slot in dst has the capacity reuses that slot's
+// storage; the others share one new element array, each clipped to its
+// length, so appending to one reallocates it instead of overwriting its
+// neighbour. A memory's queue storage is never shared with another memory,
+// so reusing it overwrites nothing live.
+func cloneQueuesInto[T any](dst, qs [][]T) [][]T {
+	if cap(dst) < len(qs) {
+		dst = make([][]T, len(qs))
+	}
+	dst = dst[:len(qs)]
 	n := 0
-	for _, q := range qs {
-		n += len(q)
-	}
-	out := make([][]T, len(qs))
-	if n == 0 {
-		return out
-	}
-	all := make([]T, 0, n)
 	for i, q := range qs {
-		if len(q) > 0 {
-			all = append(all, q...)
-			out[i] = all[len(all)-len(q) : len(all) : len(all)]
+		if cap(dst[i]) < len(q) {
+			n += len(q)
 		}
 	}
-	return out
+	var all []T
+	if n > 0 {
+		all = make([]T, 0, n)
+	}
+	for i, q := range qs {
+		if cap(dst[i]) >= len(q) {
+			dst[i] = append(dst[i][:0], q...)
+			continue
+		}
+		all = append(all, q...)
+		dst[i] = all[len(all)-len(q) : len(all) : len(all)]
+	}
+	return dst
 }
 
 // bump increments the version counter of location id, growing the

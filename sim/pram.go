@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/history"
 )
@@ -147,17 +146,25 @@ func (m *PRAMMemory) Step(i int) {
 }
 
 // Clone implements Memory.
-func (m *PRAMMemory) Clone() Memory {
-	return &PRAMMemory{
+func (m *PRAMMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *PRAMMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*PRAMMemory)
+	if d == nil {
+		d = new(PRAMMemory)
+	}
+	*d = PRAMMemory{
 		name:     m.name,
 		nprocs:   m.nprocs,
 		coherent: m.coherent,
 		locs:     m.locs,
-		stores:   m.stores.clone(),
-		channels: cloneQueues(m.channels),
-		versions: slices.Clone(m.versions),
+		stores:   m.stores.cloneInto(d.stores),
+		channels: cloneQueuesInto(d.channels, m.channels),
+		versions: append(d.versions[:0], m.versions...),
 		rec:      m.rec,
 	}
+	return d
 }
 
 // AppendFingerprint implements Memory.

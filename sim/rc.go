@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/history"
 )
@@ -169,18 +168,26 @@ func (m *RCMemory) Step(i int) {
 }
 
 // Clone implements Memory.
-func (m *RCMemory) Clone() Memory {
-	return &RCMemory{
+func (m *RCMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *RCMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*RCMemory)
+	if d == nil {
+		d = new(RCMemory)
+	}
+	*d = RCMemory{
 		name:      m.name,
 		nprocs:    m.nprocs,
 		labeledSC: m.labeledSC,
 		locs:      m.locs,
-		syncStore: m.syncStore.clone(),
-		stores:    m.stores.clone(),
-		channels:  cloneQueues(m.channels),
-		versions:  slices.Clone(m.versions),
+		syncStore: m.syncStore.cloneInto(d.syncStore),
+		stores:    m.stores.cloneInto(d.stores),
+		channels:  cloneQueuesInto(d.channels, m.channels),
+		versions:  append(d.versions[:0], m.versions...),
 		rec:       m.rec,
 	}
+	return d
 }
 
 // AppendFingerprint implements Memory.

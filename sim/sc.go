@@ -49,8 +49,16 @@ func (m *SCMemory) Internal() []string { return nil }
 func (m *SCMemory) Step(int) { panic("sim: SC memory has no internal actions") }
 
 // Clone implements Memory.
-func (m *SCMemory) Clone() Memory {
-	return &SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.clone(), rec: m.rec}
+func (m *SCMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *SCMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*SCMemory)
+	if d == nil {
+		d = new(SCMemory)
+	}
+	*d = SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.cloneInto(d.store), rec: m.rec}
+	return d
 }
 
 // AppendFingerprint implements Memory.

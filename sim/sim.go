@@ -40,9 +40,9 @@ import (
 // a processor's next operation synchronously (the operation "issues" and
 // the local effect happens immediately); Internal lists the currently
 // enabled internal transitions (deliveries, drains), and Step performs one.
-// Clone must copy all state so that the clone and the original evolve
-// independently; the recorder's recorded prefix may be shared (see
-// Recorder), since recorded operations are never mutated.
+// Clone and CloneInto must copy all state so that the copy and the
+// original evolve independently; the recorder's recorded prefix may be
+// shared (see Recorder), since recorded operations are never mutated.
 // AppendFingerprint must canonically and exactly encode the live state
 // (excluding the recorder) so explorers can detect revisited states.
 type Memory interface {
@@ -62,8 +62,16 @@ type Memory interface {
 	Internal() []string
 	// Step performs the i-th enabled internal action.
 	Step(i int)
-	// Clone returns an independent copy.
+	// Clone returns an independent copy in fresh storage; it is
+	// CloneInto(nil).
 	Clone() Memory
+	// CloneInto copies the memory into dst's storage, overwriting dst's
+	// state, and returns the copy. dst is nil, which allocates fresh
+	// storage, or a memory of the same kind that nothing else uses any
+	// more, whose slices are reused where they are large enough; a memory
+	// of another kind is ignored. Explorers step successors in one reused
+	// copy this way and keep only the states that are new.
+	CloneInto(dst Memory) Memory
 	// AppendFingerprint appends a canonical, exact binary encoding of
 	// the live state (not the recorder) to dst and returns the extended
 	// slice.

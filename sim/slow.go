@@ -101,16 +101,24 @@ func (m *SlowMemory) Step(i int) {
 }
 
 // Clone implements Memory.
-func (m *SlowMemory) Clone() Memory {
+func (m *SlowMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *SlowMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*SlowMemory)
+	if d == nil {
+		d = new(SlowMemory)
+	}
 	lanes := m.lanes
-	lanes.a = cloneQueues(lanes.a)
-	return &SlowMemory{
+	lanes.a = cloneQueuesInto(d.lanes.a, lanes.a)
+	*d = SlowMemory{
 		nprocs: m.nprocs,
 		locs:   m.locs,
-		stores: m.stores.clone(),
+		stores: m.stores.cloneInto(d.stores),
 		lanes:  lanes,
 		rec:    m.rec,
 	}
+	return d
 }
 
 // AppendFingerprint implements Memory.

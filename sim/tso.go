@@ -126,15 +126,23 @@ func (m *TSOMemory) Step(i int) {
 }
 
 // Clone implements Memory.
-func (m *TSOMemory) Clone() Memory {
-	return &TSOMemory{
+func (m *TSOMemory) Clone() Memory { return m.CloneInto(nil) }
+
+// CloneInto implements Memory.
+func (m *TSOMemory) CloneInto(dst Memory) Memory {
+	d, _ := dst.(*TSOMemory)
+	if d == nil {
+		d = new(TSOMemory)
+	}
+	*d = TSOMemory{
 		nprocs:  m.nprocs,
 		forward: m.forward,
 		locs:    m.locs,
-		store:   m.store.clone(),
-		buffers: cloneQueues(m.buffers),
+		store:   m.store.cloneInto(d.store),
+		buffers: cloneQueuesInto(d.buffers, m.buffers),
 		rec:     m.rec,
 	}
+	return d
 }
 
 // AppendFingerprint implements Memory.
