@@ -209,19 +209,20 @@ type node struct {
 
 // step is one scheduling choice, linked to the step before it. Nodes share
 // their schedule's prefix through the parent pointers, so a node costs one
-// step however deep it is; Violation.Trace strings are built only when a
-// violation is reported.
+// step however deep it is; Violation.Trace strings, and the descriptions
+// of internal actions in them, are built only when a violation is
+// reported.
 type step struct {
 	parent   *step
-	internal bool   // an internal memory action rather than a thread step
-	index    int    // thread index, or internal-action index
-	desc     string // the internal action's description
+	internal bool // an internal memory action rather than a thread step
+	index    int  // thread index, or internal-action index
 }
 
-// String renders the step as it appears in Violation.Trace.
-func (s step) String() string {
+// render renders the step as it appears in Violation.Trace, taken in
+// state m.
+func (s step) render(m *program.Machine) string {
 	if s.internal {
-		return fmt.Sprintf("internal %d (%s)", s.index, s.desc)
+		return fmt.Sprintf("internal %d (%s)", s.index, m.Mem().Internal()[s.index])
 	}
 	return fmt.Sprintf("thread %d", s.index)
 }
@@ -238,31 +239,42 @@ func (s *step) apply(m *program.Machine) error {
 	return nil
 }
 
-// trace renders the schedule ending in s, oldest step first.
-func (s *step) trace() []string {
-	n := 0
+// trace renders the schedule ending in s, oldest step first, replaying
+// it from root, the state the search started in, so that each internal
+// action is described as the state it was taken in offered it.
+func (s *step) trace(root *program.Machine) ([]string, error) {
+	var steps []*step
 	for p := s; p != nil; p = p.parent {
-		n++
+		steps = append(steps, p)
 	}
-	if n == 0 {
-		return nil
+	if len(steps) == 0 {
+		return nil, nil
 	}
-	out := make([]string, n)
-	for p := s; p != nil; p = p.parent {
-		n--
-		out[n] = p.String()
+	out := make([]string, len(steps))
+	m := root.Clone()
+	for i := range steps {
+		st := steps[len(steps)-1-i]
+		out[i] = st.render(m)
+		if err := st.apply(m); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
-// violation reports the invariant failure err at node n.
-func (n node) violation(err error) Violation {
+// violation reports the invariant failure err at node n of a search that
+// started in root.
+func (n node) violation(err error, root *program.Machine) (Violation, error) {
+	trace, terr := n.step.trace(root)
+	if terr != nil {
+		return Violation{}, terr
+	}
 	return Violation{
 		Err:     err,
-		Trace:   n.step.trace(),
+		Trace:   trace,
 		History: n.m.Mem().Recorder().System(),
 		State:   n.m,
-	}
+	}, nil
 }
 
 // scratch is one searcher's reusable successor storage: the machine each
@@ -304,8 +316,8 @@ func (s *scratch) successors(n node, yield func(m *program.Machine, fp []byte, s
 			return err
 		}
 	}
-	for ii, desc := range n.m.Mem().Internal() {
-		if err := visit(step{parent: n.step, internal: true, index: ii, desc: desc}); err != nil {
+	for ii, k := 0, n.m.Mem().NumInternal(); ii < k; ii++ {
+		if err := visit(step{parent: n.step, internal: true, index: ii}); err != nil {
 			return err
 		}
 	}
@@ -412,14 +424,18 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 		}
 
 		if err := inv(n.m); err != nil {
-			res.Violations = append(res.Violations, n.violation(err))
+			v, verr := n.violation(err, m0)
+			if verr != nil {
+				return res, verr
+			}
+			res.Violations = append(res.Violations, v)
 			if opts.StopAtFirst {
 				res.truncate(IncompleteFirstViolation)
 				return res, nil
 			}
 			continue // do not explore past a violation
 		}
-		if n.m.Halted() && len(n.m.Mem().Internal()) == 0 {
+		if n.m.Halted() && n.m.Mem().NumInternal() == 0 {
 			res.TerminalStates++
 			if opts.TrackProgress {
 				res.terminals = append(res.terminals, nFP)
@@ -519,7 +535,7 @@ func Replay(m *program.Machine, trace []string) (*program.Machine, error) {
 			if _, err := fmt.Sscanf(step, "internal %d", &idx); err != nil {
 				return nil, fmt.Errorf("explore: replay step %d: %q: %v", i, step, err)
 			}
-			if idx < 0 || idx >= len(cur.Mem().Internal()) {
+			if idx < 0 || idx >= cur.Mem().NumInternal() {
 				return nil, fmt.Errorf("explore: replay step %d (%q): internal action unavailable", i, step)
 			}
 			cur.Mem().Step(idx)
@@ -557,13 +573,13 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 			if len(internal) > 0 && (len(runnable) == 0 || rng.Float64() < pInternal) {
 				ii := rng.Intn(len(internal))
 				m.Mem().Step(ii)
-				trace = append(trace, step{internal: true, index: ii, desc: internal[ii]}.String())
+				trace = append(trace, fmt.Sprintf("internal %d (%s)", ii, internal[ii]))
 			} else {
 				ti := runnable[rng.Intn(len(runnable))]
 				if err := m.StepThread(ti); err != nil {
 					return violations, first, err
 				}
-				trace = append(trace, step{index: ti}.String())
+				trace = append(trace, fmt.Sprintf("thread %d", ti))
 			}
 			if e := inv(m); e != nil {
 				violations++

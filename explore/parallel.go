@@ -115,7 +115,11 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 					return res, exp.err
 				}
 				if exp.violation != nil {
-					res.Violations = append(res.Violations, n.violation(exp.violation))
+					v, err := n.violation(exp.violation, m0)
+					if err != nil {
+						return res, err
+					}
+					res.Violations = append(res.Violations, v)
 					if opts.StopAtFirst {
 						res.truncate(IncompleteFirstViolation)
 						return res, nil
@@ -188,7 +192,7 @@ func (s *scratch) expand(n *node, opts Options, inv Invariant, seen map[string]s
 		exp.violation = err
 		return exp
 	}
-	if n.m.Halted() && len(n.m.Mem().Internal()) == 0 {
+	if n.m.Halted() && n.m.Mem().NumInternal() == 0 {
 		exp.terminal = true
 		return exp
 	}

@@ -1,10 +1,12 @@
 package history
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // This file implements symmetry reduction on system execution histories.
@@ -65,86 +67,206 @@ const maxCanonOrders = 40320 // 8!
 // returned and the caller should fall back to the uncanonicalized history.
 func Canonicalize(s *System) (*System, *Renaming, error) {
 	n := s.NumProcs()
-	// Label-independent signature per processor.
-	sigs := make([]string, n)
+	c := newCanonizer(s)
+	// Label-independent signature per processor, all in one buffer.
+	sigs := make([]int, 2*n) // sigs[2p], sigs[2p+1]: p's span of c.buf
 	for p := 0; p < n; p++ {
-		sigs[p] = procSignature(s, Proc(p))
+		sigs[2*p] = len(c.buf)
+		c.appendSignature(Proc(p))
+		sigs[2*p+1] = len(c.buf)
 	}
-	// Sort processors by signature; equal signatures form tie classes.
+	sig := func(p Proc) []byte { return c.buf[sigs[2*p]:sigs[2*p+1]] }
+	// Sort processors by signature (a stable insertion sort: n is small);
+	// equal signatures form tie classes.
 	order := make([]Proc, n)
 	for i := range order {
 		order[i] = Proc(i)
+		for j := i; j > 0 && bytes.Compare(sig(order[j]), sig(order[j-1])) < 0; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
 	}
-	sort.SliceStable(order, func(i, j int) bool { return sigs[order[i]] < sigs[order[j]] })
 
-	var classes [][]Proc
+	var classes [][2]int // tie classes, as [lo, hi) windows of order
+	total := 1
 	for i := 0; i < n; {
 		j := i + 1
-		for j < n && sigs[order[j]] == sigs[order[i]] {
+		for j < n && bytes.Equal(sig(order[j]), sig(order[i])) {
 			j++
 		}
-		classes = append(classes, order[i:j:j])
-		i = j
-	}
-	total := 1
-	for _, cl := range classes {
-		for k := 2; k <= len(cl); k++ {
-			total *= k
-			if total > maxCanonOrders {
-				return nil, nil, fmt.Errorf("history: Canonicalize: %d processors share a signature; tie-break needs > %d candidate orders", len(cl), maxCanonOrders)
+		if j-i > 1 {
+			classes = append(classes, [2]int{i, j})
+			for k := 2; k <= j-i; k++ {
+				total *= k
+				if total > maxCanonOrders {
+					return nil, nil, fmt.Errorf("history: Canonicalize: %d processors share a signature; tie-break needs > %d candidate orders", j-i, maxCanonOrders)
+				}
 			}
 		}
+		i = j
 	}
 
 	// Enumerate the tied orders and keep the lexicographically least
-	// encoding. The minimum over a processor's full symmetry orbit is the
-	// same whatever labels the input carried, which is what makes the
-	// normal form label-independent even when signatures tie.
-	best := ""
-	var bestOrder []Proc
-	cand := append([]Proc(nil), order...)
-	permuteClasses(cand, classes, 0, func() {
-		enc := encodeOrder(s, cand)
-		if best == "" || enc < best {
-			best = enc
-			bestOrder = append(bestOrder[:0], cand...)
-		}
-	})
-
-	return build(s, bestOrder)
+	// encoding (the first one, among equals). The minimum over a
+	// processor's full symmetry orbit is the same whatever labels the
+	// input carried, which is what makes the normal form label-independent
+	// even when signatures tie.
+	c.buf = c.appendEncoding(c.buf[:0], order)
+	if len(classes) > 0 {
+		best := append([]byte(nil), c.buf...)
+		bestOrder := append([]Proc(nil), order...)
+		cand := append([]Proc(nil), order...)
+		first := true
+		permuteClasses(cand, order, classes, 0, func() {
+			if first { // the unpermuted order, already encoded into best
+				first = false
+				return
+			}
+			c.buf = c.appendEncoding(c.buf[:0], cand)
+			if bytes.Compare(c.buf, best) < 0 {
+				best = append(best[:0], c.buf...)
+				copy(bestOrder, cand)
+			}
+		})
+		c.buf, order = best, bestOrder
+	}
+	canon, ren := c.build(order, string(c.buf))
+	return canon, ren, nil
 }
 
-// procSignature encodes processor p's operation sequence without using any
-// original label: locations become first-touch indices within p's own
-// sequence, values become 'z' for Initial or a per-location first-touch
-// counter. Relabeling the history cannot change any processor's signature.
-func procSignature(s *System, p Proc) string {
-	var b strings.Builder
-	locTok := make(map[Loc]int)
-	valTok := make(map[Loc]map[Value]int)
-	for _, id := range s.ProcOps(p) {
-		o := s.Op(id)
-		lt, ok := locTok[o.Loc]
-		if !ok {
-			lt = len(locTok)
-			locTok[o.Loc] = lt
-			valTok[o.Loc] = make(map[Value]int)
-		}
-		b.WriteByte(kindChar(o))
-		fmt.Fprintf(&b, "%d.", lt)
-		if o.Value == Initial {
-			b.WriteByte('z')
-		} else {
-			vt, ok := valTok[o.Loc][o.Value]
-			if !ok {
-				vt = len(valTok[o.Loc]) + 1
-				valTok[o.Loc][o.Value] = vt
-			}
-			fmt.Fprintf(&b, "%d", vt)
-		}
-		b.WriteByte(' ')
+// canonizer holds Canonicalize's tables, all dense integer slices carved
+// from one allocation and reset per pass: a signature, an encoding and the
+// final build each number locations and values by first touch.
+type canonizer struct {
+	s *System
+	// val[id] numbers operation id's (location, value) pair densely; -1
+	// for Initial, which is never renumbered. pairOp[v] is an operation
+	// carrying pair v, for the Renaming's value maps.
+	val, pairOp []int
+	// locTok[l] is location l's first-touch number in the current pass
+	// (-1 = not yet touched) and nLocTok the next one; valTok[v] is value
+	// v's number (0 = not yet touched) and valCount[l] the values
+	// numbered at location l so far.
+	locTok, valTok, valCount []int
+	nLocTok                  int
+	// byName lists first-touch location numbers in the string order of
+	// their canonical names, and sortedIdx inverts it.
+	byName, sortedIdx []int
+	buf               []byte
+}
+
+func newCanonizer(s *System) *canonizer {
+	nOps, nLocs := s.NumOps(), len(s.Locs())
+	ints := make([]int, 3*nOps+4*nLocs)
+	carve := func(n int) []int {
+		w := ints[:n:n]
+		ints = ints[n:]
+		return w
 	}
-	return b.String()
+	c := &canonizer{s: s,
+		val: carve(nOps), pairOp: carve(nOps), valTok: carve(nOps),
+		locTok: carve(nLocs), valCount: carve(nLocs), byName: carve(nLocs), sortedIdx: carve(nLocs),
+		buf: make([]byte, 0, 16*nOps+8*s.NumProcs()),
+	}
+	// Number the distinct (location, value) pairs: sort the operations
+	// that carry one by pair, then give each run of equal pairs a number.
+	// pairOp doubles as the sort's scratch: each run's first operation is
+	// written at the run's number, never ahead of the read position.
+	ops := c.pairOp[:0]
+	for i, o := range s.ops {
+		c.val[i] = -1
+		if o.Value != Initial {
+			ops = append(ops, i)
+		}
+	}
+	slices.SortFunc(ops, func(i, j int) int {
+		if d := cmp.Compare(s.locOf[i], s.locOf[j]); d != 0 {
+			return d
+		}
+		return cmp.Compare(s.ops[i].Value, s.ops[j].Value)
+	})
+	next, prev := 0, -1
+	for _, i := range ops {
+		if prev >= 0 && s.locOf[i] == s.locOf[prev] && s.ops[i].Value == s.ops[prev].Value {
+			c.val[i] = next - 1
+		} else {
+			c.val[i] = next
+			c.pairOp[next] = i
+			next++
+		}
+		prev = i
+	}
+	c.pairOp = c.pairOp[:next]
+	return c
+}
+
+// reset starts a numbering pass.
+func (c *canonizer) reset() {
+	for i := range c.locTok {
+		c.locTok[i] = -1
+		c.valCount[i] = 0
+	}
+	for i := range c.valTok {
+		c.valTok[i] = 0
+	}
+	c.nLocTok = 0
+}
+
+// number returns operation id's location and value numbers in the
+// current pass, numbering them on first touch (value 0 for Initial).
+func (c *canonizer) number(id OpID) (loc int, v int) {
+	l := c.s.locOf[id]
+	loc = c.locTok[l]
+	if loc < 0 {
+		loc = c.nLocTok
+		c.nLocTok++
+		c.locTok[l] = loc
+	}
+	if vi := c.val[id]; vi >= 0 {
+		if v = c.valTok[vi]; v == 0 {
+			c.valCount[l]++
+			v = c.valCount[l]
+			c.valTok[vi] = v
+		}
+	}
+	return loc, v
+}
+
+// appendSignature appends processor p's signature: its operation
+// sequence without any original label. Locations become first-touch
+// indices within p's own sequence, values become 'z' for Initial or a
+// per-location first-touch counter. Relabeling the history cannot change
+// any processor's signature.
+func (c *canonizer) appendSignature(p Proc) {
+	c.reset()
+	for _, id := range c.s.ProcOps(p) {
+		loc, v := c.number(id)
+		c.buf = append(c.buf, kindChar(c.s.ops[id]))
+		c.buf = strconv.AppendInt(c.buf, int64(loc), 10)
+		c.buf = append(c.buf, '.')
+		if v == 0 {
+			c.buf = append(c.buf, 'z')
+		} else {
+			c.buf = strconv.AppendInt(c.buf, int64(v), 10)
+		}
+		c.buf = append(c.buf, ' ')
+	}
+}
+
+// appendEncoding appends the history with processors taken in the given
+// order, locations renamed l0, l1, ... by first touch and values
+// renumbered per location by first touch (Initial stays 0). The text
+// equals String of the canonical System built from the same order.
+func (c *canonizer) appendEncoding(b []byte, order []Proc) []byte {
+	c.reset()
+	for cp, p := range order {
+		b = appendProcHeader(b, cp)
+		for _, id := range c.s.ProcOps(p) {
+			loc, v := c.number(id)
+			b = appendOp(b, kindChar(c.s.ops[id]), canonLoc(loc), Value(v))
+		}
+		b = append(b, '\n')
+	}
+	return b
 }
 
 // kindChar is the r/w/R/W operation letter shared by String, signatures
@@ -164,23 +286,19 @@ func kindChar(o Op) byte {
 
 // permuteClasses invokes f for every arrangement of cand that permutes
 // processors within each tie class and keeps the class sequence fixed.
-func permuteClasses(cand []Proc, classes [][]Proc, ci int, f func()) {
+// Each class is a window of order, the sorted processor sequence cand
+// starts as; the first arrangement is order itself.
+func permuteClasses(cand, order []Proc, classes [][2]int, ci int, f func()) {
 	if ci == len(classes) {
 		f()
 		return
 	}
-	cl := classes[ci]
-	// Locate the class's window in cand (classes are contiguous windows of
-	// the sorted order).
-	off := 0
-	for i := 0; i < ci; i++ {
-		off += len(classes[i])
-	}
-	window := cand[off : off+len(cl)]
+	lo, hi := classes[ci][0], classes[ci][1]
+	window := cand[lo:hi]
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(window) {
-			permuteClasses(cand, classes, ci+1, f)
+			permuteClasses(cand, order, classes, ci+1, f)
 			return
 		}
 		for i := k; i < len(window); i++ {
@@ -191,85 +309,94 @@ func permuteClasses(cand []Proc, classes [][]Proc, ci int, f func()) {
 	}
 	rec(0)
 	// Restore the class's original window order.
-	copy(window, cl)
+	copy(window, order[lo:hi])
 }
 
-// encodeOrder renders the history with processors taken in the given
-// order, locations renamed l0, l1, ... by first touch and values
-// renumbered per location by first touch (Initial stays 0). The string
-// equals Format of the canonical System built from the same order.
-func encodeOrder(s *System, order []Proc) string {
-	var b strings.Builder
-	locName := make(map[Loc]string)
-	valNum := make(map[Loc]map[Value]Value)
-	for cp, p := range order {
-		fmt.Fprintf(&b, "p%d:", cp)
-		for _, id := range s.ProcOps(p) {
-			o := s.Op(id)
-			ln, ok := locName[o.Loc]
-			if !ok {
-				ln = fmt.Sprintf("l%d", len(locName))
-				locName[o.Loc] = ln
-				valNum[o.Loc] = make(map[Value]Value)
-			}
-			v := Initial
-			if o.Value != Initial {
-				vn, ok := valNum[o.Loc][o.Value]
-				if !ok {
-					vn = Value(len(valNum[o.Loc]) + 1)
-					valNum[o.Loc][o.Value] = vn
-				}
-				v = vn
-			}
-			fmt.Fprintf(&b, " %c(%s)%d", kindChar(o), ln, v)
-		}
-		b.WriteByte('\n')
+// canonLocNames holds the canonical names of the first locations, so the
+// common build allocates none.
+var canonLocNames = func() []Loc {
+	names := make([]Loc, 64)
+	for i := range names {
+		names[i] = Loc("l" + strconv.Itoa(i))
 	}
-	return b.String()
+	return names
+}()
+
+func canonLoc(i int) Loc {
+	if i < len(canonLocNames) {
+		return canonLocNames[i]
+	}
+	return Loc("l" + strconv.Itoa(i))
 }
 
-// build constructs the canonical System for the chosen processor order and
-// the full Renaming between s and it.
-func build(s *System, order []Proc) (*System, *Renaming, error) {
-	n := s.NumProcs()
+// build constructs the canonical System for the chosen processor order,
+// carrying its rendering text, and the full Renaming between s and it.
+func (c *canonizer) build(order []Proc, text string) (*System, *Renaming) {
+	s := c.s
+	n, nOps, nLocs := s.NumProcs(), s.NumOps(), len(s.Locs())
+	procs := make([]Proc, 2*n)
+	opIDs := make([]OpID, 3*nOps)
 	r := &Renaming{
-		ProcTo:   make([]Proc, n),
-		ProcFrom: make([]Proc, n),
-		LocTo:    make(map[Loc]Loc),
-		LocFrom:  make(map[Loc]Loc),
-		ValTo:    make(map[Loc]map[Value]Value),
-		ValFrom:  make(map[Loc]map[Value]Value),
-		OpTo:     make([]OpID, s.NumOps()),
-		OpFrom:   make([]OpID, s.NumOps()),
+		ProcTo:   procs[:n:n],
+		ProcFrom: procs[n:],
+		LocTo:    make(map[Loc]Loc, nLocs),
+		LocFrom:  make(map[Loc]Loc, nLocs),
+		ValTo:    make(map[Loc]map[Value]Value, nLocs),
+		ValFrom:  make(map[Loc]map[Value]Value, nLocs),
+		OpTo:     opIDs[:nOps:nOps],
+		OpFrom:   opIDs[nOps : 2*nOps : 2*nOps],
 	}
-	b := NewBuilder(n)
+	cs := &System{
+		ops:    make([]Op, nOps),
+		byProc: make([][]OpID, n),
+		locs:   make([]Loc, nLocs),
+		locIdx: make(map[Loc]int, nLocs),
+		locOf:  make([]int32, nOps),
+		text:   text,
+	}
+	// Canonical names sort as strings, so l10 precedes l2.
+	for t := range c.byName {
+		c.byName[t] = t
+	}
+	slices.SortFunc(c.byName, func(a, b int) int { return cmp.Compare(canonLoc(a), canonLoc(b)) })
+	for k, t := range c.byName {
+		c.sortedIdx[t] = k
+		cs.locs[k] = canonLoc(t)
+		cs.locIdx[cs.locs[k]] = k
+	}
+	ids := opIDs[2*nOps:]
+	c.reset()
 	next := OpID(0)
 	for cp, p := range order {
 		r.ProcTo[p] = Proc(cp)
 		r.ProcFrom[cp] = p
-		for _, id := range s.ProcOps(p) {
-			o := s.Op(id)
-			cloc, ok := r.LocTo[o.Loc]
-			if !ok {
-				cloc = Loc(fmt.Sprintf("l%d", len(r.LocTo)))
-				r.LocTo[o.Loc] = cloc
-				r.LocFrom[cloc] = o.Loc
-				r.ValTo[o.Loc] = map[Value]Value{Initial: Initial}
-				r.ValFrom[cloc] = map[Value]Value{Initial: Initial}
-			}
-			cv, ok := r.ValTo[o.Loc][o.Value]
-			if !ok {
-				cv = Value(len(r.ValTo[o.Loc])) // Initial occupies slot 0
-				r.ValTo[o.Loc][o.Value] = cv
-				r.ValFrom[cloc][cv] = o.Value
-			}
-			b.add(Proc(cp), o.Kind, o.Labeled, cloc, cv)
+		start := next
+		for idx, id := range s.ProcOps(p) {
+			o := s.ops[id]
+			loc, v := c.number(id)
+			cs.ops[next] = Op{ID: next, Proc: Proc(cp), Index: idx, Kind: o.Kind, Labeled: o.Labeled, Loc: canonLoc(loc), Value: Value(v)}
+			cs.locOf[next] = int32(c.sortedIdx[loc])
+			ids[next] = next
 			r.OpTo[id] = next
 			r.OpFrom[next] = id
 			next++
 		}
+		cs.byProc[cp] = ids[start:next:next]
 	}
-	return b.System(), r, nil
+	for l, orig := range s.locs {
+		cloc := canonLoc(c.locTok[l])
+		r.LocTo[orig], r.LocFrom[cloc] = cloc, orig
+		vt := make(map[Value]Value, c.valCount[l]+1)
+		vf := make(map[Value]Value, c.valCount[l]+1)
+		vt[Initial], vf[Initial] = Initial, Initial
+		r.ValTo[orig], r.ValFrom[cloc] = vt, vf
+	}
+	for vi, id := range c.pairOp {
+		o, cv := s.ops[id], Value(c.valTok[vi])
+		r.ValTo[o.Loc][o.Value] = cv
+		r.ValFrom[r.LocTo[o.Loc]][cv] = o.Value
+	}
+	return cs, r
 }
 
 // RelabelRandom draws a random verdict-preserving relabeling of s from

@@ -34,6 +34,9 @@ func FuzzCanonicalize(f *testing.F) {
 			return // an oversized symmetry class is a documented refusal
 		}
 		enc := history.Format(canon)
+		if fresh := history.FreshString(canon); fresh != enc {
+			t.Fatalf("cached canonical text differs from a fresh render:\ncached:\n%s\nfresh:\n%s", enc, fresh)
+		}
 
 		c2, _, err := history.Canonicalize(canon)
 		if err != nil {

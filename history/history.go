@@ -15,8 +15,8 @@ package history
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Proc identifies a processor. Processors are numbered 0..NumProcs-1.
@@ -112,6 +112,10 @@ type System struct {
 	byProc [][]OpID // byProc[p][i] = ID of the i-th operation of processor p
 	locs   []Loc    // distinct locations, sorted
 	locIdx map[Loc]int
+	locOf  []int32 // indexed by OpID: the operation's index in locs
+	// text, when set, is the System's String rendering, computed once by
+	// the constructor that already had it (Canonicalize).
+	text string
 }
 
 // NumOps returns the total number of operations in the history.
@@ -150,6 +154,9 @@ func (s *System) LocIndex(loc Loc) int {
 	}
 	return -1
 }
+
+// LocOf returns the dense index, among Locs(), of operation id's location.
+func (s *System) LocOf(id OpID) int { return int(s.locOf[id]) }
 
 // Writes returns the IDs of all write operations, ordered by ID.
 func (s *System) Writes() []OpID {
@@ -201,14 +208,36 @@ func (s *System) Labeled() []OpID {
 // "writes of others" rule (δ_p = w): all of p's own operations plus every
 // write operation of other processors. This is the operation set used by
 // TSO, PC, PRAM, Causal and RC in the paper. IDs are returned in ID order.
-func (s *System) ViewOps(p Proc) []OpID {
-	var out []OpID
-	for i, o := range s.ops {
-		if o.Proc == p || o.Kind == Write {
-			out = append(out, OpID(i))
+func (s *System) ViewOps(p Proc) []OpID { return s.appendViewOps(nil, p) }
+
+// ViewSets returns every processor's ViewOps set, indexed by processor and
+// carved from one backing array. The sets must not be modified.
+func (s *System) ViewSets() [][]OpID {
+	writes := 0
+	for _, o := range s.ops {
+		if o.Kind == Write {
+			writes++
 		}
 	}
-	return out
+	n := s.NumProcs()
+	sets := make([][]OpID, n)
+	flat := make([]OpID, 0, n*writes+len(s.ops)-writes)
+	for p := range sets {
+		start := len(flat)
+		flat = s.appendViewOps(flat, Proc(p))
+		sets[p] = flat[start:len(flat):len(flat)]
+	}
+	return sets
+}
+
+// appendViewOps appends processor p's view set, in ID order, to dst.
+func (s *System) appendViewOps(dst []OpID, p Proc) []OpID {
+	for i, o := range s.ops {
+		if o.Proc == p || o.Kind == Write {
+			dst = append(dst, OpID(i))
+		}
+	}
+	return dst
 }
 
 // String renders the history in the multi-line figure style of the paper:
@@ -216,27 +245,34 @@ func (s *System) ViewOps(p Proc) []OpID {
 //	p0: w(x)1 r(y)0
 //	p1: w(y)1 r(x)0
 func (s *System) String() string {
-	var b strings.Builder
+	if s.text != "" {
+		return s.text
+	}
+	var b []byte
 	for p, ids := range s.byProc {
-		fmt.Fprintf(&b, "p%d:", p)
+		b = appendProcHeader(b, p)
 		for _, id := range ids {
 			o := s.ops[id]
-			var k byte
-			switch {
-			case o.Kind == Read && !o.Labeled:
-				k = 'r'
-			case o.Kind == Read && o.Labeled:
-				k = 'R'
-			case o.Kind == Write && !o.Labeled:
-				k = 'w'
-			default:
-				k = 'W'
-			}
-			fmt.Fprintf(&b, " %c(%s)%d", k, o.Loc, o.Value)
+			b = appendOp(b, kindChar(o), o.Loc, o.Value)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendProcHeader appends processor p's "pN:" line prefix.
+func appendProcHeader(b []byte, p int) []byte {
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(p), 10)
+	return append(b, ':')
+}
+
+// appendOp appends one operation as String renders it: " k(loc)v".
+func appendOp(b []byte, kind byte, loc Loc, v Value) []byte {
+	b = append(b, ' ', kind, '(')
+	b = append(b, loc...)
+	b = append(b, ')')
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // WriterOf resolves which write operation the given read observed, under
@@ -378,18 +414,22 @@ func (b *Builder) Release(p Proc, loc Loc, v Value) *Builder { return b.add(p, W
 // The Builder may continue to be used; later Systems include later
 // operations.
 func (b *Builder) System() *System {
+	n := b.NumRecorded()
 	s := &System{
+		ops:    make([]Op, 0, n),
 		byProc: make([][]OpID, len(b.procs)),
 		locIdx: make(map[Loc]int),
+		locOf:  make([]int32, n),
 	}
+	ids := make([]OpID, n)
 	for p, ops := range b.procs {
-		ids := make([]OpID, len(ops))
-		for i, o := range ops {
+		start := len(s.ops)
+		for _, o := range ops {
 			o.ID = OpID(len(s.ops))
-			ids[i] = o.ID
+			ids[o.ID] = o.ID
 			s.ops = append(s.ops, o)
 		}
-		s.byProc[p] = ids
+		s.byProc[p] = ids[start:len(s.ops):len(s.ops)]
 	}
 	for _, o := range s.ops {
 		if _, ok := s.locIdx[o.Loc]; !ok {
@@ -397,9 +437,12 @@ func (b *Builder) System() *System {
 			s.locs = append(s.locs, o.Loc)
 		}
 	}
-	sort.Slice(s.locs, func(i, j int) bool { return s.locs[i] < s.locs[j] })
+	slices.Sort(s.locs)
 	for i, l := range s.locs {
 		s.locIdx[l] = i
+	}
+	for i, o := range s.ops {
+		s.locOf[i] = int32(s.locIdx[o.Loc])
 	}
 	return s
 }

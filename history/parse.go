@@ -26,22 +26,19 @@ import (
 //
 // which may equivalently be written "w(x)1 r(y)0 | w(y)1 r(x)0".
 func Parse(text string) (*System, error) {
-	var lines []string
-	if strings.ContainsRune(text, '\n') {
-		for _, ln := range strings.Split(text, "\n") {
-			if strings.TrimSpace(ln) != "" {
-				lines = append(lines, ln)
-			}
-		}
-	} else {
-		lines = strings.Split(text, "|")
-	}
-	if len(lines) == 0 || strings.TrimSpace(text) == "" {
+	if strings.TrimSpace(text) == "" {
 		return nil, fmt.Errorf("history: Parse: empty history")
 	}
-	b := NewBuilder(len(lines))
-	for pi, ln := range lines {
-		p := Proc(pi)
+	sep := "|"
+	if strings.ContainsRune(text, '\n') {
+		sep = "\n"
+	}
+	b := &Builder{procs: make([][]Op, 0, strings.Count(text, sep)+1)}
+	for ln := range strings.SplitSeq(text, sep) {
+		if sep == "\n" && strings.TrimSpace(ln) == "" {
+			continue
+		}
+		p := b.AddProc()
 		ln = strings.TrimSpace(ln)
 		if i := strings.IndexByte(ln, ':'); i >= 0 && !strings.ContainsAny(ln[:i], "()") {
 			ln = strings.TrimSpace(ln[i+1:]) // drop "p:" / "p0:" prefix
@@ -49,10 +46,11 @@ func Parse(text string) (*System, error) {
 		if ln == "" {
 			continue // a processor with no operations is permitted
 		}
-		for _, tok := range strings.Fields(ln) {
+		b.procs[p] = make([]Op, 0, strings.Count(ln, ")"))
+		for tok := range strings.FieldsSeq(ln) {
 			op, err := parseOp(tok)
 			if err != nil {
-				return nil, fmt.Errorf("history: Parse: processor %d: %w", pi, err)
+				return nil, fmt.Errorf("history: Parse: processor %d: %w", p, err)
 			}
 			b.add(p, op.Kind, op.Labeled, op.Loc, op.Value)
 		}

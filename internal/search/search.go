@@ -15,6 +15,7 @@ package search
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/history"
@@ -72,14 +73,21 @@ type Part struct {
 const MaxOps = 64
 
 type solver struct {
-	sys    *history.System
-	ops    []history.OpID // local index → global ID
-	preds  []uint64       // local index → bitmask of required predecessors
-	kind   []history.Kind
-	locOf  []int           // local index → dense location index
-	val    []history.Value // local index → value
-	nLocs  int
-	failed map[stateKey]bool // memoized dead states
+	sys   *history.System
+	ops   []history.OpID // local index → global ID
+	op    []localOp      // local index → what the search reads of it
+	nLocs int
+
+	// Memoized dead states, keyed by the placed set and the last write
+	// per location: failedW packs the last writes one byte per location
+	// into a word when the view has at most 8 locations (wide false);
+	// failedS keys them by string otherwise. The maps are made on the
+	// first dead state; a pooled solver keeps failedW, cleared, for its
+	// next problem.
+	memo    bool
+	wide    bool
+	failedW map[[2]uint64]struct{}
+	failedS map[stateKey]struct{}
 
 	// Budget accounting: nodes are tallied locally and flushed to the
 	// shared meter every budget.Stride nodes; stopErr latches the meter's
@@ -93,11 +101,41 @@ type solver struct {
 	// maxDepth tracks the constraint frontier and is always on (one
 	// compare per node); frontier receives its atomic max, when non-nil.
 	stats    *obs.SolverStats
+	statsBuf obs.SolverStats
 	probe    *obs.Probe
 	parts    []Part
 	frontier *atomic.Int64
 	maxDepth int
+
+	// Scratch kept across the problems a pooled solver serves: local maps
+	// a global OpID to its local index and locMap a system location to
+	// the view's, both -1 outside the current problem; keep is the
+	// problem's operation set as relation row words.
+	local  []int32
+	locMap []int32
+	keep   []uint64
+	seq    []int
+	lastW  []byte
 }
+
+// localOp is one operation of a view problem as the search sees it: the
+// bitmask of its required predecessors (local indices), its kind, value
+// and view-local location.
+type localOp struct {
+	preds uint64
+	val   history.Value
+	loc   int32
+	kind  history.Kind
+}
+
+// solvers recycles solvers, with their scratch and memo maps, across view
+// problems: a check solves one problem per processor per candidate.
+var solvers = sync.Pool{New: func() any { return new(solver) }}
+
+// maxPooledMemo bounds the memo a pooled solver keeps: clearing a map
+// costs time in proportion to the largest size it ever reached, so a memo
+// that grew past this is dropped rather than cleared and reused.
+const maxPooledMemo = 1 << 8
 
 // note counts one expanded node and polls the shared meter at the stride
 // cadence. It reports false when the search must abort; the unwinding
@@ -168,6 +206,40 @@ type stateKey struct {
 	lastW  string // one byte per location: local write index + 1, 0 = none
 }
 
+// dead reports whether the state (placed, lastW) is memoized as dead.
+func (s *solver) dead(placed uint64, lastW []byte) bool {
+	if s.wide {
+		_, ok := s.failedS[stateKey{placed, string(lastW)}]
+		return ok
+	}
+	_, ok := s.failedW[[2]uint64{placed, packLastW(lastW)}]
+	return ok
+}
+
+// markDead memoizes the state (placed, lastW) as dead.
+func (s *solver) markDead(placed uint64, lastW []byte) {
+	if s.wide {
+		if s.failedS == nil {
+			s.failedS = make(map[stateKey]struct{})
+		}
+		s.failedS[stateKey{placed, string(lastW)}] = struct{}{}
+		return
+	}
+	if s.failedW == nil {
+		s.failedW = make(map[[2]uint64]struct{})
+	}
+	s.failedW[[2]uint64{placed, packLastW(lastW)}] = struct{}{}
+}
+
+// packLastW packs at most 8 last-write bytes into one word.
+func packLastW(lastW []byte) uint64 {
+	var k uint64
+	for l, w := range lastW {
+		k |= uint64(w) << (8 * uint(l))
+	}
+	return k
+}
+
 // FindView reports whether a legal linearization of p.Ops exists that
 // respects p.Prec, and returns one if so. It returns an error only for
 // malformed problems (too many operations, duplicate operations).
@@ -196,17 +268,17 @@ func EnumerateViews(p Problem, yield func(history.View) bool) error {
 	if err != nil {
 		return err
 	}
-	seq := make([]int, 0, len(p.Ops))
-	lastW := make([]byte, s.nLocs)
-	s.enumerate(0, lastW, &seq, func() bool {
-		view := make(history.View, len(seq))
-		for i, li := range seq {
+	s.enumerate(0, s.lastW, &s.seq, func() bool {
+		view := make(history.View, len(s.seq))
+		for i, li := range s.seq {
 			view[i] = s.ops[li]
 		}
 		return yield(view)
 	})
 	s.flush()
-	return s.stopErr
+	err = s.stopErr
+	s.release()
+	return err
 }
 
 // enumerate is dfs generalized to visit every completion. cont is false
@@ -226,10 +298,8 @@ func (s *solver) enumerate(placed uint64, lastW []byte, seq *[]int, yield func()
 	if len(*seq) == n {
 		return yield(), true
 	}
-	var key stateKey
-	if s.failed != nil {
-		key = stateKey{placed, string(lastW)}
-		if s.failed[key] {
+	if s.memo {
+		if s.dead(placed, lastW) {
 			if s.stats != nil {
 				s.stats.MemoHits++
 			}
@@ -244,23 +314,24 @@ func (s *solver) enumerate(placed uint64, lastW []byte, seq *[]int, yield func()
 		if placed&bit != 0 {
 			continue
 		}
-		if miss := s.preds[i] &^ placed; miss != 0 {
+		o := &s.op[i]
+		if miss := o.preds &^ placed; miss != 0 {
 			if s.stats != nil {
 				s.noteOrderPrune(i, miss)
 			}
 			continue
 		}
-		loc := s.locOf[i]
+		loc := o.loc
 		var prev byte
-		if s.kind[i] == history.Read {
+		if o.kind == history.Read {
 			if w := lastW[loc]; w == 0 {
-				if s.val[i] != history.Initial {
+				if o.val != history.Initial {
 					if s.stats != nil {
 						s.stats.ValuePrunes++
 					}
 					continue
 				}
-			} else if s.val[int(w)-1] != s.val[i] {
+			} else if s.op[int(w)-1].val != o.val {
 				if s.stats != nil {
 					s.stats.ValuePrunes++
 				}
@@ -273,7 +344,7 @@ func (s *solver) enumerate(placed uint64, lastW []byte, seq *[]int, yield func()
 		*seq = append(*seq, i)
 		c, f := s.enumerate(placed|bit, lastW, seq, yield)
 		*seq = (*seq)[:len(*seq)-1]
-		if s.kind[i] == history.Write {
+		if o.kind == history.Write {
 			lastW[loc] = prev
 		}
 		found = found || f
@@ -281,67 +352,127 @@ func (s *solver) enumerate(placed uint64, lastW []byte, seq *[]int, yield func()
 			return false, found
 		}
 	}
-	if !found && s.failed != nil && s.stopErr == nil {
-		s.failed[key] = true
+	if !found && s.memo && s.stopErr == nil {
+		s.markDead(placed, lastW)
 	}
 	return true, found
 }
 
 // newSolver validates the problem and builds the solver's dense local
-// encoding.
+// encoding in a pooled solver; the caller hands it back with release.
 func newSolver(p Problem, memo bool) (*solver, error) {
 	n := len(p.Ops)
 	if n > MaxOps {
 		return nil, fmt.Errorf("search: %d operations exceeds limit of %d", n, MaxOps)
 	}
-	s := &solver{
-		sys:      p.Sys,
-		ops:      p.Ops,
-		preds:    make([]uint64, n),
-		kind:     make([]history.Kind, n),
-		locOf:    make([]int, n),
-		val:      make([]history.Value, n),
-		meter:    p.Meter,
-		frontier: p.Frontier,
-	}
+	s := solvers.Get().(*solver)
+	s.sys, s.ops, s.memo = p.Sys, p.Ops, memo
+	s.meter, s.frontier = p.Meter, p.Frontier
 	if p.Probe.Enabled() {
 		s.probe = p.Probe
 		s.parts = p.Parts
-		s.stats = &obs.SolverStats{}
+		s.stats = &s.statsBuf
 	}
-	if memo {
-		s.failed = make(map[stateKey]bool)
+	if cap(s.op) < n {
+		s.op = make([]localOp, MaxOps)
 	}
-	local := make(map[history.OpID]int, n)
+	s.op = s.op[:n]
+	if cap(s.seq) < n {
+		s.seq = make([]int, 0, MaxOps)
+	}
+	s.seq = s.seq[:0]
+	s.local = growNeg(s.local, p.Sys.NumOps())
+	s.locMap = growNeg(s.locMap, len(p.Sys.Locs()))
+
+	// Number the operations and the view's locations (by first touch).
+	nLocs := 0
 	for i, id := range p.Ops {
-		if _, dup := local[id]; dup {
+		if s.local[id] >= 0 {
+			s.clearScratch(p.Ops[:i])
+			s.release()
 			return nil, fmt.Errorf("search: duplicate operation %v in problem", p.Sys.Op(id))
 		}
-		local[id] = i
-	}
-	locIdx := make(map[history.Loc]int)
-	for i, id := range p.Ops {
+		s.local[id] = int32(i)
 		o := p.Sys.Op(id)
-		s.kind[i] = o.Kind
-		s.val[i] = o.Value
-		li, ok := locIdx[o.Loc]
-		if !ok {
-			li = len(locIdx)
-			locIdx[o.Loc] = li
+		sl := p.Sys.LocOf(id)
+		li := s.locMap[sl]
+		if li < 0 {
+			li = int32(nLocs)
+			nLocs++
+			s.locMap[sl] = li
 		}
-		s.locOf[i] = li
+		s.op[i] = localOp{val: o.Value, loc: li, kind: o.Kind}
 	}
-	s.nLocs = len(locIdx)
+	s.nLocs = nLocs
+	s.wide = nLocs > 8
+	if cap(s.lastW) < nLocs {
+		s.lastW = make([]byte, nLocs)
+	}
+	s.lastW = s.lastW[:nLocs]
+	clear(s.lastW)
+
+	// Predecessor masks from the relation's row words: the successors of
+	// a within the view, mapped to local indices.
 	if p.Prec != nil {
+		words := (p.Sys.NumOps() + 63) / 64
+		if cap(s.keep) < words {
+			s.keep = make([]uint64, words)
+		}
+		s.keep = s.keep[:words]
+		clear(s.keep)
+		for _, id := range p.Ops {
+			s.keep[id/64] |= 1 << (uint(id) % 64)
+		}
 		for i, a := range p.Ops {
-			for j, b := range p.Ops {
-				if i != j && p.Prec.Has(a, b) {
-					s.preds[j] |= 1 << uint(i)
+			bit := uint64(1) << uint(i)
+			row := p.Prec.Row(a)
+			for w := range min(len(row), words) {
+				for word := row[w] & s.keep[w]; word != 0; word &= word - 1 {
+					j := s.local[w*64+bits.TrailingZeros64(word)]
+					if int(j) != i {
+						s.op[j].preds |= bit
+					}
 				}
 			}
 		}
 	}
+	s.clearScratch(p.Ops)
 	return s, nil
+}
+
+// growNeg returns buf with at least n entries, every one -1: a pooled
+// index table stays all -1 between problems, so only growth refills it.
+func growNeg(buf []int32, n int) []int32 {
+	if len(buf) >= n {
+		return buf
+	}
+	buf = make([]int32, max(n, 2*len(buf)))
+	for i := range buf {
+		buf[i] = -1
+	}
+	return buf
+}
+
+// clearScratch returns the index tables to all -1 after the operations
+// ops numbered them.
+func (s *solver) clearScratch(ops []history.OpID) {
+	for _, id := range ops {
+		s.local[id] = -1
+		s.locMap[s.sys.LocOf(id)] = -1
+	}
+}
+
+// release returns the solver to the pool, dropping its references to the
+// problem and clearing its memo (dropping the memo when large).
+func (s *solver) release() {
+	failedW := s.failedW
+	if len(failedW) > maxPooledMemo {
+		failedW = nil
+	}
+	clear(failedW)
+	*s = solver{op: s.op, failedW: failedW, local: s.local, locMap: s.locMap,
+		keep: s.keep, seq: s.seq, lastW: s.lastW}
+	solvers.Put(s)
 }
 
 func findView(p Problem, memo bool) (history.View, bool, error) {
@@ -349,22 +480,21 @@ func findView(p Problem, memo bool) (history.View, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	n := len(p.Ops)
-	seq := make([]int, 0, n)
-	lastW := make([]byte, s.nLocs)
-	ok := s.dfs(0, lastW, &seq)
+	ok := s.dfs(0, s.lastW, &s.seq)
 	s.flush()
-	if s.stopErr != nil {
-		return nil, false, s.stopErr
+	if err := s.stopErr; err != nil {
+		s.release()
+		return nil, false, err
 	}
+	var view history.View
 	if ok {
-		view := make(history.View, n)
-		for i, li := range seq {
+		view = make(history.View, len(s.seq))
+		for i, li := range s.seq {
 			view[i] = s.ops[li]
 		}
-		return view, true, nil
 	}
-	return nil, false, nil
+	s.release()
+	return view, ok, nil
 }
 
 // dfs extends the partial linearization. placed is the bitmask of already
@@ -381,10 +511,8 @@ func (s *solver) dfs(placed uint64, lastW []byte, seq *[]int) bool {
 	if len(*seq) == n {
 		return true
 	}
-	var key stateKey
-	if s.failed != nil {
-		key = stateKey{placed, string(lastW)}
-		if s.failed[key] {
+	if s.memo {
+		if s.dead(placed, lastW) {
 			if s.stats != nil {
 				s.stats.MemoHits++
 			}
@@ -399,24 +527,25 @@ func (s *solver) dfs(placed uint64, lastW []byte, seq *[]int) bool {
 		if placed&bit != 0 {
 			continue
 		}
-		if miss := s.preds[i] &^ placed; miss != 0 {
+		o := &s.op[i]
+		if miss := o.preds &^ placed; miss != 0 {
 			if s.stats != nil {
 				s.noteOrderPrune(i, miss)
 			}
 			continue
 		}
-		loc := s.locOf[i]
-		if s.kind[i] == history.Read {
+		loc := o.loc
+		if o.kind == history.Read {
 			// A read is placeable only when the most recent write
 			// to its location (or the initial value) matches.
 			if w := lastW[loc]; w == 0 {
-				if s.val[i] != history.Initial {
+				if o.val != history.Initial {
 					if s.stats != nil {
 						s.stats.ValuePrunes++
 					}
 					continue
 				}
-			} else if s.val[int(w)-1] != s.val[i] {
+			} else if s.op[int(w)-1].val != o.val {
 				if s.stats != nil {
 					s.stats.ValuePrunes++
 				}
@@ -438,8 +567,8 @@ func (s *solver) dfs(placed uint64, lastW []byte, seq *[]int) bool {
 			lastW[loc] = prev
 		}
 	}
-	if s.failed != nil && s.stopErr == nil {
-		s.failed[key] = true
+	if s.memo && s.stopErr == nil {
+		s.markDead(placed, lastW)
 	}
 	return false
 }

@@ -240,7 +240,9 @@ func explainParts(sp Spec, s *history.System, w *Witness, proc history.Proc) (pa
 	}
 	parts = in.parts(s)
 	if sp.Order&OrderSlow != 0 && proc >= 0 {
-		parts = append(parts, search.Part{Name: "po", Rel: in.slowOrder(s, proc)})
+		slow := order.New(s.NumOps())
+		in.slowOrder(s, proc, slow)
+		parts = append(parts, search.Part{Name: "po", Rel: slow})
 	}
 	switch sp.Mutual {
 	case MutualWriteOrder:

@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/history"
 	"repro/internal/search"
@@ -112,7 +113,7 @@ func (r *run) forcedWriteEdges(s *history.System, base *order.Relation, sameLocO
 	scratch := order.New(s.NumOps())
 	any := false
 	for p := 0; p < s.NumProcs(); p++ {
-		ops := s.ViewOps(history.Proc(p))
+		ops := r.views[p]
 		// Every forced edge comes through a read (reads-from seeds, CoWR,
 		// CoRW); a read-free view can neither derive one nor be cyclic.
 		hasRead := false
@@ -172,14 +173,7 @@ func (r *run) coherencePrepass(s *history.System, po, base *order.Relation) (can
 	// With at most one write per location, every per-location order is a
 	// singleton: there is nothing to prune and the enumeration below is
 	// already trivial, so the saturation pass would be pure overhead.
-	prunable := false
-	for _, loc := range s.Locs() {
-		if len(s.WritesTo(loc)) > 1 {
-			prunable = true
-			break
-		}
-	}
-	if !prunable {
+	if !twoWritesToOneLoc(s) {
 		return po, false, nil
 	}
 	forced, decided, err := r.forcedWriteEdges(s, base, true)
@@ -192,6 +186,22 @@ func (r *run) coherencePrepass(s *history.System, po, base *order.Relation) (can
 	candRel = po.Clone()
 	candRel.Union(forced)
 	return candRel, false, nil
+}
+
+// twoWritesToOneLoc reports whether some location is written twice.
+func twoWritesToOneLoc(s *history.System) bool {
+	for i := 0; i < s.NumOps(); i++ {
+		a := history.OpID(i)
+		if s.Op(a).Kind != history.Write {
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if b := history.OpID(j); s.Op(b).Kind == history.Write && s.LocOf(a) == s.LocOf(b) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // greedyView attempts to build a legal arrangement of ops respecting rel
@@ -211,36 +221,28 @@ func greedyView(s *history.System, ops []history.OpID, rel *order.Relation) (his
 	}
 	// One backing array for the integer scratch: the construction runs once
 	// per view problem on checker hot paths, so allocation count matters.
-	scratch := make([]int, 4*n+s.NumOps())
+	nLocs := len(s.Locs())
+	scratch := make([]int, 4*n+nLocs+s.NumOps())
 	locOf, scratch := scratch[:n], scratch[n:]
+	kind, scratch := scratch[:n], scratch[n:]
 	writer, scratch := scratch[:n], scratch[n:] // reads: local index of observed writer, -1 = initial state
 	seq, scratch := scratch[:0:n], scratch[n:]
-	lastWBuf, scratch := scratch[:n], scratch[n:]
-	local := scratch // global OpID → local index, -1 = outside the view
+	lastW, scratch := scratch[:nLocs], scratch[nLocs:] // per location: local index of last placed write, -1 = none
+	local := scratch                                   // global OpID → local index, -1 = outside the view
 	for i := range local {
 		local[i] = -1
 	}
 	for i, id := range ops {
 		local[int(id)] = i
 	}
-	kind := make([]history.Kind, n)
+	for i := range lastW {
+		lastW[i] = -1
+	}
 	preds := make([]uint64, n)
-	locs := make([]history.Loc, 0, 8)
 	for i, id := range ops {
 		o := s.Op(id)
-		kind[i] = o.Kind
-		li := -1
-		for k, l := range locs {
-			if l == o.Loc {
-				li = k
-				break
-			}
-		}
-		if li < 0 {
-			li = len(locs)
-			locs = append(locs, o.Loc)
-		}
-		locOf[i] = li
+		kind[i] = int(o.Kind)
+		locOf[i] = s.LocOf(id)
 		if o.Kind == history.Read {
 			w, found, err := s.WriterOf(id)
 			if err != nil {
@@ -255,22 +257,21 @@ func greedyView(s *history.System, ops []history.OpID, rel *order.Relation) (his
 				writer[i] = wi
 			}
 		}
-		for j, other := range ops {
-			if i != j && rel.Has(other, id) {
-				preds[i] |= 1 << uint(j)
+		// i precedes each of its successors in the view.
+		for w, word := range rel.Row(id) {
+			for ; word != 0; word &= word - 1 {
+				if j := local[w*64+bits.TrailingZeros64(word)]; j >= 0 && j != i {
+					preds[j] |= 1 << uint(i)
+				}
 			}
 		}
 	}
 
-	lastW := lastWBuf[:len(locs)] // per location: local index of last placed write, -1 = none
-	for i := range lastW {
-		lastW[i] = -1
-	}
 	var placed uint64
 	place := func(i int) {
 		placed |= 1 << uint(i)
 		seq = append(seq, i)
-		if kind[i] == history.Write {
+		if kind[i] == int(history.Write) {
 			lastW[locOf[i]] = i
 		}
 	}
@@ -278,7 +279,7 @@ func greedyView(s *history.System, ops []history.OpID, rel *order.Relation) (his
 		for again := true; again; {
 			again = false
 			for i := 0; i < n; i++ {
-				if kind[i] != history.Read || placed&(1<<uint(i)) != 0 || preds[i]&^placed != 0 {
+				if kind[i] != int(history.Read) || placed&(1<<uint(i)) != 0 || preds[i]&^placed != 0 {
 					continue
 				}
 				if writer[i] != lastW[locOf[i]] {
@@ -299,13 +300,13 @@ func greedyView(s *history.System, ops []history.OpID, rel *order.Relation) (his
 		pick := -1
 	writes:
 		for i := 0; i < n; i++ {
-			if kind[i] != history.Write || placed&(1<<uint(i)) != 0 || preds[i]&^placed != 0 {
+			if kind[i] != int(history.Write) || placed&(1<<uint(i)) != 0 || preds[i]&^placed != 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
 				// A still-blocked read waiting on the location's current
 				// state must not have its value buried.
-				if kind[j] == history.Read && placed&(1<<uint(j)) == 0 &&
+				if kind[j] == int(history.Read) && placed&(1<<uint(j)) == 0 &&
 					locOf[j] == locOf[i] && writer[j] == lastW[locOf[i]] {
 					continue writes
 				}
@@ -314,7 +315,7 @@ func greedyView(s *history.System, ops []history.OpID, rel *order.Relation) (his
 				pick = i
 			}
 			for j := 0; j < n; j++ {
-				if kind[j] == history.Read && placed&(1<<uint(j)) == 0 &&
+				if kind[j] == int(history.Read) && placed&(1<<uint(j)) == 0 &&
 					writer[j] == i && preds[j]&^(placed|1<<uint(i)) == 0 {
 					pick = i // this write unblocks a read right now
 					break writes

@@ -41,6 +41,7 @@ func TestProcedureCoversAllModels(t *testing.T) {
 		"SC": true, "PRAM": true, "Causal": true, "Coherence": true,
 		"TSO": true, "PC": true, "PCG": true,
 		"TSO-ax": true, "WO": true, "RCsc": true, "RCpc": true, "Causal+Coh": true,
+		"Slow": true,
 	}
 	for _, m := range All() {
 		p := Procedure(m)

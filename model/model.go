@@ -144,9 +144,20 @@ var rejected = Verdict{}
 // the paper's Figure 5, extensions last). The returned slice is fresh and
 // may be modified.
 func All() []Model {
-	return []Model{
-		SC, TSO, TSOAxiomatic, PC, Causal, PRAM, Coherence,
-		WO, RCsc, RCpc, PCG, CausalCoherent, CausalLabeledCoherent, Slow,
+	specs := allSpecs()
+	out := make([]Model, len(specs))
+	for i, sp := range specs {
+		out[i] = *sp
+	}
+	return out
+}
+
+// allSpecs lists the models in All's order, by reference, so ByName can
+// search them without boxing each one.
+func allSpecs() [14]*Spec {
+	return [...]*Spec{
+		&SC, &TSO, &TSOAxiomatic, &PC, &Causal, &PRAM, &Coherence,
+		&WO, &RCsc, &RCpc, &PCG, &CausalCoherent, &CausalLabeledCoherent, &Slow,
 	}
 }
 
@@ -154,11 +165,11 @@ func All() []Model {
 // an error listing the valid names.
 func ByName(name string) (Model, error) {
 	var names []string
-	for _, m := range All() {
-		if m.Name() == name {
-			return m, nil
+	for _, sp := range allSpecs() {
+		if sp.Title == name {
+			return *sp, nil
 		}
-		names = append(names, m.Name())
+		names = append(names, sp.Title)
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("model: unknown model %q (have %v)", name, names)
@@ -199,22 +210,25 @@ func coherenceCandidates(s *history.System, po *order.Relation, labeledOnly bool
 }
 
 // collectExtensions appends every linear extension of po over the given
-// operations to *out, charging each to the meter.
+// operations to *out, charging each to the meter. The extensions share
+// one backing array.
 func collectExtensions(ops []history.OpID, po *order.Relation, meter *budget.Meter, out *[][]history.OpID) error {
 	before := func(a, b int) bool { return po.Has(ops[a], ops[b]) }
 	var stopErr error
+	var flat []history.OpID // the extensions back to back
 	perm.LinearExtensions(len(ops), before, func(ord []int) bool {
 		if err := meter.AddNodes(1); err != nil {
 			stopErr = err
 			return false
 		}
-		ext := make([]history.OpID, len(ord))
-		for i, k := range ord {
-			ext[i] = ops[k]
+		for _, k := range ord {
+			flat = append(flat, ops[k])
 		}
-		*out = append(*out, ext)
 		return true
 	})
+	for n := len(ops); len(flat) >= n && n > 0; flat = flat[n:] {
+		*out = append(*out, flat[:n:n])
+	}
 	return stopErr
 }
 

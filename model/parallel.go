@@ -65,6 +65,9 @@ type run struct {
 	// deepest partial linearization any solver of this check reached — the
 	// constraint frontier reported by forbidden and Unknown verdicts.
 	frontier atomic.Int64
+	// views holds each processor's δp = w operation set
+	// (history.System.ViewSets), built once per check.
+	views [][]history.OpID
 }
 
 // newRun builds the per-check state for one check, adopting any Budget
@@ -74,7 +77,7 @@ type run struct {
 // context.Background then pay nothing over the pre-budget code (and report
 // zero Progress); likewise an un-instrumented context leaves the probe nil.
 func newRun(ctx context.Context, name string, workers int, s *history.System) *run {
-	r := &run{ctx: ctx, workers: workers, route: RouteFromContext(ctx)}
+	r := &run{ctx: ctx, workers: workers, route: RouteFromContext(ctx), views: s.ViewSets()}
 	r.probe = obs.Start(ctx, name, s.NumOps(), s.NumProcs())
 	r.ctx, r.endTask = obs.TaskRegion(ctx, "check", name)
 	r.arm()
@@ -114,7 +117,7 @@ func (r *run) solveViews(s *history.System, prec *order.Relation, parts []search
 	views := make(map[history.Proc]history.View, s.NumProcs())
 	for p := 0; p < s.NumProcs(); p++ {
 		proc := history.Proc(p)
-		v, ok, err := search.FindView(r.problem(s, s.ViewOps(proc), prec, parts))
+		v, ok, err := search.FindView(r.problem(s, r.views[p], prec, parts))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/history"
 	"repro/internal/search"
@@ -19,10 +21,9 @@ import (
 //
 // The procedure a check uses under RouteAuto is derived from the
 // parameters, not chosen per model (see Procedure): independent views, or
-// one common serialization, under an order built once per history are
-// decided by the polynomial fast path; a write order, coherence order or
-// store order is enumerated behind a forced-edge pre-pass; everything else
-// is plain enumeration.
+// one common serialization, are decided by the polynomial fast path; a
+// write order, coherence order or store order is enumerated behind a
+// forced-edge pre-pass; everything else is plain enumeration.
 type Spec struct {
 	// Title is the model's name, as Name reports it.
 	Title string
@@ -339,7 +340,7 @@ const (
 
 // procedure derives the spec's RouteAuto procedure from its parameters,
 // one rule per kind of mutual consistency. Independent (or identical)
-// views under an order built once per history take the fast path. A write
+// views take the fast path. A write
 // order or a coherence order (with or without a labeled SC serialization)
 // is enumerated behind the forced-edge pre-pass: every per-history
 // ingredient — program order, bracket, fence, causal order — binds every
@@ -347,15 +348,13 @@ const (
 // (restricted to those operations) derives only edges the shared order
 // must contain, and per-candidate ingredients only add constraints after
 // it. A store order is enumerated behind the value-axiom pre-pass
-// (storeOrderEdges). A per-view order (slow memory, which validate admits
-// only with independent views) and labeled coherence are plain
-// enumeration.
+// (storeOrderEdges). Slow memory's per-view order, which validate admits
+// only with independent views, is built before each view problem and
+// takes the fast path with it. Labeled coherence is plain enumeration.
 func (sp Spec) procedure() procedure {
 	switch sp.Mutual {
 	case MutualNone, MutualIdentical:
-		if sp.Order&OrderSlow == 0 {
-			return fastPath
-		}
+		return fastPath
 	case MutualWriteOrder, MutualCoherence, MutualCoherenceLabeledSC, MutualStoreOrder:
 		return prePass
 	}
@@ -379,6 +378,8 @@ func Procedure(m Model) string {
 			return "per-location saturate + greedy construction"
 		case sp.Order&OrderCausal != 0:
 			return "per-process saturate + greedy construction over causal order"
+		case sp.Order&OrderSlow != 0:
+			return "per-process saturate + greedy construction over each view's slow order"
 		}
 		return "per-process saturate + greedy construction"
 	case prePass:
@@ -561,17 +562,23 @@ func (in *ingredients) baseName() (name string) {
 	return name
 }
 
-// slowOrder is OrderSlow for proc's view: proc's own operations in program
-// order; others' writes ordered only within (processor, location) groups.
-func (in *ingredients) slowOrder(s *history.System, proc history.Proc) *order.Relation {
-	prec := order.New(s.NumOps())
-	for _, pr := range in.po.Pairs() {
-		a, b := s.Op(pr[0]), s.Op(pr[1])
-		if a.Proc == proc || a.Loc == b.Loc {
-			prec.Add(pr[0], pr[1])
+// slowOrder makes prec OrderSlow for proc's view: proc's own operations in
+// program order; others' writes ordered only within (processor, location)
+// groups.
+func (in *ingredients) slowOrder(s *history.System, proc history.Proc, prec *order.Relation) {
+	prec.Reset()
+	for i := 0; i < s.NumOps(); i++ {
+		a := history.OpID(i)
+		own := s.Op(a).Proc == proc
+		for w, word := range in.po.Row(a) {
+			for ; word != 0; word &= word - 1 {
+				b := history.OpID(w*64 + bits.TrailingZeros64(word))
+				if own || s.LocOf(a) == s.LocOf(b) {
+					prec.Add(a, b)
+				}
+			}
 		}
 	}
-	return prec
 }
 
 // candidateOrder builds the per-candidate ingredient under coherence order
@@ -610,6 +617,10 @@ func (sp Spec) solveEach(r *run, s *history.System, in *ingredients) (*Witness, 
 	var name string
 	if fast {
 		name = in.baseName()
+	}
+	var slow *order.Relation
+	if sp.Order&OrderSlow != 0 {
+		slow, name = order.New(s.NumOps()), "po"
 	}
 	var parts []search.Part
 	if r.instrumented() {
@@ -650,13 +661,14 @@ func (sp Spec) solveEach(r *run, s *history.System, in *ingredients) (*Witness, 
 	for p := 0; p < s.NumProcs(); p++ {
 		proc := history.Proc(p)
 		prec, viewParts := in.base, parts
-		if sp.Order&OrderSlow != 0 {
-			prec = in.slowOrder(s, proc)
+		if slow != nil {
+			in.slowOrder(s, proc, slow)
+			prec = slow
 			if r.instrumented() {
 				viewParts = append(parts[:len(parts):len(parts)], search.Part{Name: "po", Rel: prec})
 			}
 		}
-		v, ok, err := solve(s.ViewOps(proc), prec, viewParts, func() string { return fmt.Sprintf("processor p%d's view", p) })
+		v, ok, err := solve(r.views[p], prec, viewParts, func() string { return fmt.Sprintf("processor p%d's view", p) })
 		if err != nil || !ok {
 			return nil, err
 		}
@@ -806,7 +818,9 @@ func (sp Spec) searchCoherences(r *run, s *history.System, in *ingredients) (*Wi
 		}
 		w.Coherence = make(map[history.Loc]history.View, len(seqs))
 		for loc, seq := range seqs {
-			w.Coherence[loc] = seq
+			// A copy: seq shares its backing array with every other
+			// candidate order of loc (collectExtensions).
+			w.Coherence[loc] = slices.Clone(seq)
 		}
 		return w, nil
 	})

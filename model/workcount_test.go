@@ -36,7 +36,7 @@ var goldenWork = map[string][4]work{
 	"PCG":         {{22, 13, 548}, {22, 33, 519}, {792, 688, 9752}, {792, 926, 7682}},
 	"Causal+Coh":  {{22, 12, 519}, {22, 32, 478}, {792, 642, 9064}, {792, 762, 6896}},
 	"Causal+LCoh": {{22, 23, 378}, {22, 23, 378}, {792, 676, 5432}, {792, 676, 5432}},
-	"Slow":        {{22, 0, 484}, {22, 0, 484}, {792, 0, 6038}, {792, 0, 6038}},
+	"Slow":        {{22, 0, 309}, {22, 0, 484}, {792, 0, 6004}, {792, 0, 6038}},
 }
 
 // TestGoldenWorkCounts: every model does exactly the pinned work on the

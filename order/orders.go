@@ -94,24 +94,32 @@ func Causal(s *history.System) (*Relation, error) {
 // PC and RC use a coherence order as their mutual-consistency requirement.
 type Coherence struct {
 	Order map[history.Loc][]history.OpID
-	pos   map[history.OpID]int
+	pos   []int // by OpID: the write's place in its location's order, -1 if absent
 }
 
 // NewCoherence builds a Coherence from per-location write sequences. Each
 // sequence must contain exactly the writes to its location.
 func NewCoherence(s *history.System, order map[history.Loc][]history.OpID) (*Coherence, error) {
-	c := &Coherence{Order: order, pos: make(map[history.OpID]int)}
+	c := &Coherence{Order: order, pos: make([]int, s.NumOps())}
+	for i := range c.pos {
+		c.pos[i] = -1
+	}
 	for loc, seq := range order {
-		want := s.WritesTo(loc)
-		if len(seq) != len(want) {
-			return nil, fmt.Errorf("order: coherence for %s has %d writes, history has %d", loc, len(seq), len(want))
+		want := 0
+		for i := 0; i < s.NumOps(); i++ {
+			if o := s.Op(history.OpID(i)); o.Kind == history.Write && o.Loc == loc {
+				want++
+			}
+		}
+		if len(seq) != want {
+			return nil, fmt.Errorf("order: coherence for %s has %d writes, history has %d", loc, len(seq), want)
 		}
 		for i, id := range seq {
 			o := s.Op(id)
 			if o.Kind != history.Write || o.Loc != loc {
 				return nil, fmt.Errorf("order: coherence for %s includes %v", loc, o)
 			}
-			if _, dup := c.pos[id]; dup {
+			if c.pos[id] >= 0 {
 				return nil, fmt.Errorf("order: coherence for %s repeats %v", loc, o)
 			}
 			c.pos[id] = i
@@ -124,9 +132,11 @@ func NewCoherence(s *history.System, order map[history.Loc][]history.OpID) (*Coh
 // their (common) location. Both must be writes to the same location that
 // appear in the order.
 func (c *Coherence) Before(a, b history.OpID) bool {
-	pa, aok := c.pos[a]
-	pb, bok := c.pos[b]
-	return aok && bok && pa < pb
+	if a < 0 || b < 0 || int(a) >= len(c.pos) || int(b) >= len(c.pos) {
+		return false
+	}
+	pa, pb := c.pos[a], c.pos[b]
+	return pa >= 0 && pb >= 0 && pa < pb
 }
 
 // Relation renders the coherence order as a Relation over the system's
@@ -178,7 +188,9 @@ func RemoteWritesBefore(s *history.System, ppo *Relation) (*Relation, error) {
 // writes that program-order-follow a newer write of the same location.
 func RemoteReadsBefore(s *history.System, ppo *Relation, coh *Coherence) (*Relation, error) {
 	r := New(s.NumOps())
-	for _, id := range s.Ops() {
+	writes := s.Writes()
+	for i := 0; i < s.NumOps(); i++ {
+		id := history.OpID(i)
 		o1 := s.Op(id)
 		if o1.Kind != history.Read {
 			continue
@@ -187,14 +199,14 @@ func RemoteReadsBefore(s *history.System, ppo *Relation, coh *Coherence) (*Relat
 		if err != nil {
 			return nil, fmt.Errorf("order: remote reads-before: %w", err)
 		}
-		for _, oPrime := range s.WritesTo(o1.Loc) {
-			if sawWrite && !coh.Before(observed, oPrime) {
-				continue // o' not newer than what o1 saw
+		for _, oPrime := range writes {
+			if s.LocOf(oPrime) != s.LocOf(id) || (sawWrite && !coh.Before(observed, oPrime)) {
+				continue // another location, or o' not newer than what o1 saw
 			}
 			// When o1 read the initial value, every write to the
 			// location is newer, so every o' qualifies.
-			for _, o2 := range s.Ops() {
-				if s.Op(o2).Kind == history.Write && ppo.Has(oPrime, o2) {
+			for _, o2 := range writes {
+				if ppo.Has(oPrime, o2) {
 					r.Add(id, o2)
 				}
 			}

@@ -234,3 +234,45 @@ func TestQuickAddChainTotalOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickClosureMatchesReachability holds TransitiveClosure and
+// HasCycle, on the one-word path (at most 64 operations) and the
+// multi-word one, to reachability by plain graph search.
+func TestQuickClosureMatchesReachability(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(140)
+		rel := New(n)
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			rel.Add(history.OpID(rng.Intn(n)), history.OpID(rng.Intn(n)))
+		}
+		cyclic := false
+		want := make([][]bool, n)
+		for a := 0; a < n; a++ {
+			want[a] = make([]bool, n)
+			stack := []int{a}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for b := 0; b < n; b++ {
+					if rel.Has(history.OpID(x), history.OpID(b)) && !want[a][b] {
+						want[a][b] = true
+						stack = append(stack, b)
+					}
+				}
+			}
+			cyclic = cyclic || want[a][a]
+		}
+		if got := rel.HasCycle(); got != cyclic {
+			t.Fatalf("n=%d: HasCycle %v, reachability says %v", n, got, cyclic)
+		}
+		c := rel.Clone().TransitiveClosure()
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				if c.Has(history.OpID(a), history.OpID(b)) != want[a][b] {
+					t.Fatalf("n=%d: closure has (%d,%d)=%v, reachability says %v", n, a, b, !want[a][b], want[a][b])
+				}
+			}
+		}
+	}
+}

@@ -47,6 +47,15 @@ func (r *Relation) Add(a, b history.OpID) {
 	r.row(int(a))[int(b)/64] |= 1 << (uint(b) % 64)
 }
 
+// Row returns a's successors as bit words: bit b of word w is set when
+// a < w*64+b. The slice aliases the relation and must not be modified; its
+// capacity ends with the row, so an append copies instead of spilling into
+// the next row.
+func (r *Relation) Row(a history.OpID) []uint64 {
+	i := int(a) * r.words
+	return r.rows[i : i+r.words : i+r.words]
+}
+
 // Has reports whether a < b is in the relation.
 func (r *Relation) Has(a, b history.OpID) bool {
 	return r.row(int(a))[int(b)/64]&(1<<(uint(b)%64)) != 0
@@ -121,27 +130,57 @@ func (r *Relation) RestrictTo(ops []history.OpID) *Relation {
 // TransitiveClosure closes the relation in place: after the call,
 // Has(a, c) whenever a chain a < b < ... < c existed. It returns r.
 func (r *Relation) TransitiveClosure() *Relation {
+	if r.words == 1 {
+		closeWord(r.rows)
+		return r
+	}
 	// Standard bitset Floyd–Warshall: for each intermediate k, every row
 	// that reaches k absorbs k's row.
+	w := r.words
 	for k := 0; k < r.n; k++ {
-		krow := r.row(k)
-		kw, kb := k/64, uint(k)%64
+		krow := r.rows[k*w : (k+1)*w]
+		kw, kb := k/64, uint64(1)<<(uint(k)%64)
 		for i := 0; i < r.n; i++ {
-			irow := r.row(i)
-			if irow[kw]&(1<<kb) == 0 {
+			if r.rows[i*w+kw]&kb == 0 {
 				continue
 			}
-			for w := 0; w < r.words; w++ {
-				irow[w] |= krow[w]
+			irow := r.rows[i*w : (i+1)*w]
+			for x, v := range krow {
+				irow[x] |= v
 			}
 		}
 	}
 	return r
 }
 
+// closeWord is TransitiveClosure for a relation over at most 64
+// operations, one word per row.
+func closeWord(rows []uint64) {
+	for k, krow := range rows {
+		kb := uint64(1) << uint(k)
+		for i := range rows {
+			if rows[i]&kb != 0 {
+				rows[i] |= krow
+			}
+		}
+	}
+}
+
 // HasCycle reports whether the transitive closure of the relation relates
 // any operation to itself. It does not modify r.
 func (r *Relation) HasCycle() bool {
+	if r.words == 1 {
+		var buf [64]uint64
+		rows := buf[:r.n]
+		copy(rows, r.rows)
+		closeWord(rows)
+		for i, row := range rows {
+			if row&(1<<uint(i)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
 	c := r.Clone().TransitiveClosure()
 	for i := 0; i < c.n; i++ {
 		if c.row(i)[i/64]&(1<<(uint(i)%64)) != 0 {

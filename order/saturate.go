@@ -50,19 +50,26 @@ import (
 // ambiguous, in which case rel may hold a partially saturated (but still
 // sound) relation and callers should fall back to plain search.
 func SaturateForced(s *history.System, ops []history.OpID, rel *Relation) (acyclic bool, rounds int, err error) {
-	// Resolve each read in the view once up front; group the views' writes
-	// by location for the coherence sweeps.
+	// Resolve each read in the view once up front and collect the view's
+	// writes for the coherence sweeps, which match them to a read by
+	// location.
 	type readInfo struct {
 		id     history.OpID
 		writer history.OpID // NoOp when the read observed the initial state
 		found  bool
 	}
-	var reads []readInfo
-	writesOn := make(map[history.Loc][]history.OpID)
+	reads := make([]readInfo, 0, len(ops))
+	writes := make([]history.OpID, 0, len(ops))
+	var inBuf [1]uint64
+	in := inBuf[:]
+	if rel.words > 1 {
+		in = make([]uint64, rel.words)
+	}
 	for _, id := range ops {
-		switch o := s.Op(id); o.Kind {
+		in[int(id)/64] |= 1 << (uint(id) % 64)
+		switch s.Op(id).Kind {
 		case history.Write:
-			writesOn[o.Loc] = append(writesOn[o.Loc], id)
+			writes = append(writes, id)
 		case history.Read:
 			w, ok, werr := s.WriterOf(id)
 			if werr != nil {
@@ -71,23 +78,22 @@ func SaturateForced(s *history.System, ops []history.OpID, rel *Relation) (acycl
 			reads = append(reads, readInfo{id: id, writer: w, found: ok})
 		}
 	}
-	inOps := make([]bool, s.NumOps())
-	for _, id := range ops {
-		inOps[int(id)] = true
-	}
+	inOps := func(id history.OpID) bool { return in[int(id)/64]&(1<<(uint(id)%64)) != 0 }
 
 	// Seed the reads-from and initial-read edges; the fixpoint below adds
 	// the coherence-derived ones.
 	for _, r := range reads {
-		loc := s.Op(r.id).Loc
 		if r.found {
-			if inOps[int(r.writer)] {
+			if inOps(r.writer) {
 				rel.Add(r.writer, r.id)
 			}
 			continue
 		}
-		for _, w := range writesOn[loc] {
-			rel.Add(r.id, w)
+		loc := s.LocOf(r.id)
+		for _, w := range writes {
+			if s.LocOf(w) == loc {
+				rel.Add(r.id, w)
+			}
 		}
 	}
 
@@ -96,12 +102,12 @@ func SaturateForced(s *history.System, ops []history.OpID, rel *Relation) (acycl
 		rel.TransitiveClosure()
 		changed := false
 		for _, rd := range reads {
-			if !rd.found || !inOps[int(rd.writer)] {
+			if !rd.found || !inOps(rd.writer) {
 				continue
 			}
-			loc := s.Op(rd.id).Loc
-			for _, w := range writesOn[loc] {
-				if w == rd.writer {
+			loc := s.LocOf(rd.id)
+			for _, w := range writes {
+				if w == rd.writer || s.LocOf(w) != loc {
 					continue
 				}
 				if rel.Has(w, rd.id) && !rel.Has(w, rd.writer) {

@@ -108,6 +108,19 @@ func (m *CausalMemory) Internal() []string {
 	return out
 }
 
+// NumInternal implements Memory.
+func (m *CausalMemory) NumInternal() int {
+	n := 0
+	for r := range m.pending {
+		for _, msg := range m.pending[r] {
+			if m.deliverable(r, msg) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Step implements Memory.
 func (m *CausalMemory) Step(i int) {
 	for r := range m.pending {

@@ -46,8 +46,8 @@ func RandomRun(mem Memory, rng *rand.Rand, cfg RandomRunConfig) *history.System 
 	}
 	writes := 0
 	for done := 0; done < cfg.Ops; {
-		if acts := mem.Internal(); len(acts) > 0 && rng.Float64() < cfg.PInternal {
-			mem.Step(rng.Intn(len(acts)))
+		if acts := mem.NumInternal(); acts > 0 && rng.Float64() < cfg.PInternal {
+			mem.Step(rng.Intn(acts))
 			continue
 		}
 		p := history.Proc(rng.Intn(mem.NumProcs()))
@@ -77,11 +77,7 @@ func RandomRun(mem Memory, rng *rand.Rand, cfg RandomRunConfig) *history.System 
 // this package quiesces: deliveries and drains strictly shrink the pending
 // work.
 func Quiesce(mem Memory) {
-	for {
-		acts := mem.Internal()
-		if len(acts) == 0 {
-			return
-		}
+	for mem.NumInternal() > 0 {
 		mem.Step(0)
 	}
 }

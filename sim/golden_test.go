@@ -29,7 +29,8 @@ func hashString(h hash.Hash, s string) {
 // labeled and unlabeled reads and writes, internal steps and clones; the
 // digest of every fingerprint along the walks, and the digest of every
 // enabled internal-action list, must not move. A change to the state
-// layout must leave both byte-identical.
+// layout must leave both byte-identical. Along the way, NumInternal must
+// count exactly the actions Internal lists.
 func TestFingerprintGolden(t *testing.T) {
 	want := map[string][2]string{
 		"SC":      {"a460dc795e1fb4785991f0645f84da2dce7627322a725c8af2ce92dbd5997008", "e4331b4b5dff91084b34db4018c5905a016cdf9c0d74d02c0d5af88dabfc6bc6"},
@@ -72,10 +73,14 @@ func TestFingerprintGolden(t *testing.T) {
 					m.Read(p, loc, labeled)
 				}
 				hashString(fps[name], fingerprint(m))
-				for _, a := range m.Internal() {
+				in := m.Internal()
+				for _, a := range in {
 					hashString(acts[name], a)
 				}
 				hashString(acts[name], "")
+				if n := m.NumInternal(); n != len(in) {
+					t.Fatalf("%s: NumInternal %d, Internal lists %d", name, n, len(in))
+				}
 			}
 		}
 	}

@@ -129,6 +129,17 @@ func (m *PRAMMemory) Internal() []string {
 	return out
 }
 
+// NumInternal implements Memory.
+func (m *PRAMMemory) NumInternal() int {
+	n := 0
+	for _, ch := range m.channels {
+		if len(ch) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Step implements Memory.
 func (m *PRAMMemory) Step(i int) {
 	for k, ch := range m.channels {

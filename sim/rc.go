@@ -151,6 +151,17 @@ func (m *RCMemory) Internal() []string {
 	return out
 }
 
+// NumInternal implements Memory.
+func (m *RCMemory) NumInternal() int {
+	n := 0
+	for _, ch := range m.channels {
+		if len(ch) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Step implements Memory.
 func (m *RCMemory) Step(i int) {
 	for k, ch := range m.channels {

@@ -45,6 +45,9 @@ func (m *SCMemory) Write(p history.Proc, loc history.Loc, v history.Value, label
 // Internal implements Memory; SC memory has no internal actions.
 func (m *SCMemory) Internal() []string { return nil }
 
+// NumInternal implements Memory.
+func (m *SCMemory) NumInternal() int { return 0 }
+
 // Step implements Memory.
 func (m *SCMemory) Step(int) { panic("sim: SC memory has no internal actions") }
 

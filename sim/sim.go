@@ -60,6 +60,9 @@ type Memory interface {
 	// Internal describes the enabled internal actions. The slice is
 	// fresh; indices are valid until the next state change.
 	Internal() []string
+	// NumInternal returns len(Internal()) without describing the
+	// actions, for searches that only step them.
+	NumInternal() int
 	// Step performs the i-th enabled internal action.
 	Step(i int)
 	// Clone returns an independent copy in fresh storage; it is

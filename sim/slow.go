@@ -85,6 +85,15 @@ func (m *SlowMemory) Internal() []string {
 	return out
 }
 
+// NumInternal implements Memory.
+func (m *SlowMemory) NumInternal() int {
+	n := 0
+	for range m.nonempty() {
+		n++
+	}
+	return n
+}
+
 // Step implements Memory.
 func (m *SlowMemory) Step(i int) {
 	for k, id := range m.nonempty() {

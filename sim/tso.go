@@ -109,6 +109,17 @@ func (m *TSOMemory) Internal() []string {
 	return out
 }
 
+// NumInternal implements Memory.
+func (m *TSOMemory) NumInternal() int {
+	n := 0
+	for _, buf := range m.buffers {
+		if len(buf) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Step implements Memory.
 func (m *TSOMemory) Step(i int) {
 	for p, buf := range m.buffers {
