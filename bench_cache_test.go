@@ -12,30 +12,32 @@ import (
 	"testing"
 
 	"repro/history"
+	"repro/internal/obs"
 	"repro/internal/vcache"
 	"repro/model"
 )
 
-// cacheBenchHistory is where caching pays: an 18-write, 3-processor
-// history under a model with no polynomial fast path (weak ordering
-// routes to the enumerator), so the uncached solve costs milliseconds.
-// The three processors have deliberately distinct shapes (different
-// read/write mixes per position), so canonicalization sees no tied
-// processor signatures and the hit path stays in the tens of
-// microseconds. Corpus litmus tests are the wrong subject here — they
-// are small enough that every solve is cheaper than canonicalizing a
-// symmetric history, which is exactly why the service keeps the cache
-// off for trivially cheap tiers.
-const cacheBenchHistory = `p0: w(x1)1 r(x1)0 r(x1)0 w(x0)2 w(x2)3 w(x0)4 r(x1)0 w(x0)5
-p1: w(x0)6 w(x1)7 r(x1)0 w(x2)8 r(x1)0 r(x2)0 r(x1)0 r(x0)0
-p2: r(x1)0 w(x2)9 r(x0)0 r(x0)0 w(x1)10 w(x0)11 w(x0)12 r(x1)0`
+// cacheBenchHistory is where caching pays: a 36-operation, 4-processor,
+// 13-write history that the PRAM simulator recorded (sim.RandomRun with
+// seed 13, values renumbered), checked under processor consistency. PC
+// forbids it, and refuting it means exhausting the coherence orders, so
+// the uncached solve takes milliseconds whatever the labeling, while a hit
+// canonicalizes a history whose processors have distinct shapes and takes
+// microseconds. Corpus litmus tests are the wrong subject here — they are
+// small enough that every solve is cheaper than canonicalizing a symmetric
+// history, which is exactly why the service keeps the cache off for
+// trivially cheap tiers.
+const cacheBenchHistory = `p0: r(x)0 r(y)0 w(x)1 w(y)2 r(y)2 r(z)0 r(z)0 r(y)2 w(x)3 w(y)4 w(x)5 w(z)6
+p1: w(z)7 w(y)8 r(x)10
+p2: w(z)9 r(z)9 r(y)0 r(y)0 w(x)10 r(y)0 r(x)10 r(y)0 r(x)10 r(y)0 r(y)0 r(y)0 r(y)0
+p3: r(z)0 r(x)0 w(x)11 r(z)9 r(z)9 w(y)12 r(y)12 w(z)13`
 
 func BenchmarkCacheHit(b *testing.B) {
 	hist, err := history.Parse(cacheBenchHistory)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := model.ByName("WO")
+	m, err := model.ByName("PC")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,10 +52,11 @@ func BenchmarkCacheHit(b *testing.B) {
 
 	var hitNs, solveNs float64
 	b.Run("hit", func(b *testing.B) {
-		cache := vcache.New(64, nil)
+		cache := vcache.New(64, obs.NewRegistry())
 		if _, _, err := vcache.Check(ctx, cache, m, hist); err != nil {
 			b.Fatal(err)
 		}
+		assertHitSolvesNothing(b, cache, m, variant)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -75,7 +78,7 @@ func BenchmarkCacheHit(b *testing.B) {
 				b.Fatal(err)
 			}
 			if v.Allowed || !v.Decided() {
-				b.Fatalf("allowed=%v decided=%v, want forbidden under WO", v.Allowed, v.Decided())
+				b.Fatalf("allowed=%v decided=%v, want forbidden under PC", v.Allowed, v.Decided())
 			}
 		}
 		solveNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -86,5 +89,31 @@ func BenchmarkCacheHit(b *testing.B) {
 		if speedup < 10 {
 			b.Fatalf("cache hit %.0fns vs solve %.0fns: %.1fx speedup, want >= 10x", hitNs, solveNs, speedup)
 		}
+	}
+}
+
+// assertHitSolvesNothing checks, by counts rather than time, that a hit
+// runs no engine solve. The lookup runs under a context with a budget,
+// which arms the engine's work meter, and a registry, which counts every
+// check the engine starts. The cache must count one more hit and no more
+// misses, the registry no check run, and the verdict must carry no search
+// nodes: the cached verdict was solved unmetered, so only a fresh solve
+// under the metered context could report any.
+func assertHitSolvesNothing(b *testing.B, cache *vcache.Cache, m model.Model, s *history.System) {
+	b.Helper()
+	reg := obs.NewRegistry()
+	ctx := obs.WithRegistry(model.WithBudget(context.Background(), model.DefaultBudget()), reg)
+	before := cache.Stats()
+	v, hit, err := vcache.Check(ctx, cache, m, s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	after := cache.Stats()
+	if !hit || after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		b.Fatalf("hit=%v, hits %d -> %d, misses %d -> %d: want one more hit and no miss",
+			hit, before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	if runs := reg.Counter("check.runs").Value(); runs != 0 || v.Progress.Nodes != 0 {
+		b.Fatalf("a cache hit started %d engine checks and reports %d nodes, want none", runs, v.Progress.Nodes)
 	}
 }

@@ -1,9 +1,10 @@
 // Package explore model-checks guest programs on simulated memories: it
 // exhaustively enumerates every interleaving of program steps and memory-
 // internal actions (deliveries, buffer drains), deduplicating states by
-// fingerprint, and checks an invariant — mutual exclusion, for the paper's
-// Section 5 — in every reachable state. It also provides a stochastic
-// runner for workloads whose state space is too large to exhaust.
+// their exact keys, and checks an invariant — mutual exclusion, for the
+// paper's Section 5 — in every reachable state. It also provides a
+// stochastic runner for workloads whose state space is too large to
+// exhaust.
 //
 // This is the tool that mechanizes the paper's central experiment: under
 // the RCsc memory the Bakery algorithm's state space contains no state
@@ -164,6 +165,12 @@ type Result struct {
 	// exploration). Zero means the program is deadlock-free: every
 	// reachable state has some schedule that finishes.
 	StuckStates int
+	// KeyBytes is the size of the visited-state set at the end of the
+	// search: every state key with its length prefix, plus the index's
+	// slots. It is an exact count, not a measurement of the heap, and
+	// complete explorations report the same figure at every worker
+	// count while the memory's locations number fewer than 128.
+	KeyBytes int
 	// progress-tracking internals (TrackProgress only).
 	edges     map[string][]string
 	terminals []string
@@ -278,35 +285,35 @@ func (n node) violation(err error, root *program.Machine) (Violation, error) {
 }
 
 // scratch is one searcher's reusable successor storage: the machine each
-// successor is stepped in and the buffer it is fingerprinted into. Most
+// successor is stepped in and the buffer its key is built in. Most
 // successors reach a state the search has already visited, so a successor
-// is fingerprinted before anything is allocated for it; only one the
-// search keeps takes the machine over, and the next successor is then
-// stepped in fresh storage.
+// is keyed before anything is allocated for it; only one the search keeps
+// takes the machine over, and the next successor is then stepped in fresh
+// storage.
 type scratch struct {
-	m  *program.Machine
-	fp []byte
+	m   *program.Machine
+	key []byte
 	// The parallel search's expansions of one chunk record their
 	// successors here, back to back, for the chunk's merge.
-	fps      []byte
+	keys     []byte
 	children []childEdge
 }
 
 // successors steps each of n's successors in s, program steps first, then
 // internal actions, in index order, and passes the stepped machine, its
-// fingerprint and the step that produced it to yield. yield reports
-// whether it keeps the machine; the fingerprint, and a machine yield does
-// not keep, are overwritten by the next successor. The step is a value, so
-// a child the search drops costs no step allocation.
-func (s *scratch) successors(n node, yield func(m *program.Machine, fp []byte, st step) bool) error {
+// key and the step that produced it to yield. yield reports whether it
+// keeps the machine; the key, and a machine yield does not keep, are
+// overwritten by the next successor. The step is a value, so a child the
+// search drops costs no step allocation.
+func (s *scratch) successors(n node, yield func(m *program.Machine, key []byte, st step) bool) error {
 	visit := func(st step) error {
 		m := n.m.CloneInto(s.m)
 		if err := st.apply(m); err != nil {
 			return err
 		}
-		s.fp = m.AppendFingerprint(s.fp[:0])
+		s.key = m.AppendKey(s.key[:0])
 		s.m = m
-		if yield(m, s.fp, st) {
+		if yield(m, s.key, st) {
 			s.m = nil
 		}
 		return nil
@@ -331,7 +338,8 @@ func (n node) child(m *program.Machine, st step) node {
 
 // Exhaustive explores every schedule of the machine (program steps and
 // memory-internal actions) from its current state, deduplicating states by
-// fingerprint. The machine passed in is not modified.
+// key (see program.Machine.AppendKey). The machine passed in is not
+// modified.
 func Exhaustive(m0 *program.Machine, opts Options) (Result, error) {
 	return ExhaustiveCtx(context.Background(), m0, opts)
 }
@@ -359,13 +367,18 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 		obs.EmitTo(ctx, obs.Event{Type: obs.EvExploreStart, Worker: w})
 	}
 	ctx, endTask := obs.TaskRegion(ctx, "explore", "exhaustive")
+	// The set of visited states starts with the root's key; the searches
+	// add every state they reach.
+	seen := newKeySet()
+	seen.add(m0.AppendKey(nil))
 	res, err := func() (Result, error) {
 		defer endTask()
 		if w > 1 {
-			return exhaustiveParallel(ctx, m0, opts, inv, w)
+			return exhaustiveParallel(ctx, m0, opts, inv, w, seen)
 		}
-		return exhaustiveSeq(ctx, m0, opts, inv)
+		return exhaustiveSeq(ctx, m0, opts, inv, seen)
 	}()
+	res.KeyBytes = seen.bytes()
 	if traced {
 		finishExplore(ctx, res)
 	}
@@ -381,6 +394,7 @@ func finishExplore(ctx context.Context, res Result) {
 		reg.Counter("explore.states").Add(int64(res.States))
 		reg.Counter("explore.transitions").Add(int64(res.Transitions))
 		reg.Counter("explore.violations").Add(int64(len(res.Violations)))
+		reg.Counter("explore.key_bytes").Add(int64(res.KeyBytes))
 	}
 	for _, v := range res.Violations {
 		obs.EmitTo(ctx, obs.Event{
@@ -399,13 +413,12 @@ func finishExplore(ctx context.Context, res Result) {
 
 // exhaustiveSeq is the sequential depth-first search — the oracle the
 // parallel engine's differential tests compare against.
-func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant) (Result, error) {
+func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, seen *keySet) (Result, error) {
 	var res Result
 	res.Complete = true
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
-	visited := map[string]struct{}{m0.Fingerprint(): {}}
 	stack := []node{{m: m0.Clone()}}
 	var s scratch
 
@@ -418,9 +431,10 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 		stack[len(stack)-1] = node{} // let the popped machine be collected
 		stack = stack[:len(stack)-1]
 		res.States++
-		var nFP string
+		var nKey string
 		if opts.TrackProgress {
-			nFP = n.m.Fingerprint()
+			s.key = n.m.AppendKey(s.key[:0])
+			nKey = string(s.key)
 		}
 
 		if err := inv(n.m); err != nil {
@@ -438,7 +452,7 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 		if n.m.Halted() && n.m.Mem().NumInternal() == 0 {
 			res.TerminalStates++
 			if opts.TrackProgress {
-				res.terminals = append(res.terminals, nFP)
+				res.terminals = append(res.terminals, nKey)
 			}
 			if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
 				res.truncate(IncompleteCallbackStop)
@@ -455,15 +469,14 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			continue
 		}
 
-		err := s.successors(n, func(child *program.Machine, fp []byte, st step) bool {
+		err := s.successors(n, func(child *program.Machine, key []byte, st step) bool {
 			res.Transitions++
 			if opts.TrackProgress {
-				res.edges[nFP] = append(res.edges[nFP], string(fp))
+				res.edges[nKey] = append(res.edges[nKey], string(key))
 			}
-			if _, ok := visited[string(fp)]; ok {
+			if !seen.add(key) {
 				return false
 			}
-			visited[string(fp)] = struct{}{}
 			stack = append(stack, n.child(child, st))
 			return true
 		})

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/algorithms"
+	"repro/program"
 	"repro/sim"
 )
 
@@ -45,7 +47,8 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 // count that does not depend on timing: exploring Bakery(2,1) on RCpc, the
 // sequential search and the two-worker parallel one must each stay at or
 // below maxMallocsPerTransition heap allocations per explored transition.
-// Both measure 6.8, and 12.8 under -race; the gates sit about 30% above.
+// They measure 5.3 and 5.4, and 10.5 under -race; the gates sit about 30%
+// above.
 func TestExploreMallocsPerTransition(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
@@ -61,6 +64,66 @@ func TestExploreMallocsPerTransition(t *testing.T) {
 		t.Logf("workers=%d: %d transitions, %.1f mallocs per transition", workers, res.Transitions, per)
 		if per > maxMallocsPerTransition {
 			t.Errorf("workers=%d: %.1f mallocs per transition, want <= %d", workers, per, maxMallocsPerTransition)
+		}
+	}
+}
+
+// TestGoldenKeyBytes pins Result.KeyBytes, the exact size of the visited
+// set, for complete Bakery(2,1) and Bakery(2,2) explorations on RCpc at the
+// sequential and the two-worker search. Every location id there is below
+// 128, so each takes one byte whatever order the workers numbered the
+// locations in, and the figure is the same at both worker counts and on
+// every host. A change to the key encoding or the set's layout moves it.
+func TestGoldenKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		rounds, states, keyBytes int
+	}{
+		{1, 2425, 179550},
+		{2, 84448, 7462644},
+	} {
+		for _, workers := range []int{1, 2} {
+			m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, c.rounds, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Exhaustive(m, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("Bakery(2,%d) RCpc workers=%d: %d states, %d key bytes, %.1f per state",
+				c.rounds, workers, res.States, res.KeyBytes, float64(res.KeyBytes)/float64(res.States))
+			if !res.Complete || res.States != c.states || res.KeyBytes != c.keyBytes {
+				t.Errorf("Bakery(2,%d) RCpc workers=%d: complete=%v states=%d key bytes=%d, want complete %d/%d",
+					c.rounds, workers, res.Complete, res.States, res.KeyBytes, c.states, c.keyBytes)
+			}
+		}
+	}
+}
+
+// TestMaxStatesOvershoot records, without fixing, how far each search
+// runs past Options.MaxStates on Bakery(2,2) RCpc. Both count a state when
+// they take it off their worklist, stop expanding once the count reaches
+// the cap, and still count every state already on the worklist: the
+// depth-first stack holds the unexpanded siblings along the current path,
+// the breadth-first search the rest of the current level and the next
+// level's states found so far. The figures are exact and deterministic.
+func TestMaxStatesOvershoot(t *testing.T) {
+	const maxStates = 5000
+	want := map[int]int{1: 5032, 2: 5997}
+	for _, workers := range []int{1, 2} {
+		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Exhaustive(m, Options{Workers: workers, MaxStates: maxStates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("workers=%d: cap %d, %d states (%+.1f%%), %d key bytes", workers, maxStates, res.States,
+			100*float64(res.States-maxStates)/maxStates, res.KeyBytes)
+		if res.Complete || res.Incomplete != IncompleteMaxStates || res.States != want[workers] {
+			t.Errorf("workers=%d: complete=%v reason=%v states=%d, want truncated by max states at %d",
+				workers, res.Complete, res.Incomplete, res.States, want[workers])
 		}
 	}
 }

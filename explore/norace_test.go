@@ -3,4 +3,4 @@
 package explore
 
 // maxMallocsPerTransition gates TestExploreMallocsPerTransition.
-const maxMallocsPerTransition = 9
+const maxMallocsPerTransition = 7

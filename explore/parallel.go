@@ -11,7 +11,7 @@ import (
 // Exhaustive. The search proceeds level by level, and each level in chunks
 // of at most mergeChunk frontier states: every state of a chunk is expanded
 // concurrently (building the state, invariant check, terminal check, and
-// stepping and fingerprinting its successors), then the chunk's results are
+// stepping and keying its successors), then the chunk's results are
 // merged sequentially in frontier order, and each frontier state is dropped
 // once merged. All shared bookkeeping — state/transition counts, violation
 // reporting, progress edges, seen-set membership — happens in the merge, so
@@ -20,8 +20,8 @@ import (
 // depth-first search's (the visited-state set of a dedup-at-push search is
 // independent of search order).
 //
-// Expansion is fingerprint-first: each worker steps every successor in one
-// reused scratch machine and records it only as its step and fingerprint.
+// Expansion is key-first: each worker steps every successor in one reused
+// scratch machine and records it only as its step and key.
 // A successor the merge keeps becomes a lazy frontier node — its parent's
 // machine and the step — and its machine is built only at the start of its
 // own expansion, in parallel, by cloning the parent and replaying the step.
@@ -29,45 +29,50 @@ import (
 // search has already seen, and a level's new states are held as
 // steps, not machines, until they are expanded.
 //
-// The seen-set is a plain map and needs no lock: expansion workers only
-// read it, to drop successors it already holds (it only grows, so such a
-// successor is one the merge would drop anyway), and only the merge writes
-// it. pool.Indexed returns after every worker has finished, and starts the
+// The seen-set (a keySet) needs no lock: expansion workers only read it,
+// to drop successors it already holds (it only grows, so such a successor
+// is one the merge would drop anyway), and only the merge writes it.
+// pool.Indexed returns after every worker has finished, and starts the
 // next chunk's workers after the merge, so the reads and the writes never
 // overlap.
+//
+// Workers number a memory's locations on first touch, so which id a
+// location gets, and with it the bytes of the keys, can differ between two
+// runs. Within one run all states share one location table, so the set's
+// membership is exact and the merge's decisions, and everything reported,
+// are the same in every run.
 
 // mergeChunk is the number of frontier states expanded before a merge.
 const mergeChunk = 1024
 
 // childEdge is one generated transition: the choice that produced it and
-// the end of its fingerprint in its expansion's fps.
+// the end of its key in its expansion's keys.
 type childEdge struct {
 	step step
 	end  int
 }
 
 // expansion is what one worker produces for one frontier node. Its
-// children and their fingerprints live in the worker's scratch until the
-// chunk's merge.
+// children and their keys live in the worker's scratch until the chunk's
+// merge.
 type expansion struct {
-	fp        string // the node's own fingerprint (TrackProgress only)
+	key       string // the node's own key (TrackProgress only)
 	violation error
 	terminal  bool
 	err       error
-	fps       []byte // the children's fingerprints, back to back
+	keys      []byte // the children's keys, back to back
 	children  []childEdge
 	// dropped counts children pre-filtered against the seen-set; they
 	// are still transitions and the merge counts them as such.
 	dropped int
 }
 
-func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, workers int) (Result, error) {
+func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, workers int, seen *keySet) (Result, error) {
 	var res Result
 	res.Complete = true
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
-	seen := map[string]struct{}{m0.Fingerprint(): {}}
 	frontier := []node{{m: m0.Clone()}}
 	// One scratch per worker: at most workers expansions run at once.
 	ss := make([]scratch, workers)
@@ -82,7 +87,7 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 		for lo := 0; lo < len(frontier); lo += mergeChunk {
 			chunk := frontier[lo:min(lo+mergeChunk, len(frontier))]
 			for i := range ss {
-				ss[i].fps, ss[i].children = ss[i].fps[:0], ss[i].children[:0]
+				ss[i].keys, ss[i].children = ss[i].keys[:0], ss[i].children[:0]
 			}
 			// Expansion phase: workers build chunk[i] and fill exps[i]
 			// from it; the seen-set is only read. A cancelled context
@@ -129,7 +134,7 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 				if exp.terminal {
 					res.TerminalStates++
 					if opts.TrackProgress {
-						res.terminals = append(res.terminals, exp.fp)
+						res.terminals = append(res.terminals, exp.key)
 					}
 					if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
 						res.truncate(IncompleteCallbackStop)
@@ -149,15 +154,14 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 				start := 0
 				for _, c := range exp.children {
 					res.Transitions++
-					fp := exp.fps[start:c.end]
+					key := exp.keys[start:c.end]
 					start = c.end
 					if opts.TrackProgress {
-						res.edges[exp.fp] = append(res.edges[exp.fp], string(fp))
+						res.edges[exp.key] = append(res.edges[exp.key], string(key))
 					}
-					if _, ok := seen[string(fp)]; ok {
+					if !seen.add(key) {
 						continue
 					}
-					seen[string(fp)] = struct{}{}
 					st := c.step
 					next = append(next, node{parent: n.m, step: &st, depth: n.depth + 1})
 				}
@@ -173,10 +177,10 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 
 // expand builds frontier node n if it is lazy, then evaluates it:
 // invariant, terminal check, and successor generation. Successors whose
-// fingerprints the seen-set already contains are dropped unless
-// TrackProgress needs the edge; the authoritative dedup (and all counting)
-// happens in the merge.
-func (s *scratch) expand(n *node, opts Options, inv Invariant, seen map[string]struct{}) expansion {
+// keys the seen-set already contains are dropped unless TrackProgress needs
+// the edge; the authoritative dedup (and all counting) happens in the
+// merge.
+func (s *scratch) expand(n *node, opts Options, inv Invariant, seen *keySet) expansion {
 	var exp expansion
 	if n.m == nil {
 		m := n.parent.Clone()
@@ -186,7 +190,8 @@ func (s *scratch) expand(n *node, opts Options, inv Invariant, seen map[string]s
 		n.m, n.parent = m, nil
 	}
 	if opts.TrackProgress {
-		exp.fp = n.m.Fingerprint()
+		s.key = n.m.AppendKey(s.key[:0])
+		exp.key = string(s.key)
 	}
 	if err := inv(n.m); err != nil {
 		exp.violation = err
@@ -199,18 +204,16 @@ func (s *scratch) expand(n *node, opts Options, inv Invariant, seen map[string]s
 	if n.depth >= opts.MaxDepth {
 		return exp
 	}
-	fps, children := len(s.fps), len(s.children)
-	exp.err = s.successors(*n, func(_ *program.Machine, fp []byte, st step) bool {
-		if !opts.TrackProgress {
-			if _, ok := seen[string(fp)]; ok {
-				exp.dropped++ // already reached
-				return false
-			}
+	keys, children := len(s.keys), len(s.children)
+	exp.err = s.successors(*n, func(_ *program.Machine, key []byte, st step) bool {
+		if !opts.TrackProgress && seen.has(key) {
+			exp.dropped++ // already reached
+			return false
 		}
-		s.fps = append(s.fps, fp...)
-		s.children = append(s.children, childEdge{step: st, end: len(s.fps) - fps})
+		s.keys = append(s.keys, key...)
+		s.children = append(s.children, childEdge{step: st, end: len(s.keys) - keys})
 		return false
 	})
-	exp.fps, exp.children = s.fps[fps:], s.children[children:]
+	exp.keys, exp.children = s.keys[keys:], s.children[children:]
 	return exp
 }

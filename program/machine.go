@@ -242,6 +242,20 @@ func (m *Machine) CloneInto(dst *Machine) *Machine {
 // register vector is length-prefixed. Recorded history is deliberately
 // excluded.
 func (m *Machine) AppendFingerprint(dst []byte) []byte {
+	return m.mem.AppendFingerprint(m.appendThreads(dst))
+}
+
+// AppendKey appends the machine's key: the thread state as in
+// AppendFingerprint, then the memory's key (see sim.Memory). Keys of one
+// machine's clones compare exactly as their fingerprints do, and are
+// shorter; keys of machines built apart are not comparable.
+func (m *Machine) AppendKey(dst []byte) []byte {
+	return m.mem.AppendKey(m.appendThreads(dst))
+}
+
+// appendThreads appends the thread state AppendFingerprint and AppendKey
+// begin with.
+func (m *Machine) appendThreads(dst []byte) []byte {
 	for _, t := range m.threads {
 		dst = binary.AppendVarint(dst, int64(t.pc))
 		dst = binary.AppendUvarint(dst, uint64(len(t.regs)))
@@ -257,7 +271,7 @@ func (m *Machine) AppendFingerprint(dst []byte) []byte {
 		}
 		dst = append(dst, flags)
 	}
-	return m.mem.AppendFingerprint(dst)
+	return dst
 }
 
 // Fingerprint returns AppendFingerprint's encoding as a string, built in a

@@ -160,13 +160,20 @@ func (m *CausalMemory) CloneInto(dst Memory) Memory {
 	return d
 }
 
-// AppendFingerprint implements Memory. Cell tags are canonicalized through
-// the shared fingerprinter; vector clocks stay raw — their arithmetic (the
-// +1-adjacency of the delivery condition) is semantic, so causal memory's
-// state space genuinely grows with unbounded writes and write-looping
-// programs need bounded exploration on it.
-func (m *CausalMemory) AppendFingerprint(dst []byte) []byte {
-	f := newFingerprinter(m.locs)
+// AppendFingerprint implements Memory.
+func (m *CausalMemory) AppendFingerprint(dst []byte) []byte { return m.encode(dst, false) }
+
+// AppendKey implements Memory.
+func (m *CausalMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
+
+// encode appends the fingerprint, or with byID the key, of m's state.
+// Cell tags are canonicalized through the shared fingerprinter; vector
+// clocks stay raw — their arithmetic (the +1-adjacency of the delivery
+// condition) is semantic, so causal memory's state space genuinely grows
+// with unbounded writes and write-looping programs need bounded
+// exploration on it.
+func (m *CausalMemory) encode(dst []byte, byID bool) []byte {
+	f := newFingerprinter(m.locs, byID)
 	for p := range m.nprocs {
 		f.ints(m.clock(p))
 		f.replica(m.stores.row(p))

@@ -132,3 +132,54 @@ func TestRandomRunGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyMatchesFingerprint holds AppendKey to AppendFingerprint: over
+// seeded random walks from clones of one root on each of the nine
+// memories, so that every state shares the root's location table, two
+// states must have equal keys exactly when they have equal fingerprints.
+// Both directions are checked through maps from each encoding to the
+// other, and the walks must revisit states, or the test would compare only
+// distinct states. A key is never longer than its fingerprint.
+func TestKeyMatchesFingerprint(t *testing.T) {
+	for _, root := range Memories(3) {
+		name := root.Name()
+		fpOf, keyOf := map[string]string{}, map[string]string{}
+		samples := 0
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m := root.Clone()
+			for i := 0; i < 12; i++ {
+				p := history.Proc(rng.Intn(3))
+				loc := goldenLocs[rng.Intn(len(goldenLocs))]
+				labeled := rng.Intn(3) == 0
+				switch k := rng.Intn(10); {
+				case k < 4:
+					if n := m.NumInternal(); n > 0 {
+						m.Step(rng.Intn(n))
+					}
+				case k < 6:
+					m.Write(p, loc, history.Value(rng.Intn(2)), labeled)
+				default:
+					m.Read(p, loc, labeled)
+				}
+				key, fp := string(m.AppendKey(nil)), fingerprint(m)
+				samples++
+				if len(key) > len(fp) {
+					t.Fatalf("%s: key of %d bytes, fingerprint of %d", name, len(key), len(fp))
+				}
+				if f, ok := fpOf[key]; ok && f != fp {
+					t.Fatalf("%s seed %d: one key for two fingerprints\n%q\n%q", name, seed, f, fp)
+				}
+				if k, ok := keyOf[fp]; ok && k != key {
+					t.Fatalf("%s seed %d: one fingerprint for two keys\n%q\n%q", name, seed, k, key)
+				}
+				fpOf[key], keyOf[fp] = fp, key
+				m = m.Clone()
+			}
+		}
+		if len(keyOf) == samples || len(keyOf) < 20 {
+			t.Errorf("%s: %d distinct states in %d samples; the walks must revisit states and vary", name, len(keyOf), samples)
+		}
+		t.Logf("%s: %d distinct states in %d samples", name, len(keyOf), samples)
+	}
+}

@@ -202,8 +202,14 @@ func (m *RCMemory) CloneInto(dst Memory) Memory {
 }
 
 // AppendFingerprint implements Memory.
-func (m *RCMemory) AppendFingerprint(dst []byte) []byte {
-	f := newFingerprinter(m.locs)
+func (m *RCMemory) AppendFingerprint(dst []byte) []byte { return m.encode(dst, false) }
+
+// AppendKey implements Memory.
+func (m *RCMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
+
+// encode appends the fingerprint, or with byID the key, of m's state.
+func (m *RCMemory) encode(dst []byte, byID bool) []byte {
+	f := newFingerprinter(m.locs, byID)
 	f.replica(m.syncStore.row(0))
 	for p := range m.nprocs {
 		f.replica(m.stores.row(p))

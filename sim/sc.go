@@ -65,8 +65,14 @@ func (m *SCMemory) CloneInto(dst Memory) Memory {
 }
 
 // AppendFingerprint implements Memory.
-func (m *SCMemory) AppendFingerprint(dst []byte) []byte {
-	f := newFingerprinter(m.locs)
+func (m *SCMemory) AppendFingerprint(dst []byte) []byte { return m.encode(dst, false) }
+
+// AppendKey implements Memory.
+func (m *SCMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
+
+// encode appends the fingerprint, or with byID the key, of m's state.
+func (m *SCMemory) encode(dst []byte, byID bool) []byte {
+	f := newFingerprinter(m.locs, byID)
 	f.replica(m.store.row(0))
 	return f.finish(dst)
 }

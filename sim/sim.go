@@ -44,7 +44,9 @@ import (
 // original evolve independently; the recorder's recorded prefix may be
 // shared (see Recorder), since recorded operations are never mutated.
 // AppendFingerprint must canonically and exactly encode the live state
-// (excluding the recorder) so explorers can detect revisited states.
+// (excluding the recorder); AppendKey is the same encoding with location
+// ids in place of names, the compact form explorers keep for every visited
+// state.
 type Memory interface {
 	// Name identifies the simulated memory model, matching the
 	// corresponding checker's name in package model where one exists.
@@ -79,6 +81,14 @@ type Memory interface {
 	// the live state (not the recorder) to dst and returns the extended
 	// slice.
 	AppendFingerprint(dst []byte) []byte
+	// AppendKey appends the state's key: the fingerprint with every
+	// location written as its id in the memory's location table rather
+	// than its name. Two memories sharing a table (clones of one
+	// memory) have equal keys exactly when they have equal
+	// fingerprints; keys of memories built apart, or of one memory's
+	// clones in two runs that numbered locations in a different order,
+	// are not comparable.
+	AppendKey(dst []byte) []byte
 	// Recorder returns the tagged-history recorder.
 	Recorder() *Recorder
 }
@@ -224,8 +234,14 @@ func (r *Recorder) Clone() *Recorder {
 //
 // Two states with equal canonical fingerprints are bisimilar for invariant
 // reachability. Fingerprinters are pooled; finish returns one to the pool.
+//
+// A key is built by the same encoder: byID writes each location as its id
+// in the memory's table instead of its name. Within one table ids and
+// names correspond one to one, and both are written prefix-free, so keys
+// compare exactly as fingerprints do.
 type fingerprinter struct {
 	locs  *locSnap        // names and name order of the memory's locations
+	byID  bool            // write locations as ids: build a key
 	raw   []byte          // literal bytes, with the cells spliced in by finish
 	cells []fpCell        // canonicalizable cells, in encoding order
 	vers  [][]int         // distinct versions seen, by location id
@@ -242,9 +258,9 @@ type fpCell struct {
 
 var fingerprinters = sync.Pool{New: func() any { return new(fingerprinter) }}
 
-func newFingerprinter(t *locTable) *fingerprinter {
+func newFingerprinter(t *locTable, byID bool) *fingerprinter {
 	f := fingerprinters.Get().(*fingerprinter)
-	f.locs = t.load()
+	f.locs, f.byID = t.load(), byID
 	f.raw, f.cells, f.tags = f.raw[:0], f.cells[:0], f.tags[:0]
 	if n := len(f.locs.names); len(f.vers) < n {
 		f.vers = append(f.vers, make([][]int, n-len(f.vers))...)
@@ -267,8 +283,12 @@ func (f *fingerprinter) bool(b bool) {
 	}
 }
 
-// loc appends the length-prefixed name of location id.
+// loc appends location id: its length-prefixed name, or in a key the id.
 func (f *fingerprinter) loc(id int) {
+	if f.byID {
+		f.raw = binary.AppendUvarint(f.raw, uint64(id))
+		return
+	}
 	l := f.locs.names[id]
 	f.int(len(l))
 	f.raw = append(f.raw, l...)

@@ -131,8 +131,14 @@ func (m *SlowMemory) CloneInto(dst Memory) Memory {
 }
 
 // AppendFingerprint implements Memory.
-func (m *SlowMemory) AppendFingerprint(dst []byte) []byte {
-	f := newFingerprinter(m.locs)
+func (m *SlowMemory) AppendFingerprint(dst []byte) []byte { return m.encode(dst, false) }
+
+// AppendKey implements Memory.
+func (m *SlowMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
+
+// encode appends the fingerprint, or with byID the key, of m's state.
+func (m *SlowMemory) encode(dst []byte, byID bool) []byte {
+	f := newFingerprinter(m.locs, byID)
 	for p := range m.nprocs {
 		f.replica(m.stores.row(p))
 	}

@@ -157,8 +157,14 @@ func (m *TSOMemory) CloneInto(dst Memory) Memory {
 }
 
 // AppendFingerprint implements Memory.
-func (m *TSOMemory) AppendFingerprint(dst []byte) []byte {
-	f := newFingerprinter(m.locs)
+func (m *TSOMemory) AppendFingerprint(dst []byte) []byte { return m.encode(dst, false) }
+
+// AppendKey implements Memory.
+func (m *TSOMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
+
+// encode appends the fingerprint, or with byID the key, of m's state.
+func (m *TSOMemory) encode(dst []byte, byID bool) []byte {
+	f := newFingerprinter(m.locs, byID)
 	f.replica(m.store.row(0))
 	for _, buf := range m.buffers {
 		f.queue(buf)
