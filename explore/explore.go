@@ -19,6 +19,15 @@
 // exactly the sequential search's counts. Workers=1 selects the original
 // depth-first search, kept as the oracle the differential tests compare
 // against.
+//
+// Both searches step successors in a reused scratch machine and recycle
+// the machines of states they are done with, so expansion allocates
+// almost nothing once a search is under way. A search owns the machines it
+// builds; the only ones it hands out are violating states
+// (Violation.State) and the terminal states passed to Options.OnTerminal,
+// and those it never touches again: the caller may keep and inspect them.
+// The depth-first search recycles a state's machine once its successors
+// are stepped; parallel.go describes when the breadth-first one does.
 package explore
 
 import (
@@ -57,7 +66,8 @@ type Violation struct {
 	// History is the tagged system execution history recorded along the
 	// violating path — checkable against package model.
 	History *history.System
-	// State is the violating machine (a clone; safe to inspect).
+	// State is the violating machine (a clone the search never reuses;
+	// safe to inspect and keep).
 	State *program.Machine
 }
 
@@ -83,8 +93,9 @@ type Options struct {
 	PInternal float64
 	// OnTerminal, if non-nil, is called for every terminal state (all
 	// threads halted, no internal actions pending) reached by
-	// Exhaustive. The machine is a dead-end clone; the callback may
-	// inspect it freely. Returning false stops the exploration.
+	// Exhaustive. The machine is a dead-end clone that the search never
+	// reuses; the callback may inspect and keep it. Returning false stops
+	// the exploration.
 	OnTerminal func(*program.Machine) bool
 	// TrackProgress records the state graph during Exhaustive so the
 	// result can report progress failures: states from which no terminal
@@ -174,6 +185,9 @@ type Result struct {
 	// progress-tracking internals (TrackProgress only).
 	edges     map[string][]string
 	terminals []string
+	// stepped counts the successors the search stepped, whether or not
+	// it kept them.
+	stepped int
 }
 
 // DeadlockFree reports whether the exploration proved every reachable
@@ -205,13 +219,18 @@ func ctxReason(err error) IncompleteReason {
 
 // node is a search node: a machine state, the last step of the schedule
 // that reached it, and that schedule's length. A node on the parallel
-// search's frontier is built lazily: m stays nil, and parent holds the
-// machine step is applied to, until the node's own expansion builds it.
+// search's frontier is built lazily: m stays nil, and parent points to the
+// frontier node whose machine step is applied to, until the node's own
+// expansion builds it. kids counts the node's kept children that have not
+// yet been built from its machine; the child that brings it to zero
+// recycles the machine. The merge sets kids and the next level's workers
+// decrement it atomically; the pool's joins order the two.
 type node struct {
 	m      *program.Machine
-	parent *program.Machine
+	parent *node
 	step   *step
 	depth  int
+	kids   int32
 }
 
 // step is one scheduling choice, linked to the step before it. Nodes share
@@ -223,6 +242,24 @@ type step struct {
 	parent   *step
 	internal bool // an internal memory action rather than a thread step
 	index    int  // thread index, or internal-action index
+}
+
+// stepBlock is the number of steps in each of a stepSlab's arrays.
+const stepBlock = 1024
+
+// stepSlab hands out kept children's steps from shared arrays, so a kept
+// child costs no heap object of its own. Steps are never freed one by
+// one: an array lives while any step in it is on a live schedule.
+type stepSlab []step
+
+// add stores st and returns its address, which stays valid: a full slab
+// moves on to a new array instead of growing the old one.
+func (b *stepSlab) add(st step) *step {
+	if len(*b) == cap(*b) {
+		*b = make([]step, 0, stepBlock)
+	}
+	*b = append(*b, st)
+	return &(*b)[len(*b)-1]
 }
 
 // render renders the step as it appears in Violation.Trace, taken in
@@ -285,19 +322,39 @@ func (n node) violation(err error, root *program.Machine) (Violation, error) {
 }
 
 // scratch is one searcher's reusable successor storage: the machine each
-// successor is stepped in and the buffer its key is built in. Most
-// successors reach a state the search has already visited, so a successor
-// is keyed before anything is allocated for it; only one the search keeps
-// takes the machine over, and the next successor is then stepped in fresh
-// storage.
+// successor is stepped in, the buffer its key is built in, and the free
+// list of machines the searcher has recycled. Most successors reach a
+// state the search has already visited, so a successor is keyed before
+// anything is allocated for it; only one the search keeps takes the
+// machine over, and the next successor is then stepped in a recycled one.
 type scratch struct {
 	m   *program.Machine
 	key []byte
+	// free holds machines no search node uses any more, for the next
+	// state to be built in. The searches put back only machines they own:
+	// never one handed to a caller as Violation.State or to OnTerminal.
+	free []*program.Machine
+	// stepped counts the successors stepped, kept or not.
+	stepped int
 	// The parallel search's expansions of one chunk record their
 	// successors here, back to back, for the chunk's merge.
 	keys     []byte
 	children []childEdge
 }
+
+// take returns a recycled machine to build a state in, or nil, which
+// CloneInto replaces with fresh storage, when the free list is empty.
+func (s *scratch) take() *program.Machine {
+	if len(s.free) == 0 {
+		return nil
+	}
+	m := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return m
+}
+
+// recycle puts m, which nothing uses any more, on the free list.
+func (s *scratch) recycle(m *program.Machine) { s.free = append(s.free, m) }
 
 // successors steps each of n's successors in s, program steps first, then
 // internal actions, in index order, and passes the stepped machine, its
@@ -305,12 +362,16 @@ type scratch struct {
 // keeps the machine; the key, and a machine yield does not keep, are
 // overwritten by the next successor. The step is a value, so a child the
 // search drops costs no step allocation.
-func (s *scratch) successors(n node, yield func(m *program.Machine, key []byte, st step) bool) error {
+func (s *scratch) successors(n *node, yield func(m *program.Machine, key []byte, st step) bool) error {
 	visit := func(st step) error {
+		if s.m == nil {
+			s.m = s.take()
+		}
 		m := n.m.CloneInto(s.m)
 		if err := st.apply(m); err != nil {
 			return err
 		}
+		s.stepped++
 		s.key = m.AppendKey(s.key[:0])
 		s.m = m
 		if yield(m, s.key, st) {
@@ -318,7 +379,10 @@ func (s *scratch) successors(n node, yield func(m *program.Machine, key []byte, 
 		}
 		return nil
 	}
-	for _, ti := range n.m.Runnable() {
+	for ti := range n.m.NumThreads() {
+		if n.m.ThreadHalted(ti) {
+			continue
+		}
 		if err := visit(step{parent: n.step, index: ti}); err != nil {
 			return err
 		}
@@ -329,11 +393,6 @@ func (s *scratch) successors(n node, yield func(m *program.Machine, key []byte, 
 		}
 	}
 	return nil
-}
-
-// child returns the search node for a kept successor of n.
-func (n node) child(m *program.Machine, st step) node {
-	return node{m: m, step: &st, depth: n.depth + 1}
 }
 
 // Exhaustive explores every schedule of the machine (program steps and
@@ -413,14 +472,15 @@ func finishExplore(ctx context.Context, res Result) {
 
 // exhaustiveSeq is the sequential depth-first search — the oracle the
 // parallel engine's differential tests compare against.
-func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, seen *keySet) (Result, error) {
-	var res Result
+func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, seen *keySet) (res Result, err error) {
 	res.Complete = true
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
 	stack := []node{{m: m0.Clone()}}
 	var s scratch
+	var steps stepSlab
+	defer func() { res.stepped = s.stepped }()
 
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -428,7 +488,6 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			return res, nil
 		}
 		n := stack[len(stack)-1]
-		stack[len(stack)-1] = node{} // let the popped machine be collected
 		stack = stack[:len(stack)-1]
 		res.States++
 		var nKey string
@@ -447,42 +506,43 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 				res.truncate(IncompleteFirstViolation)
 				return res, nil
 			}
-			continue // do not explore past a violation
+			continue // do not explore past a violation; n.m is handed out
 		}
-		if n.m.Halted() && n.m.Mem().NumInternal() == 0 {
+		switch {
+		case n.m.Halted() && n.m.Mem().NumInternal() == 0:
 			res.TerminalStates++
 			if opts.TrackProgress {
 				res.terminals = append(res.terminals, nKey)
 			}
-			if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
-				res.truncate(IncompleteCallbackStop)
-				return res, nil
+			if opts.OnTerminal != nil {
+				// n.m is handed out, so it is not recycled.
+				if !opts.OnTerminal(n.m) {
+					res.truncate(IncompleteCallbackStop)
+					return res, nil
+				}
+				continue
 			}
-			continue
-		}
-		if n.depth >= opts.MaxDepth {
+		case n.depth >= opts.MaxDepth:
 			res.truncate(IncompleteMaxDepth)
-			continue
-		}
-		if res.States >= opts.MaxStates {
+		case res.States >= opts.MaxStates:
 			res.truncate(IncompleteMaxStates)
-			continue
-		}
-
-		err := s.successors(n, func(child *program.Machine, key []byte, st step) bool {
-			res.Transitions++
-			if opts.TrackProgress {
-				res.edges[nKey] = append(res.edges[nKey], string(key))
+		default:
+			err = s.successors(&n, func(child *program.Machine, key []byte, st step) bool {
+				res.Transitions++
+				if opts.TrackProgress {
+					res.edges[nKey] = append(res.edges[nKey], string(key))
+				}
+				if !seen.add(key) {
+					return false
+				}
+				stack = append(stack, node{m: child, step: steps.add(st), depth: n.depth + 1})
+				return true
+			})
+			if err != nil {
+				return res, err
 			}
-			if !seen.add(key) {
-				return false
-			}
-			stack = append(stack, n.child(child, st))
-			return true
-		})
-		if err != nil {
-			return res, err
 		}
+		s.recycle(n.m)
 	}
 	if opts.TrackProgress && res.Complete {
 		res.StuckStates = countStuck(res.edges, res.terminals)

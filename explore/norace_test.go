@@ -3,4 +3,4 @@
 package explore
 
 // maxMallocsPerTransition gates TestExploreMallocsPerTransition.
-const maxMallocsPerTransition = 7
+const maxMallocsPerTransition = 2.0

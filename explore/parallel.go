@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/pool"
 	"repro/program"
@@ -12,8 +13,7 @@ import (
 // of at most mergeChunk frontier states: every state of a chunk is expanded
 // concurrently (building the state, invariant check, terminal check, and
 // stepping and keying its successors), then the chunk's results are
-// merged sequentially in frontier order, and each frontier state is dropped
-// once merged. All shared bookkeeping — state/transition counts, violation
+// merged sequentially in frontier order. All shared bookkeeping — state/transition counts, violation
 // reporting, progress edges, seen-set membership — happens in the merge, so
 // the result is bit-for-bit deterministic no matter how the workers are
 // scheduled, and on complete explorations the counts equal the sequential
@@ -22,12 +22,35 @@ import (
 //
 // Expansion is key-first: each worker steps every successor in one reused
 // scratch machine and records it only as its step and key.
-// A successor the merge keeps becomes a lazy frontier node — its parent's
-// machine and the step — and its machine is built only at the start of its
-// own expansion, in parallel, by cloning the parent and replaying the step.
-// No machine is allocated for the many successors that reach a state the
-// search has already seen, and a level's new states are held as
-// steps, not machines, until they are expanded.
+// A successor the merge keeps becomes a lazy frontier node — a pointer to
+// its parent's node and the step, from the search's step slab — and its
+// machine is built only at the start of its own expansion, in parallel, by
+// cloning the parent and replaying the step. No machine is built for the
+// many successors that reach a state the search has already seen, and a
+// level's new states are held as steps, not machines, until they are
+// expanded. The merge decides the MaxStates cap before the chunk is
+// expanded (chunk node i is state S0+i+1), so a node at or past the cap is
+// built and checked but its successors are not stepped.
+//
+// Machines are recycled, not collected. The search owns every machine it
+// builds until it hands one to the caller — a violating state becomes
+// Violation.State, a terminal state is passed to OnTerminal — and it
+// never recycles a machine it has handed out. Its own go back to a worker's
+// free list (the scratch's), and the next state a worker builds, or the
+// next successor it steps after keeping one, reuses one from its list:
+//
+//   - a node the merge keeps no child of (a dead end, a state at the depth
+//     or state cap, a terminal state when there is no OnTerminal) is
+//     recycled by the merge;
+//   - a node the merge keeps children of counts them in kids; each child's
+//     build decrements the count after cloning, and the child that brings
+//     it to zero recycles the parent's machine, in its own worker's list.
+//
+// The count lives in the node, in the level's node array, so it costs no
+// heap object; three node arrays take turns across the levels. The lists
+// are plain slices, not a sync.Pool, so allocation counts are the same
+// under -race, and a search allocates about as many machines as it ever
+// holds live at once.
 //
 // The seen-set (a keySet) needs no lock: expansion workers only read it,
 // to drop successors it already holds (it only grows, so such a successor
@@ -67,41 +90,55 @@ type expansion struct {
 	dropped int
 }
 
-func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, workers int, seen *keySet) (Result, error) {
-	var res Result
+func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, workers int, seen *keySet) (res Result, err error) {
 	res.Complete = true
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
+	// A level's nodes point to the level before it until they are built,
+	// so three node arrays take turns: the level being expanded, the one
+	// its nodes are built from, and the next level, which reuses the
+	// array of the level before those.
 	frontier := []node{{m: m0.Clone()}}
+	var parents, spare []node
 	// One scratch per worker: at most workers expansions run at once.
 	ss := make([]scratch, workers)
 	scratches := make(chan *scratch, workers)
 	for i := range ss {
 		scratches <- &ss[i]
 	}
+	defer func() {
+		for i := range ss {
+			res.stepped += ss[i].stepped
+		}
+	}()
 	exps := make([]expansion, mergeChunk)
+	var steps stepSlab
 
 	for len(frontier) > 0 {
-		var next []node
+		clear(spare)
+		next := spare[:0]
 		for lo := 0; lo < len(frontier); lo += mergeChunk {
 			chunk := frontier[lo:min(lo+mergeChunk, len(frontier))]
 			for i := range ss {
 				ss[i].keys, ss[i].children = ss[i].keys[:0], ss[i].children[:0]
 			}
 			// Expansion phase: workers build chunk[i] and fill exps[i]
-			// from it; the seen-set is only read. A cancelled context
-			// short-circuits remaining expansions (the whole chunk is
-			// then discarded, so the empty expansions never reach the
-			// merge); a worker panic is contained by the pool and
-			// surfaces as a *pool.PanicError.
+			// from it; the seen-set is only read. The merge will count
+			// chunk[i] as state s0+i+1, so a node at or past MaxStates
+			// is built and checked but its successors are not stepped.
+			// A cancelled context short-circuits remaining expansions
+			// (the whole chunk is then discarded, so the empty
+			// expansions never reach the merge); a worker panic is
+			// contained by the pool and surfaces as a *pool.PanicError.
 			exps := exps[:len(chunk)]
+			s0 := res.States
 			if err := pool.Indexed(workers, len(chunk), func(i int) {
 				if ctx.Err() != nil {
 					return
 				}
 				s := <-scratches
-				exps[i] = s.expand(&chunk[i], opts, inv, seen)
+				exps[i] = s.expand(&chunk[i], opts, inv, seen, s0+i+1 >= opts.MaxStates)
 				scratches <- s
 			}); err != nil {
 				return res, err
@@ -113,8 +150,8 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 
 			// Merge phase: sequential, in frontier order.
 			for i := range chunk {
-				n, exp := chunk[i], exps[i]
-				chunk[i], exps[i] = node{}, expansion{}
+				n, exp := &chunk[i], exps[i]
+				exps[i] = expansion{}
 				res.States++
 				if exp.err != nil {
 					return res, exp.err
@@ -129,45 +166,50 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 						res.truncate(IncompleteFirstViolation)
 						return res, nil
 					}
-					continue // do not explore past a violation
+					continue // do not explore past a violation; n.m is handed out
 				}
-				if exp.terminal {
+				switch {
+				case exp.terminal:
 					res.TerminalStates++
 					if opts.TrackProgress {
 						res.terminals = append(res.terminals, exp.key)
 					}
-					if opts.OnTerminal != nil && !opts.OnTerminal(n.m) {
-						res.truncate(IncompleteCallbackStop)
-						return res, nil
-					}
-					continue
-				}
-				if n.depth >= opts.MaxDepth {
-					res.truncate(IncompleteMaxDepth)
-					continue
-				}
-				if res.States >= opts.MaxStates {
-					res.truncate(IncompleteMaxStates)
-					continue
-				}
-				res.Transitions += exp.dropped
-				start := 0
-				for _, c := range exp.children {
-					res.Transitions++
-					key := exp.keys[start:c.end]
-					start = c.end
-					if opts.TrackProgress {
-						res.edges[exp.key] = append(res.edges[exp.key], string(key))
-					}
-					if !seen.add(key) {
+					if opts.OnTerminal != nil {
+						// n.m is handed out, so it is not recycled.
+						if !opts.OnTerminal(n.m) {
+							res.truncate(IncompleteCallbackStop)
+							return res, nil
+						}
 						continue
 					}
-					st := c.step
-					next = append(next, node{parent: n.m, step: &st, depth: n.depth + 1})
+				case n.depth >= opts.MaxDepth:
+					res.truncate(IncompleteMaxDepth)
+				case res.States >= opts.MaxStates:
+					res.truncate(IncompleteMaxStates)
+				default:
+					res.Transitions += exp.dropped
+					start := 0
+					for _, c := range exp.children {
+						res.Transitions++
+						key := exp.keys[start:c.end]
+						start = c.end
+						if opts.TrackProgress {
+							res.edges[exp.key] = append(res.edges[exp.key], string(key))
+						}
+						if !seen.add(key) {
+							continue
+						}
+						next = append(next, node{parent: n, step: steps.add(c.step), depth: n.depth + 1})
+						n.kids++
+					}
+				}
+				if n.kids == 0 {
+					ss[i%workers].recycle(n.m)
+					n.m = nil
 				}
 			}
 		}
-		frontier = next
+		spare, parents, frontier = parents, frontier, next
 	}
 	if opts.TrackProgress && res.Complete {
 		res.StuckStates = countStuck(res.edges, res.terminals)
@@ -176,18 +218,25 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 }
 
 // expand builds frontier node n if it is lazy, then evaluates it:
-// invariant, terminal check, and successor generation. Successors whose
-// keys the seen-set already contains are dropped unless TrackProgress needs
-// the edge; the authoritative dedup (and all counting) happens in the
-// merge.
-func (s *scratch) expand(n *node, opts Options, inv Invariant, seen *keySet) expansion {
+// invariant, terminal check, and, unless capped, successor generation.
+// Successors whose keys the seen-set already contains are dropped unless
+// TrackProgress needs the edge; the authoritative dedup (and all counting)
+// happens in the merge. A lazy node is built in a machine from s's free
+// list, and the child that is the last to be built from its parent's
+// machine puts that machine on s's free list.
+func (s *scratch) expand(n *node, opts Options, inv Invariant, seen *keySet, capped bool) expansion {
 	var exp expansion
 	if n.m == nil {
-		m := n.parent.Clone()
+		p := n.parent
+		m := p.m.CloneInto(s.take())
+		if atomic.AddInt32(&p.kids, -1) == 0 {
+			s.recycle(p.m)
+			p.m = nil
+		}
+		n.m, n.parent = m, nil
 		if exp.err = n.step.apply(m); exp.err != nil {
 			return exp
 		}
-		n.m, n.parent = m, nil
 	}
 	if opts.TrackProgress {
 		s.key = n.m.AppendKey(s.key[:0])
@@ -201,11 +250,11 @@ func (s *scratch) expand(n *node, opts Options, inv Invariant, seen *keySet) exp
 		exp.terminal = true
 		return exp
 	}
-	if n.depth >= opts.MaxDepth {
+	if n.depth >= opts.MaxDepth || capped {
 		return exp
 	}
 	keys, children := len(s.keys), len(s.children)
-	exp.err = s.successors(*n, func(_ *program.Machine, key []byte, st step) bool {
+	exp.err = s.successors(n, func(_ *program.Machine, key []byte, st step) bool {
 		if !opts.TrackProgress && seen.has(key) {
 			exp.dropped++ // already reached
 			return false

@@ -253,6 +253,11 @@ func lookup(name string) *installed {
 	return in
 }
 
+// Armed reports whether any fault is installed anywhere. A hot path can
+// test it before calling Hit, so that with no faults installed it does
+// not even box the item it would pass.
+func Armed() bool { return active.Load() != 0 }
+
 // Hit fires the fault installed at name, if any: the hook runs, the
 // delay sleeps, and a panic action panics — all on the calling
 // goroutine. Points with no error path use Hit; an installed Err is

@@ -224,6 +224,32 @@ func TestCacheExplainReplaysUnderOriginalLabels(t *testing.T) {
 	}
 }
 
+// TestCacheHitReportsNoWork: the /check result of a cache hit reports the
+// engine work that request did, which is none — not the candidates and
+// nodes of the solve that filled the cache — and the same verdict.
+func TestCacheHitReportsNoWork(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	_, base, reg := startCheckServer(t, CheckOptions{Workers: 1, CacheSize: 64})
+
+	variants := relabeledVariants(t, figure1SB, 2)
+	warm, _ := postCheck(t, base, fmt.Sprintf(`{"history":%q,"model":"TSO"}`, variants[0]), nil)
+	if warm.Verdict != "allowed" || warm.Candidates == 0 || warm.Nodes == 0 {
+		t.Fatalf("warming check: verdict %q candidates=%d nodes=%d, want allowed with work counted",
+			warm.Verdict, warm.Candidates, warm.Nodes)
+	}
+	res, _ := postCheck(t, base, fmt.Sprintf(`{"history":%q,"model":"TSO"}`, variants[1]), nil)
+	if _, hits, _ := vcacheBalance(t, reg); hits != 1 {
+		t.Fatalf("relabeled variant did not hit the cache (hits=%d)", hits)
+	}
+	if res.Verdict != warm.Verdict || res.Frontier != warm.Frontier {
+		t.Errorf("hit: verdict %q frontier %d, want the cached %q/%d", res.Verdict, res.Frontier, warm.Verdict, warm.Frontier)
+	}
+	if res.Candidates != 0 || res.Nodes != 0 {
+		t.Errorf("hit reports candidates=%d nodes=%d, want 0/0", res.Candidates, res.Nodes)
+	}
+}
+
 // TestCacheHeavyTierBypasses: the heavy tier is the escape hatch for a
 // fresh full-budget solve — it must never be answered from the cache, even
 // when the default tier has already cached the verdict.

@@ -169,7 +169,9 @@ func runIndex(w, i int, fn func(i int)) (err error) {
 			err = &PanicError{Worker: w, Shard: fmt.Sprintf("index %d", i), Value: v, Stack: debug.Stack()}
 		}
 	}()
-	fault.Hit(fault.PoolIndexed, w, i)
+	if fault.Armed() {
+		fault.Hit(fault.PoolIndexed, w, i) // i is boxed only when armed
+	}
 	fn(i)
 	return nil
 }

@@ -224,9 +224,13 @@ func (c *Cache) Len() int {
 // completion and populates the cache even if ctx expires first. Decided
 // verdicts are cached; Unknown verdicts and solve errors are not.
 //
-// Witnesses returned from a hit are shared structure — callers must treat
-// them as immutable (model.RelabelWitness copies, so the usual relabel
-// step already does).
+// A hit reports the work it did, which is none: its verdict's work
+// counters (Progress.Candidates and Progress.Nodes) are zero, whether it
+// was served from the cache or by waiting on another caller's solve.
+// Everything that describes the verdict — Allowed, Witness, Unknown and
+// Progress.Frontier — is the cached verdict's. Witnesses returned from a
+// hit are shared structure — callers must treat them as immutable
+// (model.RelabelWitness copies, so the usual relabel step already does).
 func (c *Cache) Do(ctx context.Context, k Key, enc string, solve func() (model.Verdict, error)) (v model.Verdict, hit bool, err error) {
 	if c == nil {
 		v, err = solve()
@@ -249,7 +253,7 @@ func (c *Cache) Do(ctx context.Context, k Key, enc string, solve func() (model.V
 			c.hits.Add(1)
 			look.Attr("outcome", "hit")
 			look.End()
-			return v, true, nil
+			return hitVerdict(v), true, nil
 		}
 		// A different history hashed to this key. Never serve it; solve
 		// directly without disturbing the resident entry or its flights.
@@ -280,7 +284,7 @@ func (c *Cache) Do(ctx context.Context, k Key, enc string, solve func() (model.V
 		select {
 		case <-f.done:
 			co.End()
-			return f.v, true, f.err
+			return hitVerdict(f.v), true, f.err
 		case <-ctx.Done():
 			co.End()
 			return model.Verdict{}, true, ctx.Err()
@@ -318,6 +322,13 @@ func (c *Cache) Do(ctx context.Context, k Key, enc string, solve func() (model.V
 	case <-ctx.Done():
 		return model.Verdict{}, false, ctx.Err()
 	}
+}
+
+// hitVerdict is v as a hit returns it: with the work counters of the solve
+// that decided it zeroed, since serving it solved nothing.
+func hitVerdict(v model.Verdict) model.Verdict {
+	v.Progress.Candidates, v.Progress.Nodes = 0, 0
+	return v
 }
 
 // putLocked stores a decided verdict, evicting from the LRU tail to stay

@@ -93,6 +93,11 @@ func (m *Machine) InCS() int {
 // ThreadInCS reports whether thread i is inside its critical section.
 func (m *Machine) ThreadInCS(i int) bool { return m.threads[i].inCS }
 
+// ThreadHalted reports whether thread i has halted. Thread i is runnable
+// exactly when it has not; searches that step every runnable thread test
+// each index instead of building Runnable's slice.
+func (m *Machine) ThreadHalted(i int) bool { return m.threads[i].halted }
+
 // StepThread advances thread i by one visible operation: it executes local
 // instructions until a visible operation — a shared load or store, or a
 // critical-section marker — has executed, then continues through any

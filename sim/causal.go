@@ -131,7 +131,7 @@ func (m *CausalMemory) Step(i int) {
 			if i == 0 {
 				*m.stores.ref(r, msg.loc) = msg.cell
 				m.clock(r)[msg.sender]++
-				m.pending[r] = append(m.pending[r][:k:k], m.pending[r][k+1:]...)
+				m.pending[r] = append(m.pending[r][:k], m.pending[r][k+1:]...)
 				return
 			}
 			i--
@@ -155,7 +155,7 @@ func (m *CausalMemory) CloneInto(dst Memory) Memory {
 		stores:  m.stores.cloneInto(d.stores),
 		clocks:  append(d.clocks[:0], m.clocks...),
 		pending: cloneQueuesInto(d.pending, m.pending),
-		rec:     m.rec,
+		rec:     m.rec.cloneInto(d.rec.nextSeq),
 	}
 	return d
 }

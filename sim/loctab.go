@@ -114,10 +114,14 @@ func (g grid[T]) cloneInto(dst grid[T]) grid[T] {
 
 // cloneQueuesInto copies a set of queues into dst's storage and returns
 // the copy. A queue whose slot in dst has the capacity reuses that slot's
-// storage; the others share one new element array, each clipped to its
-// length, so appending to one reallocates it instead of overwriting its
-// neighbour. A memory's queue storage is never shared with another memory,
-// so reusing it overwrites nothing live.
+// storage, and keeps all of it; the others share one new element array,
+// each clipped to its length, so appending to one reallocates it instead
+// of overwriting its neighbour. A memory's queue storage is never shared
+// with another memory, so reusing it overwrites nothing live, and the
+// simulators dequeue in place (shifting the rest of the queue down), so a
+// queue's capacity never shrinks: a memory that is cloned into over and
+// over stops allocating queue storage once each queue has held its
+// longest contents.
 func cloneQueuesInto[T any](dst, qs [][]T) [][]T {
 	if cap(dst) < len(qs) {
 		dst = make([][]T, len(qs))

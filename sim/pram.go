@@ -106,7 +106,7 @@ func (m *PRAMMemory) pullPrefix(p history.Proc, loc int) {
 		for i := 0; i <= last; i++ {
 			m.apply(p, ch[i].loc, ch[i].cell)
 		}
-		m.channels[s*m.nprocs+int(p)] = append([]update(nil), ch[last+1:]...)
+		m.channels[s*m.nprocs+int(p)] = append(ch[:0], ch[last+1:]...)
 	}
 }
 
@@ -148,7 +148,7 @@ func (m *PRAMMemory) Step(i int) {
 		}
 		if i == 0 {
 			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
-			m.channels[k] = ch[1:]
+			m.channels[k] = append(ch[:0], ch[1:]...)
 			return
 		}
 		i--
@@ -173,7 +173,7 @@ func (m *PRAMMemory) CloneInto(dst Memory) Memory {
 		stores:   m.stores.cloneInto(d.stores),
 		channels: cloneQueuesInto(d.channels, m.channels),
 		versions: append(d.versions[:0], m.versions...),
-		rec:      m.rec,
+		rec:      m.rec.cloneInto(d.rec.nextSeq),
 	}
 	return d
 }

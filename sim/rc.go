@@ -128,7 +128,7 @@ func (m *RCMemory) flush(p history.Proc) {
 		for i := 0; i <= last; i++ {
 			m.apply(history.Proc(q), ch[i].loc, ch[i].cell)
 		}
-		m.channels[k] = append([]update(nil), ch[last+1:]...)
+		m.channels[k] = append(ch[:0], ch[last+1:]...)
 	}
 }
 
@@ -170,7 +170,7 @@ func (m *RCMemory) Step(i int) {
 		}
 		if i == 0 {
 			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
-			m.channels[k] = ch[1:]
+			m.channels[k] = append(ch[:0], ch[1:]...)
 			return
 		}
 		i--
@@ -196,7 +196,7 @@ func (m *RCMemory) CloneInto(dst Memory) Memory {
 		stores:    m.stores.cloneInto(d.stores),
 		channels:  cloneQueuesInto(d.channels, m.channels),
 		versions:  append(d.versions[:0], m.versions...),
-		rec:       m.rec,
+		rec:       m.rec.cloneInto(d.rec.nextSeq),
 	}
 	return d
 }

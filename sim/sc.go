@@ -60,7 +60,7 @@ func (m *SCMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(SCMemory)
 	}
-	*d = SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.cloneInto(d.store), rec: m.rec}
+	*d = SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.cloneInto(d.store), rec: m.rec.cloneInto(d.rec.nextSeq)}
 	return d
 }
 

@@ -120,14 +120,15 @@ type update struct {
 // The recorded operations form a persistent list, newest first: recording
 // an operation prepends a node and never mutates an existing one, so a
 // Recorder and its clones share the prefix they had in common when the
-// clone was taken. Cloning is therefore O(1) — copying the Recorder value
-// is a clone — and System builds the history on demand.
+// clone was taken. Cloning copies only the per-processor write counters,
+// and System builds the history on demand.
 type Recorder struct {
 	nprocs int
 	last   *recOp // most recent operation; nil when empty
 	n      int
-	// nextSeq[p] is the number of writes p has recorded. It is shared
-	// between clones and replaced, never mutated, on a write.
+	// nextSeq[p] is the number of writes p has recorded. Each recorder
+	// owns its counters: a write increments them in place, and every
+	// copy (Clone, cloneInto) copies them.
 	nextSeq []history.Value
 }
 
@@ -165,10 +166,8 @@ func (r *Recorder) record(p history.Proc, write, labeled bool, loc history.Loc, 
 
 // Write records a write and returns its fresh tag.
 func (r *Recorder) Write(p history.Proc, loc history.Loc, labeled bool) history.Value {
-	seq := slices.Clone(r.nextSeq)
-	seq[p]++
-	r.nextSeq = seq
-	tag := history.Value(int(p)*tagStride) + seq[p]
+	r.nextSeq[p]++
+	tag := history.Value(int(p)*tagStride) + r.nextSeq[p]
 	r.record(p, true, labeled, loc, tag)
 	return tag
 }
@@ -207,8 +206,18 @@ func (r *Recorder) Len() int { return r.n }
 // Clone returns an independent recorder that shares r's recorded prefix.
 // Later operations recorded on either one are invisible to the other.
 func (r *Recorder) Clone() *Recorder {
-	c := *r
+	c := r.cloneInto(nil)
 	return &c
+}
+
+// cloneInto returns a copy of r that shares r's recorded prefix and keeps
+// its write counters in seq's storage, which nothing else may use any
+// more. A memory's CloneInto passes its destination's counters; a Recorder
+// is never copied as a plain value, which would share the counters.
+func (r *Recorder) cloneInto(seq []history.Value) Recorder {
+	c := *r
+	c.nextSeq = append(seq[:0], r.nextSeq...)
+	return c
 }
 
 // fingerprinter builds a canonical binary state encoding for visited-state

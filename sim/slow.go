@@ -103,7 +103,7 @@ func (m *SlowMemory) Step(i int) {
 		}
 		lane := m.lanes.ref(k, id)
 		*m.stores.ref(k%m.nprocs, id) = (*lane)[0].cell
-		*lane = (*lane)[1:]
+		*lane = append((*lane)[:0], (*lane)[1:]...)
 		return
 	}
 	panic("sim: Slow Step index out of range")
@@ -125,7 +125,7 @@ func (m *SlowMemory) CloneInto(dst Memory) Memory {
 		locs:   m.locs,
 		stores: m.stores.cloneInto(d.stores),
 		lanes:  lanes,
-		rec:    m.rec,
+		rec:    m.rec.cloneInto(d.rec.nextSeq),
 	}
 	return d
 }

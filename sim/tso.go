@@ -84,7 +84,7 @@ func (m *TSOMemory) Read(p history.Proc, loc history.Loc, labeled bool) history.
 		for j := 0; j <= i; j++ {
 			*m.store.ref(0, buf[j].loc) = buf[j].cell
 		}
-		m.buffers[p] = append([]update(nil), buf[i+1:]...)
+		m.buffers[p] = append(buf[:0], buf[i+1:]...)
 		break
 	}
 	c := m.store.at(0, id)
@@ -128,7 +128,7 @@ func (m *TSOMemory) Step(i int) {
 		}
 		if i == 0 {
 			*m.store.ref(0, buf[0].loc) = buf[0].cell
-			m.buffers[p] = buf[1:]
+			m.buffers[p] = append(buf[:0], buf[1:]...)
 			return
 		}
 		i--
@@ -151,7 +151,7 @@ func (m *TSOMemory) CloneInto(dst Memory) Memory {
 		locs:    m.locs,
 		store:   m.store.cloneInto(d.store),
 		buffers: cloneQueuesInto(d.buffers, m.buffers),
-		rec:     m.rec,
+		rec:     m.rec.cloneInto(d.rec.nextSeq),
 	}
 	return d
 }
