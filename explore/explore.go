@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"math/rand"
+	"strconv"
 
 	"repro/history"
 	"repro/internal/obs"
@@ -188,6 +189,9 @@ type Result struct {
 	// stepped counts the successors the search stepped, whether or not
 	// it kept them.
 	stepped int
+	// found holds the violations the search found, in order, for
+	// ExhaustiveCtx to build into Violations once the search is over.
+	found []found
 }
 
 // DeadlockFree reports whether the exploration proved every reachable
@@ -236,8 +240,8 @@ type node struct {
 // step is one scheduling choice, linked to the step before it. Nodes share
 // their schedule's prefix through the parent pointers, so a node costs one
 // step however deep it is; Violation.Trace strings, and the descriptions
-// of internal actions in them, are built only when a violation is
-// reported.
+// of internal actions in them, are built only for the violations found,
+// once the search is over (see buildViolations).
 type step struct {
 	parent   *step
 	internal bool // an internal memory action rather than a thread step
@@ -266,9 +270,19 @@ func (b *stepSlab) add(st step) *step {
 // state m.
 func (s step) render(m *program.Machine) string {
 	if s.internal {
-		return fmt.Sprintf("internal %d (%s)", s.index, m.Mem().Internal()[s.index])
+		return internalStep(s.index, m.Mem().DescribeInternal(s.index))
 	}
-	return fmt.Sprintf("thread %d", s.index)
+	return threadStep(s.index)
+}
+
+// threadStep renders a program step of thread i as Violation.Trace lists
+// it.
+func threadStep(i int) string { return "thread " + strconv.Itoa(i) }
+
+// internalStep renders the i-th enabled internal action, described as
+// desc, as Violation.Trace lists it.
+func internalStep(i int, desc string) string {
+	return "internal " + strconv.Itoa(i) + " (" + desc + ")"
 }
 
 // apply performs the step on m, a copy of the state it was chosen in.
@@ -306,19 +320,40 @@ func (s *step) trace(root *program.Machine) ([]string, error) {
 	return out, nil
 }
 
-// violation reports the invariant failure err at node n of a search that
-// started in root.
-func (n node) violation(err error, root *program.Machine) (Violation, error) {
-	trace, terr := n.step.trace(root)
-	if terr != nil {
-		return Violation{}, terr
+// found is a violation as a search records it: the invariant's error, the
+// violating machine and the last step of the schedule that reached it.
+// Building its Trace and History is left to buildViolations, after the
+// search.
+type found struct {
+	err  error
+	m    *program.Machine
+	step *step
+}
+
+// buildViolations builds the Violations of a search that started in root
+// from what it found, in the order it found them, on up to workers
+// goroutines. Each trace is replayed from root, which nothing changes
+// meanwhile. If a trace cannot be replayed, buildViolations returns the
+// ones before it and the error.
+func buildViolations(fs []found, root *program.Machine, workers int) ([]Violation, error) {
+	if len(fs) == 0 {
+		return nil, nil
 	}
-	return Violation{
-		Err:     err,
-		Trace:   trace,
-		History: n.m.Mem().Recorder().System(),
-		State:   n.m,
-	}, nil
+	vs := make([]Violation, len(fs))
+	errs := make([]error, len(fs))
+	if err := pool.Indexed(workers, len(fs), func(i int) {
+		f := fs[i]
+		vs[i] = Violation{Err: f.err, History: f.m.Mem().Recorder().System(), State: f.m}
+		vs[i].Trace, errs[i] = f.step.trace(root)
+	}); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return vs[:i], err
+		}
+	}
+	return vs, nil
 }
 
 // scratch is one searcher's reusable successor storage: the machine each
@@ -437,6 +472,11 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 		}
 		return exhaustiveSeq(ctx, m0, opts, inv, seen)
 	}()
+	vs, verr := buildViolations(res.found, m0, w)
+	res.Violations, res.found = vs, nil
+	if err == nil {
+		err = verr
+	}
 	res.KeyBytes = seen.bytes()
 	if traced {
 		finishExplore(ctx, res)
@@ -497,11 +537,7 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 		}
 
 		if err := inv(n.m); err != nil {
-			v, verr := n.violation(err, m0)
-			if verr != nil {
-				return res, verr
-			}
-			res.Violations = append(res.Violations, v)
+			res.found = append(res.found, found{err: err, m: n.m, step: n.step})
 			if opts.StopAtFirst {
 				res.truncate(IncompleteFirstViolation)
 				return res, nil
@@ -646,13 +682,13 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 			if len(internal) > 0 && (len(runnable) == 0 || rng.Float64() < pInternal) {
 				ii := rng.Intn(len(internal))
 				m.Mem().Step(ii)
-				trace = append(trace, fmt.Sprintf("internal %d (%s)", ii, internal[ii]))
+				trace = append(trace, internalStep(ii, internal[ii]))
 			} else {
 				ti := runnable[rng.Intn(len(runnable))]
 				if err := m.StepThread(ti); err != nil {
 					return violations, first, err
 				}
-				trace = append(trace, fmt.Sprintf("thread %d", ti))
+				trace = append(trace, threadStep(ti))
 			}
 			if e := inv(m); e != nil {
 				violations++

@@ -45,18 +45,25 @@ func newKeySet() *keySet {
 	return &keySet{seed: maphash.MakeSeed(), slots: make([]uint64, minSlots)}
 }
 
-// has reports whether the set holds key.
-func (s *keySet) has(key []byte) bool {
-	_, ok := s.find(maphash.Bytes(s.seed, key), key)
+// hash returns key's hash, which hasHashed and addHashed take.
+func (s *keySet) hash(key []byte) uint64 { return maphash.Bytes(s.seed, key) }
+
+// hasHashed reports whether the set holds key, whose hash is h.
+func (s *keySet) hasHashed(h uint64, key []byte) bool {
+	_, ok := s.find(h, key)
 	return ok
 }
 
 // add inserts key, copying it, and reports whether it was new.
-func (s *keySet) add(key []byte) bool {
+func (s *keySet) add(key []byte) bool { return s.addHashed(s.hash(key), key) }
+
+// addHashed inserts key, whose hash is h, copying it, and reports whether
+// it was new.
+func (s *keySet) addHashed(h uint64, key []byte) bool {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		s.grow()
 	}
-	return s.insert(maphash.Bytes(s.seed, key), key)
+	return s.insert(h, key)
 }
 
 // insert adds key, whose hash is h, to an index with a free slot, and
@@ -128,7 +135,7 @@ func (s *keySet) grow() {
 		if e == 0 {
 			continue
 		}
-		i := int(maphash.Bytes(s.seed, s.key(e&posMask-1))) & mask
+		i := int(s.hash(s.key(e&posMask-1))) & mask
 		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

@@ -13,15 +13,24 @@ import (
 // of at most mergeChunk frontier states: every state of a chunk is expanded
 // concurrently (building the state, invariant check, terminal check, and
 // stepping and keying its successors), then the chunk's results are
-// merged sequentially in frontier order. All shared bookkeeping — state/transition counts, violation
-// reporting, progress edges, seen-set membership — happens in the merge, so
-// the result is bit-for-bit deterministic no matter how the workers are
-// scheduled, and on complete explorations the counts equal the sequential
-// depth-first search's (the visited-state set of a dedup-at-push search is
-// independent of search order).
+// merged sequentially in frontier order. All shared bookkeeping —
+// state/transition counts, recording violations, progress edges, seen-set
+// membership — happens in the merge, so the result is bit-for-bit
+// deterministic no matter how the workers are scheduled, and on complete
+// explorations the counts equal the sequential depth-first search's (the
+// visited-state set of a dedup-at-push search is independent of search
+// order).
+//
+// The merge records a violation only as what the search found: the
+// invariant's error, the violating node's machine and its step. Each
+// violation's Trace, replayed from the root, and its History are built
+// after the search by buildViolations in explore.go, which both searches
+// share, on the pool's workers and in the order the merge recorded them.
+// So the replays cost the merge, which runs on one goroutine, nothing.
 //
 // Expansion is key-first: each worker steps every successor in one reused
-// scratch machine and records it only as its step and key.
+// scratch machine and records it only as its step, its key and the key's
+// hash, which the merge reuses to insert a kept key into the seen-set.
 // A successor the merge keeps becomes a lazy frontier node — a pointer to
 // its parent's node and the step, from the search's step slab — and its
 // machine is built only at the start of its own expansion, in parallel, by
@@ -68,11 +77,14 @@ import (
 // mergeChunk is the number of frontier states expanded before a merge.
 const mergeChunk = 1024
 
-// childEdge is one generated transition: the choice that produced it and
-// the end of its key in its expansion's keys.
+// childEdge is one generated transition: the choice that produced it, the
+// end of its key in its expansion's keys, and the key's hash in the
+// seen-set, which the expansion computed to probe the set and the merge
+// inserts the key under.
 type childEdge struct {
 	step step
 	end  int
+	hash uint64
 }
 
 // expansion is what one worker produces for one frontier node. Its
@@ -157,11 +169,7 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 					return res, exp.err
 				}
 				if exp.violation != nil {
-					v, err := n.violation(exp.violation, m0)
-					if err != nil {
-						return res, err
-					}
-					res.Violations = append(res.Violations, v)
+					res.found = append(res.found, found{err: exp.violation, m: n.m, step: n.step})
 					if opts.StopAtFirst {
 						res.truncate(IncompleteFirstViolation)
 						return res, nil
@@ -196,7 +204,7 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 						if opts.TrackProgress {
 							res.edges[exp.key] = append(res.edges[exp.key], string(key))
 						}
-						if !seen.add(key) {
+						if !seen.addHashed(c.hash, key) {
 							continue
 						}
 						next = append(next, node{parent: n, step: steps.add(c.step), depth: n.depth + 1})
@@ -255,12 +263,13 @@ func (s *scratch) expand(n *node, opts Options, inv Invariant, seen *keySet, cap
 	}
 	keys, children := len(s.keys), len(s.children)
 	exp.err = s.successors(n, func(_ *program.Machine, key []byte, st step) bool {
-		if !opts.TrackProgress && seen.has(key) {
+		h := seen.hash(key)
+		if !opts.TrackProgress && seen.hasHashed(h, key) {
 			exp.dropped++ // already reached
 			return false
 		}
 		s.keys = append(s.keys, key...)
-		s.children = append(s.children, childEdge{step: st, end: len(s.keys) - keys})
+		s.children = append(s.children, childEdge{step: st, end: len(s.keys) - keys, hash: h})
 		return false
 	})
 	exp.keys, exp.children = s.keys[keys:], s.children[children:]

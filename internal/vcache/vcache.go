@@ -62,8 +62,9 @@ type entry struct {
 }
 
 // flight is one in-progress solve that concurrent lookups of the same key
-// share. The solve runs on its own goroutine, so it completes (and
-// populates the cache) even if every waiter gives up.
+// share. The solve completes (and populates the cache) even if every
+// waiter gives up: when the initiating caller's wait can be cut short, it
+// runs on its own goroutine.
 type flight struct {
 	enc  string
 	done chan struct{}
@@ -217,12 +218,17 @@ func (c *Cache) Len() int {
 
 // Do answers the check identified by (k, enc) — enc must be the canonical
 // encoding k was derived from. A cached decided verdict is returned
-// immediately; otherwise the first caller starts solve on its own
-// goroutine and concurrent callers of the same key wait for it. hit
-// reports whether this caller was answered without initiating a solve.
-// The caller's context bounds only its wait: an initiated solve runs to
-// completion and populates the cache even if ctx expires first. Decided
-// verdicts are cached; Unknown verdicts and solve errors are not.
+// immediately; otherwise the first caller initiates solve and concurrent
+// callers of the same key wait for it. hit reports whether this caller was
+// answered without initiating a solve. The caller's context bounds only
+// its wait: an initiated solve runs to completion and populates the cache
+// even if ctx expires first. So a caller whose context can be done
+// (ctx.Done() is not nil) starts solve on its own goroutine and waits for
+// it or for ctx, whichever comes first; a caller whose context can never
+// be done has no wait to bound, and runs solve itself, on the calling
+// goroutine. Either way a panicking solve is contained and reported as an
+// error, to the initiating caller and to every waiter. Decided verdicts
+// are cached; Unknown verdicts and solve errors are not.
 //
 // A hit reports the work it did, which is none: its verdict's work
 // counters (Progress.Candidates and Progress.Nodes) are zero, whether it
@@ -296,32 +302,41 @@ func (c *Cache) Do(ctx context.Context, k Key, enc string, solve func() (model.V
 	c.misses.Add(1)
 	look.Attr("outcome", "miss")
 	look.End()
-	// The solve span is created by the initiating caller but ends on the
-	// detached goroutine — spans only reference their sink and registry,
-	// never the context, so outliving ctx is safe.
+	// The solve span is created by the initiating caller but may end on
+	// the detached goroutine — spans only reference their sink and
+	// registry, never the context, so outliving ctx is safe.
 	solveSp := obs.LeafSpan(ctx, "cache.solve")
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				f.err = fmt.Errorf("vcache: solve panicked: %v", r)
-			}
-			c.mu.Lock()
-			delete(c.flights, k)
-			if f.err == nil && f.v.Decided() {
-				c.putLocked(k, enc, f.v)
-			}
-			c.mu.Unlock()
-			solveSp.End()
-			close(f.done)
-		}()
-		f.v, f.err = solve()
-	}()
+	if ctx.Done() == nil {
+		c.fly(f, k, enc, solve, solveSp)
+		return f.v, false, f.err
+	}
+	go c.fly(f, k, enc, solve, solveSp)
 	select {
 	case <-f.done:
 		return f.v, false, f.err
 	case <-ctx.Done():
 		return model.Verdict{}, false, ctx.Err()
 	}
+}
+
+// fly runs flight f's solve of key k, containing a panic as f's error,
+// then retires the flight: it caches a decided verdict, ends the solve
+// span and releases the waiters.
+func (c *Cache) fly(f *flight, k Key, enc string, solve func() (model.Verdict, error), sp *obs.Span) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = fmt.Errorf("vcache: solve panicked: %v", r)
+		}
+		c.mu.Lock()
+		delete(c.flights, k)
+		if f.err == nil && f.v.Decided() {
+			c.putLocked(k, enc, f.v)
+		}
+		c.mu.Unlock()
+		sp.End()
+		close(f.done)
+	}()
+	f.v, f.err = solve()
 }
 
 // hitVerdict is v as a hit returns it: with the work counters of the solve

@@ -205,39 +205,52 @@ func (m *Machine) Clone() *Machine { return m.CloneInto(nil) }
 
 // CloneInto copies the machine into dst's storage, overwriting dst, and
 // returns the copy. dst is nil, which allocates fresh storage, or a machine
-// nothing else uses any more; a dst cloned from the same program reuses its
-// thread table, registers and memory storage. Compiled code is shared. A
-// fresh copy holds all threads' registers in one backing array.
+// nothing else uses any more. Compiled code is shared. A dst that is
+// already a copy of the same machine (it runs the same compiled programs)
+// takes the copy as values only: pcs, flags and registers are copied into
+// its existing storage, and no slice header or pointer field is
+// rewritten except where the memory's copy needs it. Any other dst is
+// laid out afresh, reusing its thread table where it fits; a fresh layout
+// holds all threads' registers in one backing array.
 func (m *Machine) CloneInto(dst *Machine) *Machine {
 	if dst == nil {
 		dst = new(Machine)
 	}
-	if len(dst.threads) != len(m.threads) {
-		dst.threads = make([]threadState, len(m.threads))
+	if !dst.sameProgs(m) {
+		dst.layout(m)
 	}
-	n, fits := 0, true
-	for i, t := range m.threads {
-		n += len(t.regs)
-		fits = fits && len(dst.threads[i].regs) == len(t.regs)
+	for i := range m.threads {
+		t, d := &m.threads[i], &dst.threads[i]
+		d.pc, d.inCS, d.halted = t.pc, t.inCS, t.halted
+		copy(d.regs, t.regs)
 	}
-	var regs []int
-	if !fits {
-		regs = make([]int, 0, n)
+	if mem := m.mem.CloneInto(dst.mem); mem != dst.mem {
+		dst.mem = mem
 	}
-	for i, t := range m.threads {
-		r := dst.threads[i].regs
-		if fits {
-			copy(r, t.regs)
-		} else {
-			start := len(regs)
-			regs = append(regs, t.regs...)
-			r = regs[start:len(regs):len(regs)]
-		}
-		dst.threads[i] = threadState{pc: t.pc, regs: r, inCS: t.inCS, halted: t.halted}
-	}
-	dst.mem = m.mem.CloneInto(dst.mem)
-	dst.progs = m.progs
 	return dst
+}
+
+// sameProgs reports whether m and o run the same compiled programs, so
+// that their thread tables have the same shape.
+func (m *Machine) sameProgs(o *Machine) bool {
+	return len(m.progs) == len(o.progs) && (len(m.progs) == 0 || &m.progs[0] == &o.progs[0])
+}
+
+// layout gives m o's programs and a thread table shaped like o's, with
+// every thread's registers in one backing array.
+func (m *Machine) layout(o *Machine) {
+	m.progs = o.progs
+	if len(m.threads) != len(o.threads) {
+		m.threads = make([]threadState, len(o.threads))
+	}
+	n := 0
+	for _, t := range o.threads {
+		n += len(t.regs)
+	}
+	regs := make([]int, n)
+	for i, t := range o.threads {
+		m.threads[i].regs, regs = regs[:len(t.regs):len(t.regs)], regs[len(t.regs):]
+	}
 }
 
 // AppendFingerprint appends a canonical and exact encoding of the
@@ -261,7 +274,8 @@ func (m *Machine) AppendKey(dst []byte) []byte {
 // appendThreads appends the thread state AppendFingerprint and AppendKey
 // begin with.
 func (m *Machine) appendThreads(dst []byte) []byte {
-	for _, t := range m.threads {
+	for i := range m.threads {
+		t := &m.threads[i]
 		dst = binary.AppendVarint(dst, int64(t.pc))
 		dst = binary.AppendUvarint(dst, uint64(len(t.regs)))
 		for _, r := range t.regs {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/history"
@@ -96,16 +94,30 @@ func (m *CausalMemory) deliverable(r int, msg causalMsg) bool {
 
 // Internal implements Memory: one action per currently deliverable pending
 // update.
-func (m *CausalMemory) Internal() []string {
-	var out []string
+func (m *CausalMemory) Internal() []string { return describeInternal(m) }
+
+// DescribeInternal implements Memory.
+func (m *CausalMemory) DescribeInternal(i int) string {
+	r, k := m.action(i)
+	msg := m.pending[r][k]
+	return deliverName(int(msg.sender), r, m.locs.name(msg.loc))
+}
+
+// action returns the receiver and the pending index of the i-th enabled
+// delivery.
+func (m *CausalMemory) action(i int) (r, k int) {
 	for r := range m.pending {
-		for _, msg := range m.pending[r] {
-			if m.deliverable(r, msg) {
-				out = append(out, fmt.Sprintf("deliver p%d→p%d %s", msg.sender, r, m.locs.name(msg.loc)))
+		for k, msg := range m.pending[r] {
+			if !m.deliverable(r, msg) {
+				continue
 			}
+			if i == 0 {
+				return r, k
+			}
+			i--
 		}
 	}
-	return out
+	panic("sim: causal internal action index out of range")
 }
 
 // NumInternal implements Memory.
@@ -123,21 +135,11 @@ func (m *CausalMemory) NumInternal() int {
 
 // Step implements Memory.
 func (m *CausalMemory) Step(i int) {
-	for r := range m.pending {
-		for k, msg := range m.pending[r] {
-			if !m.deliverable(r, msg) {
-				continue
-			}
-			if i == 0 {
-				*m.stores.ref(r, msg.loc) = msg.cell
-				m.clock(r)[msg.sender]++
-				m.pending[r] = append(m.pending[r][:k], m.pending[r][k+1:]...)
-				return
-			}
-			i--
-		}
-	}
-	panic("sim: causal Step index out of range")
+	r, k := m.action(i)
+	msg := m.pending[r][k]
+	*m.stores.ref(r, msg.loc) = msg.cell
+	m.clock(r)[msg.sender]++
+	m.pending[r] = append(m.pending[r][:k], m.pending[r][k+1:]...)
 }
 
 // Clone implements Memory.
@@ -149,14 +151,13 @@ func (m *CausalMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(CausalMemory)
 	}
-	*d = CausalMemory{
-		nprocs:  m.nprocs,
-		locs:    m.locs,
-		stores:  m.stores.cloneInto(d.stores),
-		clocks:  append(d.clocks[:0], m.clocks...),
-		pending: cloneQueuesInto(d.pending, m.pending),
-		rec:     m.rec.cloneInto(d.rec.nextSeq),
+	if d.locs != m.locs {
+		d.nprocs, d.locs = m.nprocs, m.locs
 	}
+	d.stores.copyFrom(m.stores)
+	copyInto(&d.clocks, m.clocks)
+	copyQueues(&d.pending, m.pending)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -167,37 +168,41 @@ func (m *CausalMemory) AppendFingerprint(dst []byte) []byte { return m.encode(ds
 func (m *CausalMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
-// Cell tags are canonicalized through the shared fingerprinter; vector
-// clocks stay raw — their arithmetic (the +1-adjacency of the delivery
+// Cell tags are canonicalized through the shared encoder; vector clocks
+// stay raw — their arithmetic (the +1-adjacency of the delivery
 // condition) is semantic, so causal memory's state space genuinely grows
 // with unbounded writes and write-looping programs need bounded
 // exploration on it.
+//
+// Pending updates are delivered in any order, so they are encoded sorted
+// by sender, then by clock; a sender's writes carry distinct clocks, so
+// (sender, clock) is a key. No sort is needed for that order: a queue
+// holds each sender's updates in the order the sender wrote them, and a
+// sender's clock only grows, so each sender's updates are already in
+// clock order, and one scan per sender lists them sorted.
 func (m *CausalMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	for p := range m.nprocs {
-		f.ints(m.clock(p))
-		f.replica(m.stores.row(p))
-	}
-	for r := range m.pending {
-		// Pending updates are delivered in any order, so they are
-		// encoded sorted. A sender's writes carry distinct clocks, so
-		// (sender, clock) is a key.
-		msgs := slices.Clone(m.pending[r])
-		slices.SortFunc(msgs, func(a, b causalMsg) int {
-			if c := cmp.Compare(a.sender, b.sender); c != 0 {
-				return c
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		for p := range m.nprocs {
+			e.ints(m.clock(p))
+			e.replica(m.stores.row(p))
+		}
+		for _, msgs := range m.pending {
+			e.int(len(msgs))
+			for s := range m.nprocs {
+				for _, msg := range msgs {
+					if int(msg.sender) != s {
+						continue
+					}
+					e.int(s)
+					e.ints(msg.vc)
+					e.loc(msg.loc)
+					e.cell(msg.loc, msg.cell)
+				}
 			}
-			return slices.Compare(a.vc, b.vc)
-		})
-		f.int(len(msgs))
-		for _, msg := range msgs {
-			f.int(int(msg.sender))
-			f.ints(msg.vc)
-			f.loc(msg.loc)
-			f.cell(msg.loc, msg.cell)
 		}
 	}
-	return f.finish(dst)
+	return e.dst
 }
 
 // Recorder implements Memory.

@@ -105,31 +105,47 @@ func (g *grid[T]) ref(row, id int) *T {
 // row returns one row, indexed by location id.
 func (g *grid[T]) row(r int) []T { return g.a[r*g.width : (r+1)*g.width] }
 
-// cloneInto copies g into dst's backing array, growing it if it is too
-// small, and returns the copy.
-func (g grid[T]) cloneInto(dst grid[T]) grid[T] {
-	g.a = append(dst.a[:0], g.a...)
-	return g
+// copyFrom copies src into g's storage, growing it if it is too small.
+// When g already has src's shape, as a copy of the same memory usually
+// does, only the entries are copied and g's slice header is left as it is.
+func (g *grid[T]) copyFrom(src grid[T]) {
+	g.rows, g.width = src.rows, src.width
+	copyInto(&g.a, src.a)
 }
 
-// cloneQueuesInto copies a set of queues into dst's storage and returns
-// the copy. A queue whose slot in dst has the capacity reuses that slot's
-// storage, and keeps all of it; the others share one new element array,
-// each clipped to its length, so appending to one reallocates it instead
-// of overwriting its neighbour. A memory's queue storage is never shared
-// with another memory, so reusing it overwrites nothing live, and the
-// simulators dequeue in place (shifting the rest of the queue down), so a
-// queue's capacity never shrinks: a memory that is cloned into over and
-// over stops allocating queue storage once each queue has held its
-// longest contents.
-func cloneQueuesInto[T any](dst, qs [][]T) [][]T {
-	if cap(dst) < len(qs) {
-		dst = make([][]T, len(qs))
+// copyInto copies src into *dst's storage, growing it if it is too small.
+// When the lengths already match only the elements are copied: *dst's
+// header, and with it its pointer, is not rewritten.
+func copyInto[T any](dst *[]T, src []T) {
+	if len(*dst) != len(src) {
+		*dst = append((*dst)[:0], src...)
+		return
 	}
-	dst = dst[:len(qs)]
+	copy(*dst, src)
+}
+
+// copyQueues copies a set of queues into *dst's storage. A queue whose
+// slot in *dst has the capacity reuses that slot's storage, and keeps all
+// of it; only its length is rewritten, and only when it differs. The
+// others share one new element array, each clipped to its length, so
+// appending to one reallocates it instead of overwriting its neighbour. A
+// memory's queue storage is never shared with another memory, so reusing
+// it overwrites nothing live, and the simulators dequeue in place
+// (shifting the rest of the queue down), so a queue's capacity never
+// shrinks: a memory that is copied into over and over stops allocating
+// queue storage once each queue has held its longest contents.
+func copyQueues[T any](dst *[][]T, qs [][]T) {
+	d := *dst
+	if len(d) != len(qs) {
+		if cap(d) < len(qs) {
+			d = make([][]T, len(qs))
+		}
+		d = d[:len(qs)]
+		*dst = d
+	}
 	n := 0
 	for i, q := range qs {
-		if cap(dst[i]) < len(q) {
+		if cap(d[i]) < len(q) {
 			n += len(q)
 		}
 	}
@@ -138,14 +154,16 @@ func cloneQueuesInto[T any](dst, qs [][]T) [][]T {
 		all = make([]T, 0, n)
 	}
 	for i, q := range qs {
-		if cap(dst[i]) >= len(q) {
-			dst[i] = append(dst[i][:0], q...)
+		if cap(d[i]) < len(q) {
+			all = append(all, q...)
+			d[i] = all[len(all)-len(q) : len(all) : len(all)]
 			continue
 		}
-		all = append(all, q...)
-		dst[i] = all[len(all)-len(q) : len(all) : len(all)]
+		if len(d[i]) != len(q) {
+			d[i] = d[i][:len(q)]
+		}
+		copy(d[i], q)
 	}
-	return dst
 }
 
 // bump increments the version counter of location id, growing the

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/history"
-)
+import "repro/history"
 
 // PRAMMemory is the pipelined-RAM machine of the paper's Section 3.5: every
 // processor holds a complete replica of memory; a write applies locally and
@@ -119,14 +115,12 @@ func (m *PRAMMemory) apply(p history.Proc, loc int, c cell) {
 }
 
 // Internal implements Memory: one delivery per nonempty channel.
-func (m *PRAMMemory) Internal() []string {
-	var out []string
-	for i, ch := range m.channels {
-		if len(ch) > 0 {
-			out = append(out, fmt.Sprintf("deliver p%d→p%d %s", i/m.nprocs, i%m.nprocs, m.locs.name(ch[0].loc)))
-		}
-	}
-	return out
+func (m *PRAMMemory) Internal() []string { return describeInternal(m) }
+
+// DescribeInternal implements Memory.
+func (m *PRAMMemory) DescribeInternal(i int) string {
+	k := nthNonempty(m.channels, i)
+	return deliverName(k/m.nprocs, k%m.nprocs, m.locs.name(m.channels[k][0].loc))
 }
 
 // NumInternal implements Memory.
@@ -140,20 +134,13 @@ func (m *PRAMMemory) NumInternal() int {
 	return n
 }
 
-// Step implements Memory.
+// Step implements Memory: deliver the oldest update of the i-th nonempty
+// channel.
 func (m *PRAMMemory) Step(i int) {
-	for k, ch := range m.channels {
-		if len(ch) == 0 {
-			continue
-		}
-		if i == 0 {
-			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
-			m.channels[k] = append(ch[:0], ch[1:]...)
-			return
-		}
-		i--
-	}
-	panic("sim: PRAM Step index out of range")
+	k := nthNonempty(m.channels, i)
+	ch := m.channels[k]
+	m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
+	m.channels[k] = append(ch[:0], ch[1:]...)
 }
 
 // Clone implements Memory.
@@ -165,16 +152,13 @@ func (m *PRAMMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(PRAMMemory)
 	}
-	*d = PRAMMemory{
-		name:     m.name,
-		nprocs:   m.nprocs,
-		coherent: m.coherent,
-		locs:     m.locs,
-		stores:   m.stores.cloneInto(d.stores),
-		channels: cloneQueuesInto(d.channels, m.channels),
-		versions: append(d.versions[:0], m.versions...),
-		rec:      m.rec.cloneInto(d.rec.nextSeq),
+	if d.locs != m.locs {
+		d.name, d.nprocs, d.coherent, d.locs = m.name, m.nprocs, m.coherent, m.locs
 	}
+	d.stores.copyFrom(m.stores)
+	copyQueues(&d.channels, m.channels)
+	copyInto(&d.versions, m.versions)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -186,14 +170,16 @@ func (m *PRAMMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
 func (m *PRAMMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	for p := range m.nprocs {
-		f.replica(m.stores.row(p))
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		for p := range m.nprocs {
+			e.replica(m.stores.row(p))
+		}
+		for _, ch := range m.channels {
+			e.queue(ch)
+		}
 	}
-	for _, ch := range m.channels {
-		f.queue(ch)
-	}
-	return f.finish(dst)
+	return e.dst
 }
 
 // Recorder implements Memory.

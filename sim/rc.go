@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/history"
-)
+import "repro/history"
 
 // RCMemory is a DASH-like release-consistent memory (paper Section 3.4).
 // Ordinary (data) locations are replicated: an ordinary write applies
@@ -141,14 +137,12 @@ func (m *RCMemory) apply(p history.Proc, id int, c cell) {
 }
 
 // Internal implements Memory: one delivery per nonempty channel.
-func (m *RCMemory) Internal() []string {
-	var out []string
-	for k, ch := range m.channels {
-		if len(ch) > 0 {
-			out = append(out, fmt.Sprintf("deliver p%d→p%d %s", k/m.nprocs, k%m.nprocs, m.locs.name(ch[0].loc)))
-		}
-	}
-	return out
+func (m *RCMemory) Internal() []string { return describeInternal(m) }
+
+// DescribeInternal implements Memory.
+func (m *RCMemory) DescribeInternal(i int) string {
+	k := nthNonempty(m.channels, i)
+	return deliverName(k/m.nprocs, k%m.nprocs, m.locs.name(m.channels[k][0].loc))
 }
 
 // NumInternal implements Memory.
@@ -162,20 +156,13 @@ func (m *RCMemory) NumInternal() int {
 	return n
 }
 
-// Step implements Memory.
+// Step implements Memory: deliver the oldest update of the i-th nonempty
+// channel.
 func (m *RCMemory) Step(i int) {
-	for k, ch := range m.channels {
-		if len(ch) == 0 {
-			continue
-		}
-		if i == 0 {
-			m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
-			m.channels[k] = append(ch[:0], ch[1:]...)
-			return
-		}
-		i--
-	}
-	panic("sim: RC Step index out of range")
+	k := nthNonempty(m.channels, i)
+	ch := m.channels[k]
+	m.apply(history.Proc(k%m.nprocs), ch[0].loc, ch[0].cell)
+	m.channels[k] = append(ch[:0], ch[1:]...)
 }
 
 // Clone implements Memory.
@@ -187,17 +174,14 @@ func (m *RCMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(RCMemory)
 	}
-	*d = RCMemory{
-		name:      m.name,
-		nprocs:    m.nprocs,
-		labeledSC: m.labeledSC,
-		locs:      m.locs,
-		syncStore: m.syncStore.cloneInto(d.syncStore),
-		stores:    m.stores.cloneInto(d.stores),
-		channels:  cloneQueuesInto(d.channels, m.channels),
-		versions:  append(d.versions[:0], m.versions...),
-		rec:       m.rec.cloneInto(d.rec.nextSeq),
+	if d.locs != m.locs {
+		d.name, d.nprocs, d.labeledSC, d.locs = m.name, m.nprocs, m.labeledSC, m.locs
 	}
+	d.syncStore.copyFrom(m.syncStore)
+	d.stores.copyFrom(m.stores)
+	copyQueues(&d.channels, m.channels)
+	copyInto(&d.versions, m.versions)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -209,15 +193,17 @@ func (m *RCMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
 func (m *RCMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	f.replica(m.syncStore.row(0))
-	for p := range m.nprocs {
-		f.replica(m.stores.row(p))
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		e.replica(m.syncStore.row(0))
+		for p := range m.nprocs {
+			e.replica(m.stores.row(p))
+		}
+		for _, ch := range m.channels {
+			e.queue(ch)
+		}
 	}
-	for _, ch := range m.channels {
-		f.queue(ch)
-	}
-	return f.finish(dst)
+	return e.dst
 }
 
 // Recorder implements Memory.

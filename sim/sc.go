@@ -48,6 +48,9 @@ func (m *SCMemory) Internal() []string { return nil }
 // NumInternal implements Memory.
 func (m *SCMemory) NumInternal() int { return 0 }
 
+// DescribeInternal implements Memory.
+func (m *SCMemory) DescribeInternal(int) string { panic("sim: SC memory has no internal actions") }
+
 // Step implements Memory.
 func (m *SCMemory) Step(int) { panic("sim: SC memory has no internal actions") }
 
@@ -60,7 +63,11 @@ func (m *SCMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(SCMemory)
 	}
-	*d = SCMemory{nprocs: m.nprocs, locs: m.locs, store: m.store.cloneInto(d.store), rec: m.rec.cloneInto(d.rec.nextSeq)}
+	if d.locs != m.locs {
+		d.nprocs, d.locs = m.nprocs, m.locs
+	}
+	d.store.copyFrom(m.store)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -72,9 +79,11 @@ func (m *SCMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
 func (m *SCMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	f.replica(m.store.row(0))
-	return f.finish(dst)
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		e.replica(m.store.row(0))
+	}
+	return e.dst
 }
 
 // Recorder implements Memory.

@@ -28,10 +28,8 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"slices"
-	"sync"
+	"strconv"
 
 	"repro/history"
 )
@@ -65,6 +63,9 @@ type Memory interface {
 	// NumInternal returns len(Internal()) without describing the
 	// actions, for searches that only step them.
 	NumInternal() int
+	// DescribeInternal returns Internal()[i] without describing the
+	// other enabled actions.
+	DescribeInternal(i int) string
 	// Step performs the i-th enabled internal action.
 	Step(i int)
 	// Clone returns an independent copy in fresh storage; it is
@@ -74,8 +75,10 @@ type Memory interface {
 	// state, and returns the copy. dst is nil, which allocates fresh
 	// storage, or a memory of the same kind that nothing else uses any
 	// more, whose slices are reused where they are large enough; a memory
-	// of another kind is ignored. Explorers step successors in one reused
-	// copy this way and keep only the states that are new.
+	// of another kind is ignored. Into a dst that is already a copy of
+	// the same memory, a copy writes values only, not slice headers that
+	// already fit. Explorers step successors in one reused copy this way
+	// and keep only the states that are new.
 	CloneInto(dst Memory) Memory
 	// AppendFingerprint appends a canonical, exact binary encoding of
 	// the live state (not the recorder) to dst and returns the extended
@@ -128,7 +131,7 @@ type Recorder struct {
 	n      int
 	// nextSeq[p] is the number of writes p has recorded. Each recorder
 	// owns its counters: a write increments them in place, and every
-	// copy (Clone, cloneInto) copies them.
+	// copy (Clone, copyFrom) copies them.
 	nextSeq []history.Value
 }
 
@@ -200,179 +203,53 @@ func (r *Recorder) System() *history.System {
 	return b.System()
 }
 
+// describeInternal lists m's enabled internal actions, as Internal does.
+func describeInternal(m Memory) []string {
+	var out []string
+	for i := range m.NumInternal() {
+		out = append(out, m.DescribeInternal(i))
+	}
+	return out
+}
+
+// deliverName renders the delivery of an update to location loc from
+// processor s to processor r, as the replicated memories describe it.
+func deliverName(s, r int, loc history.Loc) string {
+	return "deliver p" + strconv.Itoa(s) + "→p" + strconv.Itoa(r) + " " + string(loc)
+}
+
+// nthNonempty returns the index of the (i+1)-th nonempty queue of qs.
+func nthNonempty[T any](qs [][]T, i int) int {
+	for k, q := range qs {
+		if len(q) == 0 {
+			continue
+		}
+		if i == 0 {
+			return k
+		}
+		i--
+	}
+	panic("sim: internal action index out of range")
+}
+
 // Len returns the number of recorded operations.
 func (r *Recorder) Len() int { return r.n }
 
 // Clone returns an independent recorder that shares r's recorded prefix.
 // Later operations recorded on either one are invisible to the other.
 func (r *Recorder) Clone() *Recorder {
-	c := r.cloneInto(nil)
-	return &c
-}
-
-// cloneInto returns a copy of r that shares r's recorded prefix and keeps
-// its write counters in seq's storage, which nothing else may use any
-// more. A memory's CloneInto passes its destination's counters; a Recorder
-// is never copied as a plain value, which would share the counters.
-func (r *Recorder) cloneInto(seq []history.Value) Recorder {
-	c := *r
-	c.nextSeq = append(seq[:0], r.nextSeq...)
+	c := new(Recorder)
+	c.copyFrom(r)
 	return c
 }
 
-// fingerprinter builds a canonical binary state encoding for visited-state
-// detection. The encoding is exact — no hashing — so two states share a
-// fingerprint only if they are equal up to the canonicalization below.
-// Integers are varints, location names are length-prefixed, and every
-// variable-length section (a replica, a queue, a clock) starts with its
-// length, so the encoding of a state is unambiguous. Replicas list their
-// written cells in location-name order, so the encoding does not depend
-// on the order in which a memory numbered its locations.
-//
-// Raw tags and versions grow monotonically with every write — a program
-// that writes in a retry loop would make semantically identical states
-// fingerprint differently and blow up exhaustive exploration — so they are
-// canonicalized per state:
-//
-//   - tags are renamed by first appearance (only tag EQUALITY matters:
-//     tags decide which write a read records, never future behaviour);
-//   - versions are replaced by their per-location rank (only the ORDER of
-//     versions within one location matters: a replica applies an update
-//     iff its version exceeds the held one, and any future write receives
-//     a version above all existing ones).
-//
-// Two states with equal canonical fingerprints are bisimilar for invariant
-// reachability. Fingerprinters are pooled; finish returns one to the pool.
-//
-// A key is built by the same encoder: byID writes each location as its id
-// in the memory's table instead of its name. Within one table ids and
-// names correspond one to one, and both are written prefix-free, so keys
-// compare exactly as fingerprints do.
-type fingerprinter struct {
-	locs  *locSnap        // names and name order of the memory's locations
-	byID  bool            // write locations as ids: build a key
-	raw   []byte          // literal bytes, with the cells spliced in by finish
-	cells []fpCell        // canonicalizable cells, in encoding order
-	vers  [][]int         // distinct versions seen, by location id
-	tags  []history.Value // raw tags by canonical id
-}
-
-// fpCell is a cell to canonicalize; at is the length of raw when it was
-// appended, i.e. where it belongs in the encoding.
-type fpCell struct {
-	at int
-	id int
-	c  cell
-}
-
-var fingerprinters = sync.Pool{New: func() any { return new(fingerprinter) }}
-
-func newFingerprinter(t *locTable, byID bool) *fingerprinter {
-	f := fingerprinters.Get().(*fingerprinter)
-	f.locs, f.byID = t.load(), byID
-	f.raw, f.cells, f.tags = f.raw[:0], f.cells[:0], f.tags[:0]
-	if n := len(f.locs.names); len(f.vers) < n {
-		f.vers = append(f.vers, make([][]int, n-len(f.vers))...)
-	}
-	for i := range f.vers {
-		f.vers[i] = f.vers[i][:0]
-	}
-	return f
-}
-
-// int appends a signed integer.
-func (f *fingerprinter) int(x int) { f.raw = binary.AppendVarint(f.raw, int64(x)) }
-
-// bool appends a flag.
-func (f *fingerprinter) bool(b bool) {
-	if b {
-		f.raw = append(f.raw, 1)
-	} else {
-		f.raw = append(f.raw, 0)
-	}
-}
-
-// loc appends location id: its length-prefixed name, or in a key the id.
-func (f *fingerprinter) loc(id int) {
-	if f.byID {
-		f.raw = binary.AppendUvarint(f.raw, uint64(id))
-		return
-	}
-	l := f.locs.names[id]
-	f.int(len(l))
-	f.raw = append(f.raw, l...)
-}
-
-// ints appends a length-prefixed integer vector.
-func (f *fingerprinter) ints(xs []int) {
-	f.int(len(xs))
-	for _, x := range xs {
-		f.int(x)
-	}
-}
-
-// cell appends a canonicalizable cell of location id.
-func (f *fingerprinter) cell(id int, c cell) {
-	f.cells = append(f.cells, fpCell{at: len(f.raw), id: id, c: c})
-	if !slices.Contains(f.vers[id], c.version) {
-		f.vers[id] = append(f.vers[id], c.version)
-	}
-}
-
-// replica appends a replica's written cells, named, in location-name
-// order. The replica is indexed by location id.
-func (f *fingerprinter) replica(cells []cell) {
-	n := 0
-	for _, c := range cells {
-		if c.tag != 0 {
-			n++
-		}
-	}
-	f.int(n)
-	for _, id := range f.locs.byName {
-		if id < len(cells) && cells[id].tag != 0 {
-			f.loc(id)
-			f.cell(id, cells[id])
-		}
-	}
-}
-
-// queue appends an update queue in order.
-func (f *fingerprinter) queue(q []update) {
-	f.int(len(q))
-	for _, u := range q {
-		f.loc(u.loc)
-		f.bool(u.labeled)
-		f.cell(u.loc, u.cell)
-	}
-}
-
-// finish appends the canonical fingerprint to dst and returns f to the
-// pool.
-func (f *fingerprinter) finish(dst []byte) []byte {
-	prev := 0
-	for _, t := range f.cells {
-		dst = append(dst, f.raw[prev:t.at]...)
-		prev = t.at
-		id := slices.Index(f.tags, t.c.tag)
-		if id < 0 {
-			id = len(f.tags)
-			f.tags = append(f.tags, t.c.tag)
-		}
-		// The rank is the number of distinct smaller versions held for
-		// the same location.
-		rank := 0
-		for _, v := range f.vers[t.id] {
-			if v < t.c.version {
-				rank++
-			}
-		}
-		dst = binary.AppendVarint(dst, int64(t.c.val))
-		dst = binary.AppendUvarint(dst, uint64(id))
-		dst = binary.AppendUvarint(dst, uint64(rank))
-	}
-	dst = append(dst, f.raw[prev:]...)
-	f.locs = nil
-	fingerprinters.Put(f)
-	return dst
+// copyFrom makes r a copy of src that shares src's recorded prefix and
+// keeps its write counters in r's own storage, which nothing else may use
+// any more. A memory's CloneInto copies its recorder into its
+// destination's this way; a Recorder is never copied as a plain value,
+// which would share the counters.
+func (r *Recorder) copyFrom(src *Recorder) {
+	r.nprocs, r.n = src.nprocs, src.n
+	r.last = src.last
+	copyInto(&r.nextSeq, src.nextSeq)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"iter"
 
 	"repro/history"
@@ -77,12 +76,24 @@ func (m *SlowMemory) nonempty() iter.Seq2[int, int] {
 }
 
 // Internal implements Memory: one delivery per nonempty lane.
-func (m *SlowMemory) Internal() []string {
-	var out []string
+func (m *SlowMemory) Internal() []string { return describeInternal(m) }
+
+// DescribeInternal implements Memory.
+func (m *SlowMemory) DescribeInternal(i int) string {
+	k, id := m.action(i)
+	return deliverName(k/m.nprocs, k%m.nprocs, m.locs.name(id))
+}
+
+// action returns the lane, as nonempty yields it, of the i-th enabled
+// delivery.
+func (m *SlowMemory) action(i int) (k, id int) {
 	for k, id := range m.nonempty() {
-		out = append(out, fmt.Sprintf("deliver p%d→p%d %s", k/m.nprocs, k%m.nprocs, m.locs.name(id)))
+		if i == 0 {
+			return k, id
+		}
+		i--
 	}
-	return out
+	panic("sim: Slow internal action index out of range")
 }
 
 // NumInternal implements Memory.
@@ -96,17 +107,10 @@ func (m *SlowMemory) NumInternal() int {
 
 // Step implements Memory.
 func (m *SlowMemory) Step(i int) {
-	for k, id := range m.nonempty() {
-		if i > 0 {
-			i--
-			continue
-		}
-		lane := m.lanes.ref(k, id)
-		*m.stores.ref(k%m.nprocs, id) = (*lane)[0].cell
-		*lane = append((*lane)[:0], (*lane)[1:]...)
-		return
-	}
-	panic("sim: Slow Step index out of range")
+	k, id := m.action(i)
+	lane := m.lanes.ref(k, id)
+	*m.stores.ref(k%m.nprocs, id) = (*lane)[0].cell
+	*lane = append((*lane)[:0], (*lane)[1:]...)
 }
 
 // Clone implements Memory.
@@ -118,15 +122,13 @@ func (m *SlowMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(SlowMemory)
 	}
-	lanes := m.lanes
-	lanes.a = cloneQueuesInto(d.lanes.a, lanes.a)
-	*d = SlowMemory{
-		nprocs: m.nprocs,
-		locs:   m.locs,
-		stores: m.stores.cloneInto(d.stores),
-		lanes:  lanes,
-		rec:    m.rec.cloneInto(d.rec.nextSeq),
+	if d.locs != m.locs {
+		d.nprocs, d.locs = m.nprocs, m.locs
 	}
+	d.stores.copyFrom(m.stores)
+	d.lanes.rows, d.lanes.width = m.lanes.rows, m.lanes.width
+	copyQueues(&d.lanes.a, m.lanes.a)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -138,22 +140,24 @@ func (m *SlowMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
 func (m *SlowMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	for p := range m.nprocs {
-		f.replica(m.stores.row(p))
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		for p := range m.nprocs {
+			e.replica(m.stores.row(p))
+		}
+		n := 0
+		for range m.nonempty() {
+			n++
+		}
+		e.int(n)
+		for k, id := range m.nonempty() {
+			e.int(k / m.nprocs)
+			e.int(k % m.nprocs)
+			e.loc(id)
+			e.queue(m.lanes.at(k, id))
+		}
 	}
-	n := 0
-	for range m.nonempty() {
-		n++
-	}
-	f.int(n)
-	for k, id := range m.nonempty() {
-		f.int(k / m.nprocs)
-		f.int(k % m.nprocs)
-		f.loc(id)
-		f.queue(m.lanes.at(k, id))
-	}
-	return f.finish(dst)
+	return e.dst
 }
 
 // Recorder implements Memory.

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/history"
 )
@@ -99,14 +99,12 @@ func (m *TSOMemory) Write(p history.Proc, loc history.Loc, v history.Value, labe
 }
 
 // Internal implements Memory: one drain action per nonempty buffer.
-func (m *TSOMemory) Internal() []string {
-	var out []string
-	for p, buf := range m.buffers {
-		if len(buf) > 0 {
-			out = append(out, fmt.Sprintf("drain p%d %s", p, m.locs.name(buf[0].loc)))
-		}
-	}
-	return out
+func (m *TSOMemory) Internal() []string { return describeInternal(m) }
+
+// DescribeInternal implements Memory.
+func (m *TSOMemory) DescribeInternal(i int) string {
+	p := nthNonempty(m.buffers, i)
+	return "drain p" + strconv.Itoa(p) + " " + string(m.locs.name(m.buffers[p][0].loc))
 }
 
 // NumInternal implements Memory.
@@ -120,20 +118,13 @@ func (m *TSOMemory) NumInternal() int {
 	return n
 }
 
-// Step implements Memory.
+// Step implements Memory: drain the oldest write of the i-th nonempty
+// buffer.
 func (m *TSOMemory) Step(i int) {
-	for p, buf := range m.buffers {
-		if len(buf) == 0 {
-			continue
-		}
-		if i == 0 {
-			*m.store.ref(0, buf[0].loc) = buf[0].cell
-			m.buffers[p] = append(buf[:0], buf[1:]...)
-			return
-		}
-		i--
-	}
-	panic("sim: TSO Step index out of range")
+	p := nthNonempty(m.buffers, i)
+	buf := m.buffers[p]
+	*m.store.ref(0, buf[0].loc) = buf[0].cell
+	m.buffers[p] = append(buf[:0], buf[1:]...)
 }
 
 // Clone implements Memory.
@@ -145,14 +136,12 @@ func (m *TSOMemory) CloneInto(dst Memory) Memory {
 	if d == nil {
 		d = new(TSOMemory)
 	}
-	*d = TSOMemory{
-		nprocs:  m.nprocs,
-		forward: m.forward,
-		locs:    m.locs,
-		store:   m.store.cloneInto(d.store),
-		buffers: cloneQueuesInto(d.buffers, m.buffers),
-		rec:     m.rec.cloneInto(d.rec.nextSeq),
+	if d.locs != m.locs {
+		d.nprocs, d.forward, d.locs = m.nprocs, m.forward, m.locs
 	}
+	d.store.copyFrom(m.store)
+	copyQueues(&d.buffers, m.buffers)
+	d.rec.copyFrom(&m.rec)
 	return d
 }
 
@@ -164,12 +153,14 @@ func (m *TSOMemory) AppendKey(dst []byte) []byte { return m.encode(dst, true) }
 
 // encode appends the fingerprint, or with byID the key, of m's state.
 func (m *TSOMemory) encode(dst []byte, byID bool) []byte {
-	f := newFingerprinter(m.locs, byID)
-	f.replica(m.store.row(0))
-	for _, buf := range m.buffers {
-		f.queue(buf)
+	e := &encoder{dst: dst, table: m.locs, byID: byID}
+	for e.pass() {
+		e.replica(m.store.row(0))
+		for _, buf := range m.buffers {
+			e.queue(buf)
+		}
 	}
-	return f.finish(dst)
+	return e.dst
 }
 
 // Recorder implements Memory.
