@@ -428,28 +428,40 @@ func BenchmarkDRFTheorem(b *testing.B) {
 	}
 }
 
+// overheadCase is one corpus-scale decision the overhead benchmarks time
+// and TestBenchmarkAllocs holds to plain Allows's allocation count.
+type overheadCase struct {
+	test, model string
+	want        bool
+}
+
+var overheadCases = []overheadCase{
+	{"Fig1-SB", "TSO", true},
+	{"Fig2-WRC", "PC", true},
+	{"Bakery-violation", "RCsc", false},
+}
+
+func (c overheadCase) load(tb testing.TB) (litmus.Test, model.Model) {
+	tb.Helper()
+	tc, err := litmus.ByName(c.test)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := model.ByName(c.model)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tc, m
+}
+
 // BenchmarkBudgetOverhead measures the cost of metered checking: the same
 // corpus-scale decisions open-loop (Allows, nil meter) and under a generous
 // budget plus deadline (AllowsCtx) that never trips. The delta is the price
-// of the accounting itself — the acceptance bar is ≤5%.
+// of the accounting itself — the acceptance bar is ≤5%; TestBenchmarkAllocs
+// holds the budgeted check to at most budgetAllocs more allocations.
 func BenchmarkBudgetOverhead(b *testing.B) {
-	cases := []struct {
-		test, model string
-		want        bool
-	}{
-		{"Fig1-SB", "TSO", true},
-		{"Fig2-WRC", "PC", true},
-		{"Bakery-violation", "RCsc", false},
-	}
-	for _, c := range cases {
-		tc, err := litmus.ByName(c.test)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := model.ByName(c.model)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range overheadCases {
+		tc, m := c.load(b)
 		b.Run(c.test+"/"+c.model+"/open-loop", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -483,26 +495,12 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 // trigger firing, which must price like any other sink: one mutex
 // acquire and an append per event). The open-loop column must stay at the
 // un-instrumented baseline — the acceptance bar for the disabled path is
-// ≤5% versus BenchmarkBudgetOverhead's open-loop. BENCH_OBS.json records
-// the outcomes.
+// ≤5% versus BenchmarkBudgetOverhead's open-loop. EXPERIMENTS.md records
+// one set of medians; TestBenchmarkAllocs holds the open-loop column to
+// plain Allows's allocation count.
 func BenchmarkObsOverhead(b *testing.B) {
-	cases := []struct {
-		test, model string
-		want        bool
-	}{
-		{"Fig1-SB", "TSO", true},
-		{"Fig2-WRC", "PC", true},
-		{"Bakery-violation", "RCsc", false},
-	}
-	for _, c := range cases {
-		tc, err := litmus.ByName(c.test)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := model.ByName(c.model)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range overheadCases {
+		tc, m := c.load(b)
 		run := func(b *testing.B, ctx context.Context) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -535,57 +533,48 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// benchFastPathCase measures one membership question under both routes:
-// "auto" (the polynomial fast paths and enumeration pre-passes) and
-// "enumerate" (the pure enumeration oracle). The reference verdict is
-// computed once from the oracle and asserted on every iteration of both
-// routes, so the benchmark doubles as a differential check. The trajectory
-// gate in CI tracks the FastPath/... medians this emits.
-func benchFastPathCase(b *testing.B, name string, m model.Model, s *history.System) {
-	b.Helper()
-	ref, err := model.AllowsCtx(model.WithRoute(context.Background(), model.RouteEnumerate), m, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, route := range []model.RouteMode{model.RouteAuto, model.RouteEnumerate} {
-		ctx := model.WithRoute(context.Background(), route)
-		b.Run(name+"/"+route.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v, err := model.AllowsCtx(ctx, m, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.Allowed != ref.Allowed {
-					b.Fatalf("%s under %s route %s: allowed=%v, oracle says %v",
-						name, m.Name(), route, v.Allowed, ref.Allowed)
-				}
-			}
-		})
-	}
+// fastPathCase is one membership question BenchmarkFastPath times under
+// both routes and TestBenchmarkAllocs holds to allocation ceilings:
+// allocs per check as measured plus 10%, without and with -race (whose
+// sync.Pool drops a share of the solvers put back).
+type fastPathCase struct {
+	name               string
+	model              model.Model
+	hist               *history.System
+	maxAllocs, maxRace routeAllocs
 }
 
-// BenchmarkFastPath compares the routed fast paths against the enumeration
-// oracle on the checks they accelerate: the per-view models (SC, PRAM,
-// causal, coherence) where saturation plus greedy construction replaces
-// search, and the enumerating models (TSO, PC) where the forced-edge
-// pre-pass shrinks the candidate space. Corpus figures keep the workload
-// honest; the serializable and simulator-generated cases show the
-// polynomial paths at sizes where enumeration grows.
-func BenchmarkFastPath(b *testing.B) {
-	fromCorpus := func(test string) *history.System {
+// routeAllocs holds one count per route.
+type routeAllocs struct{ auto, enumerate int }
+
+func (r routeAllocs) of(route model.RouteMode) int {
+	if route == model.RouteEnumerate {
+		return r.enumerate
+	}
+	return r.auto
+}
+
+// fastPathRoutes are the routes each fast-path case runs under: "auto"
+// (the polynomial fast paths and enumeration pre-passes) and "enumerate"
+// (the pure enumeration oracle).
+var fastPathRoutes = []model.RouteMode{model.RouteAuto, model.RouteEnumerate}
+
+// fastPathCases are the checks the routed fast paths accelerate: the
+// per-view models (SC, PRAM, causal, coherence) where saturation plus
+// greedy construction replaces search, and the enumerating models (TSO,
+// PC) where the forced-edge pre-pass shrinks the candidate space. Corpus
+// figures keep the workload honest; the serializable and
+// simulator-generated cases show the polynomial paths at sizes where
+// enumeration grows.
+func fastPathCases(tb testing.TB) []fastPathCase {
+	tb.Helper()
+	corpus := func(test string) *history.System {
 		tc, err := litmus.ByName(test)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return tc.History
 	}
-	benchFastPathCase(b, "SC/Fig1-SB", model.SC, fromCorpus("Fig1-SB"))
-	benchFastPathCase(b, "PRAM/Fig3-PRAM", model.PRAM, fromCorpus("Fig3-PRAM"))
-	benchFastPathCase(b, "Causal/Fig4-Causal", model.Causal, fromCorpus("Fig4-Causal"))
-	benchFastPathCase(b, "Coherence/CoRR", model.Coherence, fromCorpus("CoRR-single-writer"))
-	benchFastPathCase(b, "TSO/Fig2-WRC", model.TSO, fromCorpus("Fig2-WRC"))
-	benchFastPathCase(b, "PC/IRIW", model.PC, fromCorpus("IRIW"))
 
 	// A serializable 24-operation history: the greedy construction decides
 	// it in one pass where the solver searches.
@@ -594,22 +583,61 @@ func BenchmarkFastPath(b *testing.B) {
 		bld.Write(0, history.Loc(fmt.Sprintf("a%d", i%3)), history.Value(i+1))
 		bld.Read(1, history.Loc(fmt.Sprintf("a%d", i%3)), 0)
 	}
-	benchFastPathCase(b, "SC/serializable-24", model.SC, bld.System())
 
 	// A simulator-generated causal history: machine-made shapes rather than
 	// hand-picked litmus figures.
 	rng := rand.New(rand.NewSource(7))
-	sh := sim.RandomRun(sim.NewCausal(3), rng, sim.RandomRunConfig{
+	simRun := sim.RandomRun(sim.NewCausal(3), rng, sim.RandomRunConfig{
 		Ops: 12, MaxWrites: 6, PInternal: 0.4, DataLocs: []history.Loc{"x", "y"}})
-	benchFastPathCase(b, "Causal/sim-12", model.Causal, sh)
 
 	// Many concurrent writers: the TSO write-order enumeration is
 	// factorial in the writes; the pre-pass forces most of the order.
-	ms, err := history.Parse("p0: w(x)1 w(y)1 w(z)1\np1: w(x)2 w(y)2 w(z)2\np2: r(x)2 r(y)1 r(z)2")
+	manyWrites, err := history.Parse("p0: w(x)1 w(y)1 w(z)1\np1: w(x)2 w(y)2 w(z)2\np2: r(x)2 r(y)1 r(z)2")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	benchFastPathCase(b, "TSO/many-writes", model.TSO, ms)
+
+	return []fastPathCase{
+		{"SC/Fig1-SB", model.SC, corpus("Fig1-SB"), routeAllocs{16, 8}, routeAllocs{16, 10}},
+		{"PRAM/Fig3-PRAM", model.PRAM, corpus("Fig3-PRAM"), routeAllocs{17, 13}, routeAllocs{17, 17}},
+		{"Causal/Fig4-Causal", model.Causal, corpus("Fig4-Causal"), routeAllocs{31, 17}, routeAllocs{31, 24}},
+		{"Coherence/CoRR", model.Coherence, corpus("CoRR-single-writer"), routeAllocs{20, 13}, routeAllocs{20, 16}},
+		{"TSO/Fig2-WRC", model.TSO, corpus("Fig2-WRC"), routeAllocs{28, 31}, routeAllocs{28, 43}},
+		{"PC/IRIW", model.PC, corpus("IRIW"), routeAllocs{70, 70}, routeAllocs{79, 80}},
+		{"SC/serializable-24", model.SC, bld.System(), routeAllocs{15, 13}, routeAllocs{15, 18}},
+		{"Causal/sim-12", model.Causal, simRun, routeAllocs{24, 17}, routeAllocs{24, 26}},
+		{"TSO/many-writes", model.TSO, manyWrites, routeAllocs{41, 31}, routeAllocs{48, 38}},
+	}
+}
+
+// BenchmarkFastPath compares the routed fast paths against the enumeration
+// oracle on fastPathCases. The reference verdict is computed once from the
+// oracle and asserted on every iteration of both routes, so the benchmark
+// doubles as a differential check; TestBenchmarkAllocs gates the allocs/op
+// it reports.
+func BenchmarkFastPath(b *testing.B) {
+	for _, c := range fastPathCases(b) {
+		ref, err := model.AllowsCtx(model.WithRoute(context.Background(), model.RouteEnumerate), c.model, c.hist)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, route := range fastPathRoutes {
+			ctx := model.WithRoute(context.Background(), route)
+			b.Run(c.name+"/"+route.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v, err := model.AllowsCtx(ctx, c.model, c.hist)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if v.Allowed != ref.Allowed {
+						b.Fatalf("%s under %s route %s: allowed=%v, oracle says %v",
+							c.name, c.model.Name(), route, v.Allowed, ref.Allowed)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkCoherenceEnumeration shows PC's checking cost versus writes per

@@ -3,36 +3,23 @@
 // decided verdict that flips between the two reports is a hard failure —
 // the checkers changed their answer on the same input; a keyed check
 // disappearing, a decided check going unknown, and per-model verdict
-// counts shifting fail too. Work growth (candidates, nodes) and wall-time
-// growth fail only beyond configurable thresholds, so the same command
-// serves both the CI regression gate (verdict-exact, stat-tolerant) and
-// local perf triage.
+// counts shifting fail too. Work growth (candidates, nodes) fails only
+// beyond a configurable threshold, so the same command serves both the CI
+// regression gate (verdict-exact, stat-tolerant) and local triage. Wall
+// time is not compared: two runs' wall times compare hosts as much as
+// code.
 //
-// With -bench the inputs are benchmark trajectory files instead
-// (JSONL appended by scripts/bench.sh): the last entry of each file is
-// compared, and a benchmark whose median ns/op grew beyond -max-bench —
-// or disappeared — fails the gate. -bench-filter restricts the gate to a
-// benchmark-name substring.
-//
-// -max-phase phase=R (repeatable) gates span-phase latency in both
-// modes: in report mode it compares the phases table's estimated p95s,
-// in bench mode the trajectory entries' p50s. The quantiles come from
-// power-of-two histograms (2x-wide buckets), so sensible ratios sit
-// well above 2 — the CI gates use ~25x. -min-phase-ns sets the absolute
-// noise floor under which growth is ignored.
-//
-// -phases FILE is a helper mode, not a comparison: it prints "phase p50ns"
-// lines from one report's phases table, for scripts/bench.sh to fold into
-// trajectory entries.
+// -max-phase phase=R (repeatable) gates span-phase latency: it compares
+// the phases table's estimated p95s. The quantiles come from power-of-two
+// histograms (2x-wide buckets), so sensible ratios sit well above 2 — the
+// CI gates use ~25x. -min-phase-ns sets the absolute noise floor under
+// which growth is ignored.
 //
 // Usage:
 //
-//	obsdiff [-max-stat R] [-min-stat N] [-max-time R] [-require-prune P]...
+//	obsdiff [-max-stat R] [-min-stat N] [-require-prune P]...
 //	        [-require-counter C]... [-max-phase P=R]... [-min-phase-ns N]
 //	        [-json] baseline.json new.json
-//	obsdiff -bench [-max-bench R] [-bench-filter S] [-max-phase P=R]...
-//	        [-min-phase-ns N] [-json] baseline.jsonl new.jsonl
-//	obsdiff -phases report.json
 //
 // Exit status: 0 when the new report passes, 1 on any hard problem,
 // 2 on bad usage or unreadable input.
@@ -44,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -96,102 +82,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"fail when a model's candidates or nodes grow beyond this ratio of the baseline (0 disables)")
 	minStat := fs.Int64("min-stat", 1000,
 		"ignore stat growth below this absolute delta (noise floor)")
-	maxTime := fs.Float64("max-time", 0,
-		"fail when wall time grows beyond this ratio of the baseline (0 disables; only meaningful on like hardware)")
 	var requirePrune stringList
 	fs.Var(&requirePrune, "require-prune",
 		"fail when no model attributes a prune to this part in the new report (repeatable)")
 	var requireCounter stringList
 	fs.Var(&requireCounter, "require-counter",
 		"fail when this registry counter is zero or absent in the new report's metrics snapshot (repeatable)")
-	benchMode := fs.Bool("bench", false,
-		"compare benchmark trajectory files (last JSONL entry each) instead of run reports")
-	maxBench := fs.Float64("max-bench", 1.25,
-		"with -bench: fail when a benchmark's median ns/op grows beyond this ratio of the baseline (0 disables)")
-	benchFilter := fs.String("bench-filter", "",
-		"with -bench: only gate benchmarks whose name contains this substring")
 	var maxPhase ratioMap
 	fs.Var(&maxPhase, "max-phase",
-		"fail when this span phase's latency (report p95, trajectory p50) grows beyond name=ratio of the baseline (repeatable; quantiles are 2x-bucket estimates, use ratios well above 2)")
+		"fail when this span phase's p95 latency grows beyond name=ratio of the baseline (repeatable; quantiles are 2x-bucket estimates, use ratios well above 2)")
 	minPhaseNs := fs.Int64("min-phase-ns", 200000,
 		"ignore span-phase growth below this absolute delta in nanoseconds (noise floor)")
-	phasesFile := fs.String("phases", "",
-		"print \"phase p50ns\" lines from this report's phases table and exit (helper for scripts/bench.sh)")
 	jsonOut := fs.Bool("json", false, "print the problem list as JSON")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: obsdiff [flags] baseline.json new.json")
-		fmt.Fprintln(stderr, "       obsdiff -bench [flags] baseline.jsonl new.jsonl")
-		fmt.Fprintln(stderr, "       obsdiff -phases report.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *phasesFile != "" {
-		if fs.NArg() != 0 {
-			fs.Usage()
-			return 2
-		}
-		r, err := readReport(*phasesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "obsdiff:", err)
-			return 2
-		}
-		for _, name := range sortedPhaseNames(r.Phases) {
-			fmt.Fprintf(stdout, "%s %d\n", name, r.Phases[name].P50Ns)
-		}
-		return 0
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return 2
 	}
 
-	var (
-		problems []obs.Problem
-		tally    string
-	)
-	if *benchMode {
-		baseline, err := readLastTrajectoryEntry(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "obsdiff:", err)
-			return 2
-		}
-		current, err := readLastTrajectoryEntry(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintln(stderr, "obsdiff:", err)
-			return 2
-		}
-		problems = obs.DiffTrajectory(baseline, current, obs.TrajectoryOptions{
-			MaxBenchRatio: *maxBench,
-			Filter:        *benchFilter,
-			MaxPhaseP50:   maxPhase,
-			MinPhaseNs:    float64(*minPhaseNs),
-		})
-		tally = fmt.Sprintf("entry %s vs %s, %d benchmarks vs %d",
-			baseline.Commit, current.Commit, len(baseline.Medians), len(current.Medians))
-	} else {
-		baseline, err := readReport(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, "obsdiff:", err)
-			return 2
-		}
-		current, err := readReport(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintln(stderr, "obsdiff:", err)
-			return 2
-		}
-		problems = obs.DiffReports(baseline, current, obs.DiffOptions{
-			MaxStatRatio:      *maxStat,
-			MinStat:           *minStat,
-			MaxTimeRatio:      *maxTime,
-			RequirePruneParts: requirePrune,
-			RequireCounters:   requireCounter,
-			MaxPhaseP95:       maxPhase,
-			MinPhaseNs:        *minPhaseNs,
-		})
-		tally = fmt.Sprintf("%d checks vs %d", len(baseline.Checks), len(current.Checks))
+	baseline, err := readReport(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(stderr, "obsdiff:", err)
+		return 2
 	}
+	current, err := readReport(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintln(stderr, "obsdiff:", err)
+		return 2
+	}
+	problems := obs.DiffReports(baseline, current, obs.DiffOptions{
+		MaxStatRatio:      *maxStat,
+		MinStat:           *minStat,
+		RequirePruneParts: requirePrune,
+		RequireCounters:   requireCounter,
+		MaxPhaseP95:       maxPhase,
+		MinPhaseNs:        *minPhaseNs,
+	})
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -212,22 +144,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			hard++
 		}
 	}
-	fmt.Fprintf(stdout, "obsdiff: %s, %d problems (%d hard)\n", tally, len(problems), hard)
+	fmt.Fprintf(stdout, "obsdiff: %d checks vs %d, %d problems (%d hard)\n",
+		len(baseline.Checks), len(current.Checks), len(problems), hard)
 	if hard > 0 {
 		return 1
 	}
 	return 0
-}
-
-// sortedPhaseNames returns the phase table's keys sorted, for stable
-// -phases output.
-func sortedPhaseNames(m map[string]obs.PhaseLatency) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func readReport(path string) (*obs.Report, error) {
@@ -241,20 +163,4 @@ func readReport(path string) (*obs.Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
-}
-
-func readLastTrajectoryEntry(path string) (obs.TrajectoryEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return obs.TrajectoryEntry{}, err
-	}
-	defer f.Close()
-	entries, err := obs.ReadTrajectory(f)
-	if err != nil {
-		return obs.TrajectoryEntry{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(entries) == 0 {
-		return obs.TrajectoryEntry{}, fmt.Errorf("%s: no trajectory entries", path)
-	}
-	return entries[len(entries)-1], nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -72,42 +71,6 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"kind": "verdict-flip"`) {
 		t.Errorf("JSON problems missing flip: %q", out.String())
-	}
-}
-
-// writeTrajectory writes a one-entry JSONL trajectory file.
-func writeTrajectory(t *testing.T, dir, name string, auto, enum float64) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	line := `{"date":"2026-08-01T00:00:00Z","commit":"abc1234","dirty":false,"go":"go1.24.0","benchtime":"1s","count":5,"ns_op_median":{"FastPath/SC/Fig1-SB/auto":` +
-		strconv.FormatFloat(auto, 'g', -1, 64) + `,"FastPath/SC/Fig1-SB/enumerate":` +
-		strconv.FormatFloat(enum, 'g', -1, 64) + `}}` + "\n"
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestRunBenchModePassesAndFails(t *testing.T) {
-	dir := t.TempDir()
-	base := writeTrajectory(t, dir, "base.jsonl", 1000, 5000)
-	same := writeTrajectory(t, dir, "same.jsonl", 1100, 5200)
-	worse := writeTrajectory(t, dir, "worse.jsonl", 1600, 5200)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-bench", base, same}, &out, &errb); code != 0 {
-		t.Fatalf("within-threshold: exit = %d; stdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
-	}
-	out.Reset()
-	if code := run([]string{"-bench", base, worse}, &out, &errb); code != 1 {
-		t.Fatalf("1.6x regression: exit = %d, want 1; stdout:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "bench-regression") {
-		t.Errorf("regression not reported: %q", out.String())
-	}
-	// The filter scopes the gate; a filter matching nothing fails loudly.
-	out.Reset()
-	if code := run([]string{"-bench", "-bench-filter", "NoSuchBench", base, worse}, &out, &errb); code != 1 {
-		t.Errorf("empty filter: exit = %d, want 1; stdout:\n%s", code, out.String())
 	}
 }
 
@@ -228,63 +191,5 @@ func TestRunMaxPhaseGate(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-max-phase", "solve", base, same}, &out, &errb); code != 2 {
 		t.Errorf("bad -max-phase value: exit = %d, want 2", code)
-	}
-}
-
-func TestRunPhasesMode(t *testing.T) {
-	dir := t.TempDir()
-	rep := writePhaseReport(t, dir, "rep.json", map[string]int64{"solve": 1 << 20, "cache.lookup": 1 << 10})
-	var out, errb bytes.Buffer
-	if code := run([]string{"-phases", rep}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d; stderr:\n%s", code, errb.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), out.String())
-	}
-	// Sorted by phase name; each line is "phase p50ns".
-	if !strings.HasPrefix(lines[0], "cache.lookup ") || !strings.HasPrefix(lines[1], "solve ") {
-		t.Errorf("lines = %q, want sorted 'phase p50ns' pairs", lines)
-	}
-	for _, l := range lines {
-		fields := strings.Fields(l)
-		if len(fields) != 2 {
-			t.Fatalf("line %q: want 2 fields", l)
-		}
-		if n, err := strconv.ParseInt(fields[1], 10, 64); err != nil || n <= 0 {
-			t.Errorf("line %q: p50 %q not a positive integer", l, fields[1])
-		}
-	}
-	// -phases takes its file from the flag, not positional args.
-	out.Reset()
-	if code := run([]string{"-phases", rep, "extra.json"}, &out, &errb); code != 2 {
-		t.Errorf("positional arg with -phases: exit = %d, want 2", code)
-	}
-}
-
-func TestRunBenchModePhaseGate(t *testing.T) {
-	dir := t.TempDir()
-	writeEntry := func(name string, solve float64) string {
-		path := filepath.Join(dir, name)
-		line := `{"date":"2026-08-01T00:00:00Z","commit":"abc1234","go":"go1.24.0","benchtime":"1s","count":5,` +
-			`"ns_op_median":{"FastPath/SC/Fig1-SB/auto":1000},"phase_ns_p50":{"solve":` +
-			strconv.FormatFloat(solve, 'g', -1, 64) + `}}` + "\n"
-		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := writeEntry("base.jsonl", 1e6)
-	worse := writeEntry("worse.jsonl", 1e8)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-bench", "-max-phase", "solve=25", base, base}, &out, &errb); code != 0 {
-		t.Fatalf("identical entries: exit = %d; stdout:\n%s", code, out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-bench", "-max-phase", "solve=25", base, worse}, &out, &errb); code != 1 {
-		t.Fatalf("100x phase regression: exit = %d, want 1; stdout:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "phase-regression") {
-		t.Errorf("phase-regression not reported: %q", out.String())
 	}
 }

@@ -341,7 +341,7 @@ func buildViolations(fs []found, root *program.Machine, workers int) ([]Violatio
 	}
 	vs := make([]Violation, len(fs))
 	errs := make([]error, len(fs))
-	if err := pool.Indexed(workers, len(fs), func(i int) {
+	if err := pool.Indexed(workers, len(fs), func(_, i int) {
 		f := fs[i]
 		vs[i] = Violation{Err: f.err, History: f.m.Mem().Recorder().System(), State: f.m}
 		vs[i].Trace, errs[i] = f.step.trace(root)

@@ -113,12 +113,8 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 	// array of the level before those.
 	frontier := []node{{m: m0.Clone()}}
 	var parents, spare []node
-	// One scratch per worker: at most workers expansions run at once.
+	// One scratch per worker, indexed by the worker pool.Indexed names.
 	ss := make([]scratch, workers)
-	scratches := make(chan *scratch, workers)
-	for i := range ss {
-		scratches <- &ss[i]
-	}
 	defer func() {
 		for i := range ss {
 			res.stepped += ss[i].stepped
@@ -145,13 +141,11 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 			// contained by the pool and surfaces as a *pool.PanicError.
 			exps := exps[:len(chunk)]
 			s0 := res.States
-			if err := pool.Indexed(workers, len(chunk), func(i int) {
+			if err := pool.Indexed(workers, len(chunk), func(w, i int) {
 				if ctx.Err() != nil {
 					return
 				}
-				s := <-scratches
-				exps[i] = s.expand(&chunk[i], opts, inv, seen, s0+i+1 >= opts.MaxStates)
-				scratches <- s
+				exps[i] = ss[w].expand(&chunk[i], opts, inv, seen, s0+i+1 >= opts.MaxStates)
 			}); err != nil {
 				return res, err
 			}

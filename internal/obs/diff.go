@@ -10,9 +10,6 @@ type DiffOptions struct {
 	// is ignored as noise.
 	MaxStatRatio float64
 	MinStat      int64
-	// MaxTimeRatio fails a run whose wall time grew beyond old×ratio
-	// (0 disables — wall time only compares on like hardware).
-	MaxTimeRatio float64
 	// RequirePruneParts lists prune-attribution parts (e.g. "fastpath")
 	// that must appear with a nonzero count in some model of the NEW
 	// report. A required part that vanishes means the instrumentation —
@@ -61,7 +58,7 @@ func (p Problem) String() string {
 // changed their answer on the same input, which no performance win
 // excuses. A decided check going unknown (coverage loss), a keyed check
 // disappearing, and per-model decided-verdict counts shifting are also
-// hard; stat and time growth is hard only beyond the configured
+// hard; stat and span-phase growth is hard only beyond the configured
 // thresholds. New checks and improvements (unknown → decided) are notes.
 func DiffReports(old, new *Report, opts DiffOptions) []Problem {
 	var out []Problem
@@ -157,8 +154,8 @@ func DiffReports(old, new *Report, opts DiffOptions) []Problem {
 	}
 
 	// Gated span phases: a phase's p95 latency growing past its threshold
-	// is a perf regression localized to that phase — the breakdown the
-	// flat wall-time comparison cannot give. Phases absent from the
+	// is a perf regression localized to that phase, a breakdown the
+	// run's wall time cannot give. Phases absent from the
 	// baseline are notes (the baseline predates the instrumentation);
 	// phases absent from the new report are hard.
 	for _, phase := range sortedNames(opts.MaxPhaseP95) {
@@ -187,13 +184,6 @@ func DiffReports(old, new *Report, opts DiffOptions) []Problem {
 	oldUnknown, newUnknown := sumValues(old.Unknowns), sumValues(new.Unknowns)
 	if newUnknown > oldUnknown {
 		add(true, "budget-outcome", "budget/deadline stops %d in baseline, now %d", oldUnknown, newUnknown)
-	}
-
-	if opts.MaxTimeRatio > 0 && old.WallMs > 0 {
-		if ratio := float64(new.WallMs) / float64(old.WallMs); ratio > opts.MaxTimeRatio {
-			add(true, "time-regression", "wall time %dms → %dms (%.2fx > %.2fx threshold)",
-				old.WallMs, new.WallMs, ratio, opts.MaxTimeRatio)
-		}
 	}
 	return out
 }

@@ -170,19 +170,6 @@ func TestDiffReportsBudgetOutcome(t *testing.T) {
 	}
 }
 
-func TestDiffReportsTimeThreshold(t *testing.T) {
-	old := buildReport(t, false, 0)
-	cur := buildReport(t, false, 0)
-	old.WallMs, cur.WallMs = 100, 500
-	if ps := DiffReports(old, cur, DiffOptions{}); hasKind(ps, "time-regression") {
-		t.Errorf("time checking should default off: %v", ps)
-	}
-	ps := DiffReports(old, cur, DiffOptions{MaxTimeRatio: 2})
-	if !hasKind(ps, "time-regression") {
-		t.Errorf("5x wall growth not flagged at 2x threshold: %v", ps)
-	}
-}
-
 func hasKind(ps []Problem, kind string) bool {
 	for _, p := range ps {
 		if p.Kind == kind {

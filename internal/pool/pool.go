@@ -122,13 +122,15 @@ func Go(workers int, fn func(worker int)) error {
 	return first.get()
 }
 
-// Indexed calls fn(i) for every i in [0, n), distributing indices across at
-// most `workers` goroutines via an atomic cursor, and returns when every
-// index has been processed. With one worker (or one index) it degenerates
-// to a plain loop on the calling goroutine. A panic in fn is contained:
-// sibling workers stop claiming indices, and the panic is returned as a
-// *PanicError whose shard names the index.
-func Indexed(workers, n int, fn func(i int)) error {
+// Indexed calls fn(worker, i) for every i in [0, n), distributing indices
+// across at most `workers` goroutines via an atomic cursor, and returns when
+// every index has been processed. worker is the index in [0, workers) of
+// the goroutine making the call; calls with the same worker never overlap,
+// so fn may use per-worker state without locking. With one worker (or one
+// index) it degenerates to a plain loop on the calling goroutine, as worker
+// 0. A panic in fn is contained: sibling workers stop claiming indices, and
+// the panic is returned as a *PanicError whose shard names the index.
+func Indexed(workers, n int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -162,8 +164,8 @@ func Indexed(workers, n int, fn func(i int)) error {
 	return goErr
 }
 
-// runIndex runs fn(i) under a recover that tags the index as the shard.
-func runIndex(w, i int, fn func(i int)) (err error) {
+// runIndex runs fn(w, i) under a recover that tags the index as the shard.
+func runIndex(w, i int, fn func(worker, i int)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Worker: w, Shard: fmt.Sprintf("index %d", i), Value: v, Stack: debug.Stack()}
@@ -172,7 +174,7 @@ func runIndex(w, i int, fn func(i int)) (err error) {
 	if fault.Armed() {
 		fault.Hit(fault.PoolIndexed, w, i) // i is boxed only when armed
 	}
-	fn(i)
+	fn(w, i)
 	return nil
 }
 

@@ -41,7 +41,7 @@ func TestIndexedCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 100} {
 		const n = 57
 		var hits [n]atomic.Int32
-		if err := Indexed(workers, n, func(i int) { hits[i].Add(1) }); err != nil {
+		if err := Indexed(workers, n, func(_, i int) { hits[i].Add(1) }); err != nil {
 			t.Fatalf("workers=%d: Indexed: %v", workers, err)
 		}
 		for i := range hits {
@@ -50,7 +50,37 @@ func TestIndexedCoversEveryIndex(t *testing.T) {
 			}
 		}
 	}
-	Indexed(4, 0, func(int) { t.Error("fn called for n=0") })
+	Indexed(4, 0, func(int, int) { t.Error("fn called for n=0") })
+}
+
+// TestIndexedWorkerIndices holds Indexed to what callers with per-worker
+// state rely on: every worker index is in [0, workers), clamped to n, and
+// no two calls with the same index overlap.
+func TestIndexedWorkerIndices(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 20}, {3, 500}, {8, 5}} {
+		limit := min(c.workers, c.n)
+		busy := make([]atomic.Bool, limit)
+		var calls atomic.Int32
+		err := Indexed(c.workers, c.n, func(w, i int) {
+			if w < 0 || w >= limit {
+				t.Errorf("workers=%d n=%d: index %d ran on worker %d", c.workers, c.n, i, w)
+				return
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("workers=%d n=%d: two calls overlap on worker %d", c.workers, c.n, w)
+				return
+			}
+			calls.Add(1)
+			runtime.Gosched() // give a wrongly shared index a chance to overlap
+			busy[w].Store(false)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d n=%d: Indexed: %v", c.workers, c.n, err)
+		}
+		if got := int(calls.Load()); got != c.n {
+			t.Errorf("workers=%d n=%d: %d calls, want %d", c.workers, c.n, got, c.n)
+		}
+	}
 }
 
 func TestDrainConsumesAll(t *testing.T) {
@@ -201,7 +231,7 @@ func TestIndexedPanicCancelsSiblings(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		err = Indexed(4, n, func(i int) {
+		err = Indexed(4, n, func(_, i int) {
 			if i == 5 {
 				panic(errors.New("index fault"))
 			}
@@ -226,7 +256,7 @@ func TestIndexedPanicCancelsSiblings(t *testing.T) {
 }
 
 func TestIndexedSequentialPanicContained(t *testing.T) {
-	err := Indexed(1, 3, func(i int) {
+	err := Indexed(1, 3, func(_, i int) {
 		if i == 2 {
 			panic("sequential fault")
 		}
@@ -298,7 +328,7 @@ func TestFaultpointInjection(t *testing.T) {
 	}})
 	defer fault.Clear(fault.PoolIndexed)
 
-	err := Indexed(3, 100, func(int) {})
+	err := Indexed(3, 100, func(int, int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v, want *PanicError", err)
@@ -309,7 +339,7 @@ func TestFaultpointInjection(t *testing.T) {
 
 	// After Clear the hook must be gone.
 	fault.Clear(fault.PoolIndexed)
-	if err := Indexed(3, 100, func(int) {}); err != nil {
+	if err := Indexed(3, 100, func(int, int) {}); err != nil {
 		t.Errorf("cleared hook still fired: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func BuildMatrix(ctx context.Context, histories []*history.System, models []mode
 	finish := sweepScope(ctx, "matrix", int64(len(histories)))
 
 	results := make([]classification, len(histories))
-	if err := pool.Indexed(pool.Size(workers), len(histories), func(i int) {
+	if err := pool.Indexed(pool.Size(workers), len(histories), func(_, i int) {
 		results[i] = classify(ctx, histories[i], models)
 	}); err != nil {
 		return nil, err
