@@ -22,12 +22,16 @@
 //
 // Both searches step successors in a reused scratch machine and recycle
 // the machines of states they are done with, so expansion allocates
-// almost nothing once a search is under way. A search owns the machines it
-// builds; the only ones it hands out are violating states
-// (Violation.State) and the terminal states passed to Options.OnTerminal,
-// and those it never touches again: the caller may keep and inspect them.
-// The depth-first search recycles a state's machine once its successors
-// are stepped; parallel.go describes when the breadth-first one does.
+// almost nothing once a search is under way. The machines a search builds
+// record no history (sim.Recorder.Discard): a state's history depends
+// only on the root and the schedule that reached it. A search owns and
+// recycles every machine it builds. Each machine it hands out — a
+// violating state (Violation.State) or a terminal state passed to
+// Options.OnTerminal — is a fresh one, rebuilt by replaying its schedule
+// from the machine the caller passed in, with the history recorded along
+// the way; the caller may keep and inspect it. The depth-first search
+// recycles a state's machine once its successors are stepped; parallel.go
+// describes when the breadth-first one does.
 package explore
 
 import (
@@ -45,7 +49,9 @@ import (
 )
 
 // Invariant checks a machine state, returning a non-nil error describing
-// the violation if the state is bad.
+// the violation if the state is bad. Exhaustive passes it the machines it
+// searches, which record no history; a violation's History is rebuilt
+// after the search.
 type Invariant func(*program.Machine) error
 
 // MutualExclusion is the invariant of the paper's Section 5: at most one
@@ -67,8 +73,8 @@ type Violation struct {
 	// History is the tagged system execution history recorded along the
 	// violating path — checkable against package model.
 	History *history.System
-	// State is the violating machine (a clone the search never reuses;
-	// safe to inspect and keep).
+	// State is the violating machine, rebuilt by replaying Trace, with
+	// History recorded (safe to inspect and keep).
 	State *program.Machine
 }
 
@@ -94,9 +100,9 @@ type Options struct {
 	PInternal float64
 	// OnTerminal, if non-nil, is called for every terminal state (all
 	// threads halted, no internal actions pending) reached by
-	// Exhaustive. The machine is a dead-end clone that the search never
-	// reuses; the callback may inspect and keep it. Returning false stops
-	// the exploration.
+	// Exhaustive. The machine is rebuilt by replaying the state's schedule
+	// and records the history along it; the callback may inspect and keep
+	// it. Returning false stops the exploration.
 	OnTerminal func(*program.Machine) bool
 	// TrackProgress records the state graph during Exhaustive so the
 	// result can report progress failures: states from which no terminal
@@ -297,44 +303,46 @@ func (s *step) apply(m *program.Machine) error {
 	return nil
 }
 
-// trace renders the schedule ending in s, oldest step first, replaying
-// it from root, the state the search started in, so that each internal
-// action is described as the state it was taken in offered it.
-func (s *step) trace(root *program.Machine) ([]string, error) {
+// replay builds the state the schedule ending in s reaches in a fresh
+// copy of root, the machine the search started from, which records the
+// history along the way. With trace it also renders the schedule, oldest
+// step first, each internal action described as the state it was taken in
+// offered it.
+func (s *step) replay(root *program.Machine, trace bool) (*program.Machine, []string, error) {
 	var steps []*step
 	for p := s; p != nil; p = p.parent {
 		steps = append(steps, p)
 	}
-	if len(steps) == 0 {
-		return nil, nil
+	var out []string
+	if trace && len(steps) > 0 {
+		out = make([]string, len(steps))
 	}
-	out := make([]string, len(steps))
 	m := root.Clone()
 	for i := range steps {
 		st := steps[len(steps)-1-i]
-		out[i] = st.render(m)
+		if trace {
+			out[i] = st.render(m)
+		}
 		if err := st.apply(m); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return m, out, nil
 }
 
-// found is a violation as a search records it: the invariant's error, the
-// violating machine and the last step of the schedule that reached it.
-// Building its Trace and History is left to buildViolations, after the
-// search.
+// found is a violation as a search records it: the invariant's error and
+// the last step of the schedule that reached it. Building its Trace,
+// History and State is left to buildViolations, after the search.
 type found struct {
 	err  error
-	m    *program.Machine
 	step *step
 }
 
 // buildViolations builds the Violations of a search that started in root
 // from what it found, in the order it found them, on up to workers
-// goroutines. Each trace is replayed from root, which nothing changes
-// meanwhile. If a trace cannot be replayed, buildViolations returns the
-// ones before it and the error.
+// goroutines. Each one's schedule is replayed from root, which nothing
+// changes meanwhile. If a schedule cannot be replayed, buildViolations
+// returns the violations before it and the error.
 func buildViolations(fs []found, root *program.Machine, workers int) ([]Violation, error) {
 	if len(fs) == 0 {
 		return nil, nil
@@ -342,9 +350,10 @@ func buildViolations(fs []found, root *program.Machine, workers int) ([]Violatio
 	vs := make([]Violation, len(fs))
 	errs := make([]error, len(fs))
 	if err := pool.Indexed(workers, len(fs), func(_, i int) {
-		f := fs[i]
-		vs[i] = Violation{Err: f.err, History: f.m.Mem().Recorder().System(), State: f.m}
-		vs[i].Trace, errs[i] = f.step.trace(root)
+		m, trace, err := fs[i].step.replay(root, true)
+		if errs[i] = err; err == nil {
+			vs[i] = Violation{Err: fs[i].err, Trace: trace, History: m.Mem().Recorder().System(), State: m}
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -366,8 +375,7 @@ type scratch struct {
 	m   *program.Machine
 	key []byte
 	// free holds machines no search node uses any more, for the next
-	// state to be built in. The searches put back only machines they own:
-	// never one handed to a caller as Violation.State or to OnTerminal.
+	// state to be built in.
 	free []*program.Machine
 	// stepped counts the successors stepped, kept or not.
 	stepped int
@@ -517,7 +525,9 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 	if opts.TrackProgress {
 		res.edges = map[string][]string{}
 	}
-	stack := []node{{m: m0.Clone()}}
+	root := m0.Clone()
+	root.Mem().Recorder().Discard()
+	stack := []node{{m: root}}
 	var s scratch
 	var steps stepSlab
 	defer func() { res.stepped = s.stepped }()
@@ -536,27 +546,27 @@ func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv I
 			nKey = string(s.key)
 		}
 
-		if err := inv(n.m); err != nil {
-			res.found = append(res.found, found{err: err, m: n.m, step: n.step})
+		switch bad := inv(n.m); {
+		case bad != nil: // not explored past
+			res.found = append(res.found, found{err: bad, step: n.step})
 			if opts.StopAtFirst {
 				res.truncate(IncompleteFirstViolation)
 				return res, nil
 			}
-			continue // do not explore past a violation; n.m is handed out
-		}
-		switch {
 		case n.m.Halted() && n.m.Mem().NumInternal() == 0:
 			res.TerminalStates++
 			if opts.TrackProgress {
 				res.terminals = append(res.terminals, nKey)
 			}
 			if opts.OnTerminal != nil {
-				// n.m is handed out, so it is not recycled.
-				if !opts.OnTerminal(n.m) {
+				t, _, err := n.step.replay(m0, false)
+				if err != nil {
+					return res, err
+				}
+				if !opts.OnTerminal(t) {
 					res.truncate(IncompleteCallbackStop)
 					return res, nil
 				}
-				continue
 			}
 		case n.depth >= opts.MaxDepth:
 			res.truncate(IncompleteMaxDepth)

@@ -22,11 +22,13 @@ import (
 // order).
 //
 // The merge records a violation only as what the search found: the
-// invariant's error, the violating node's machine and its step. Each
-// violation's Trace, replayed from the root, and its History are built
-// after the search by buildViolations in explore.go, which both searches
-// share, on the pool's workers and in the order the merge recorded them.
-// So the replays cost the merge, which runs on one goroutine, nothing.
+// invariant's error and the violating node's step. Each violation's
+// Trace, History and State, all from one replay of its schedule from the
+// root, are built after the search by buildViolations in explore.go,
+// which both searches share, on the pool's workers and in the order the
+// merge recorded them. So those replays cost the merge, which runs on one
+// goroutine, nothing; only a terminal state passed to OnTerminal is
+// replayed in the merge.
 //
 // Expansion is key-first: each worker steps every successor in one reused
 // scratch machine and records it only as its step, its key and the key's
@@ -42,15 +44,15 @@ import (
 // built and checked but its successors are not stepped.
 //
 // Machines are recycled, not collected. The search owns every machine it
-// builds until it hands one to the caller — a violating state becomes
-// Violation.State, a terminal state is passed to OnTerminal — and it
-// never recycles a machine it has handed out. Its own go back to a worker's
-// free list (the scratch's), and the next state a worker builds, or the
-// next successor it steps after keeping one, reuses one from its list:
+// builds, and hands none of them to the caller: Violation.State and the
+// machines passed to OnTerminal are replayed apart. Each goes back to a
+// worker's free list (the scratch's), and the next state a worker builds,
+// or the next successor it steps after keeping one, reuses one from its
+// list:
 //
-//   - a node the merge keeps no child of (a dead end, a state at the depth
-//     or state cap, a terminal state when there is no OnTerminal) is
-//     recycled by the merge;
+//   - a node the merge keeps no child of (a violating or terminal state, a
+//     dead end, a state at the depth or state cap) is recycled by the
+//     merge;
 //   - a node the merge keeps children of counts them in kids; each child's
 //     build decrements the count after cloning, and the child that brings
 //     it to zero recycles the parent's machine, in its own worker's list.
@@ -111,7 +113,9 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 	// so three node arrays take turns: the level being expanded, the one
 	// its nodes are built from, and the next level, which reuses the
 	// array of the level before those.
-	frontier := []node{{m: m0.Clone()}}
+	root := m0.Clone()
+	root.Mem().Recorder().Discard()
+	frontier := []node{{m: root}}
 	var parents, spare []node
 	// One scratch per worker, indexed by the worker pool.Indexed names.
 	ss := make([]scratch, workers)
@@ -162,27 +166,27 @@ func exhaustiveParallel(ctx context.Context, m0 *program.Machine, opts Options, 
 				if exp.err != nil {
 					return res, exp.err
 				}
-				if exp.violation != nil {
-					res.found = append(res.found, found{err: exp.violation, m: n.m, step: n.step})
+				switch {
+				case exp.violation != nil: // not explored past
+					res.found = append(res.found, found{err: exp.violation, step: n.step})
 					if opts.StopAtFirst {
 						res.truncate(IncompleteFirstViolation)
 						return res, nil
 					}
-					continue // do not explore past a violation; n.m is handed out
-				}
-				switch {
 				case exp.terminal:
 					res.TerminalStates++
 					if opts.TrackProgress {
 						res.terminals = append(res.terminals, exp.key)
 					}
 					if opts.OnTerminal != nil {
-						// n.m is handed out, so it is not recycled.
-						if !opts.OnTerminal(n.m) {
+						t, _, err := n.step.replay(m0, false)
+						if err != nil {
+							return res, err
+						}
+						if !opts.OnTerminal(t) {
 							res.truncate(IncompleteCallbackStop)
 							return res, nil
 						}
-						continue
 					}
 				case n.depth >= opts.MaxDepth:
 					res.truncate(IncompleteMaxDepth)

@@ -10,16 +10,21 @@ import (
 	"repro/sim"
 )
 
-// TestHandedOutMachinesOwned checks the searches' ownership rule: the
-// machines they recycle are only ever their own, never one handed to the
-// caller. Every violating state is recorded, fingerprint and recorded
-// history, when the invariant rejects it, and every terminal state when
-// OnTerminal receives it; after Exhaustive returns, each machine reported
-// as a Violation.State or received by OnTerminal must still hold exactly
-// that state, and no two of them may be the same machine. Bakery(2,1)
-// supplies violations; Lamport's fast mutex reaches terminal states while
-// the breadth-first search still has levels to build, in machines a
-// wrongly recycled terminal state would be reused for.
+// TestHandedOutMachinesOwned checks the searches' ownership rule: a search
+// recycles every machine it builds, and those machines record no history,
+// so each machine it hands to the caller is one it builds apart, by
+// replaying the state's schedule from the root. The invariant sees every
+// state a search reaches, and the machines it sees must record nothing.
+// Every Violation.State and every machine OnTerminal receives must be a
+// machine the invariant never saw, in the state of one it rejected (a
+// violation) or accepted (a terminal state), and no two of them may be
+// the same machine. A violation's History must be its State's recorded
+// history, and every hand-out must be unchanged after Exhaustive returns:
+// a terminal state keeps the fingerprint and history it had when
+// OnTerminal received it. Bakery(2,1) supplies violations; Lamport's fast
+// mutex reaches terminal states while the breadth-first search still has
+// levels to build, in machines a wrongly handed-out search machine would
+// be reused for.
 func TestHandedOutMachinesOwned(t *testing.T) {
 	sc := func() sim.Memory { return sim.NewSC(2) }
 	tso := func() sim.Memory { return sim.NewTSO(2) }
@@ -37,39 +42,47 @@ func TestHandedOutMachinesOwned(t *testing.T) {
 		}},
 		{"LamportFast", algorithms.LamportFast(true), []func() sim.Memory{sc, tso, rcpc}},
 	}
-	snapshot := func(m *program.Machine) string {
-		return m.Fingerprint() + "\n" + m.Mem().Recorder().System().String()
-	}
 	for _, c := range cases {
 		for _, mk := range c.mems {
 			for _, workers := range []int{1, 2, 4} {
-				testHandedOut(t, c.name, c.progs, mk(), workers, snapshot)
+				testHandedOut(t, c.name, c.progs, mk(), workers)
 			}
 		}
 	}
 }
 
 // testHandedOut runs one case of TestHandedOutMachinesOwned.
-func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Memory, workers int, snapshot func(*program.Machine) string) {
+func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Memory, workers int) {
 	t.Helper()
 	name := fmt.Sprintf("%s/%s/workers=%d", prog, mem.Name(), workers)
+	snapshot := func(m *program.Machine) string {
+		return m.Fingerprint() + "\n" + m.Mem().Recorder().System().String()
+	}
 	m0, err := program.NewMachine(mem, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	rejected := map[*program.Machine]string{}
+	searched := map[*program.Machine]bool{}
+	accepted, rejected := map[string]bool{}, map[string]bool{}
+	recording := 0
 	var terminals []*program.Machine
 	var terminalStates []string
 	res, err := Exhaustive(m0, Options{
 		Workers: workers,
 		Invariant: func(m *program.Machine) error {
 			err := MutualExclusion(m)
+			fp := m.Fingerprint()
+			mu.Lock()
+			defer mu.Unlock()
+			searched[m] = true
+			if m.Mem().Recorder().Len() != 0 {
+				recording++
+			}
 			if err != nil {
-				s := snapshot(m)
-				mu.Lock()
-				rejected[m] = s
-				mu.Unlock()
+				rejected[fp] = true
+			} else {
+				accepted[fp] = true
 			}
 			return err
 		},
@@ -86,31 +99,32 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 	if !res.Complete || len(terminals) != res.TerminalStates || len(terminals) == 0 {
 		t.Fatalf("%s: complete=%v, %d terminal states, %d seen by OnTerminal", name, res.Complete, res.TerminalStates, len(terminals))
 	}
+	if recording != 0 {
+		t.Errorf("%s: the invariant saw %d machines that record a history", name, recording)
+	}
 	owners := map[*program.Machine]string{}
-	claim := func(m *program.Machine, what string) {
+	handedOut := func(m *program.Machine, what string, states map[string]bool, verdict string) {
 		if prev, ok := owners[m]; ok {
 			t.Errorf("%s: %s and %s are the same machine", name, prev, what)
 		}
 		owners[m] = what
+		if searched[m] {
+			t.Errorf("%s: %s is a machine the search passed to the invariant", name, what)
+		}
+		if !states[m.Fingerprint()] {
+			t.Errorf("%s: %s's state is not one the invariant %s", name, what, verdict)
+		}
 	}
 	for i, v := range res.Violations {
 		what := fmt.Sprintf("violation %d", i)
-		claim(v.State, what)
-		want, ok := rejected[v.State]
-		if !ok {
-			t.Errorf("%s: %s's state is not a machine the invariant rejected", name, what)
-			continue
-		}
-		if got := snapshot(v.State); got != want {
-			t.Errorf("%s: %s's state changed after it was reported:\n%s\nwant\n%s", name, what, got, want)
-		}
+		handedOut(v.State, what, rejected, "rejected")
 		if got := v.History.String(); got != v.State.Mem().Recorder().System().String() {
 			t.Errorf("%s: %s's history is not its state's:\n%s", name, what, got)
 		}
 	}
 	for i, m := range terminals {
 		what := fmt.Sprintf("terminal %d", i)
-		claim(m, what)
+		handedOut(m, what, accepted, "accepted")
 		if got := snapshot(m); got != terminalStates[i] {
 			t.Errorf("%s: %s changed after OnTerminal received it:\n%s\nwant\n%s", name, what, got, terminalStates[i])
 		}

@@ -56,28 +56,17 @@ func LinearExtensionsParallel(ctx context.Context, workers, n int, before func(a
 	if n > 64 {
 		panic("perm: LinearExtensionsParallel limited to 64 items")
 	}
+	preds, ok := precedence(n, before)
+	if !ok {
+		return true, nil // no extensions
+	}
 	workers = pool.Size(workers)
 	if workers == 1 || n <= 2 {
-		exhausted = true
-		LinearExtensions(n, before, func(order []int) bool {
-			if ctx.Err() != nil || !yield(order) {
-				exhausted = false
-				return false
-			}
-			return true
-		})
-		return exhausted, nil
+		return extend(preds, make([]int, 0, n), 0, n, func(order []int) bool {
+			return ctx.Err() == nil && yield(order)
+		}), nil
 	}
-
-	preds := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && before(j, i) {
-				preds[i] |= 1 << uint(j)
-			}
-		}
-	}
-	depth := splitDepth(n, preds, workers*shardsPerWorker)
+	depth := splitDepth(preds, workers*shardsPerWorker)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -87,7 +76,7 @@ func LinearExtensionsParallel(ctx context.Context, workers, n int, before func(a
 
 	traced := obs.Enabled(ctx)
 	shards, feedErr := pool.Feed(cctx, workers, func(emit func([]int) bool) {
-		prefixes(n, preds, depth, func(prefix []int) bool {
+		extend(preds, make([]int, 0, depth), 0, depth, func(prefix []int) bool {
 			return emit(append([]int(nil), prefix...))
 		})
 	})
@@ -95,35 +84,15 @@ func LinearExtensionsParallel(ctx context.Context, workers, n int, before func(a
 		if done := shardScope(ctx, traced, w, prefix); done != nil {
 			defer done()
 		}
-		order := make([]int, len(prefix), n)
-		copy(order, prefix)
 		var placed uint64
 		for _, i := range prefix {
 			placed |= 1 << uint(i)
 		}
-		var rec func(placed uint64) bool
-		rec = func(placed uint64) bool {
-			if stopped.Load() {
-				return false
-			}
-			if len(order) == n {
-				return yield(order)
-			}
-			for i := 0; i < n; i++ {
-				bit := uint64(1) << uint(i)
-				if placed&bit != 0 || preds[i]&^placed != 0 {
-					continue
-				}
-				order = append(order, i)
-				ok := rec(placed | bit)
-				order = order[:len(order)-1]
-				if !ok {
-					return false
-				}
-			}
-			return true
-		}
-		if !rec(placed) {
+		// The walk meets no dead end, so a stop checked at each extension
+		// is checked at least every n steps.
+		if !extend(preds, append(make([]int, 0, n), prefix...), placed, n, func(order []int) bool {
+			return !stopped.Load() && yield(order)
+		}) {
 			stopped.Store(true)
 			cancel()
 		}
@@ -151,11 +120,11 @@ func shutdownProducer[T any](cancel context.CancelFunc, shards <-chan T, feedErr
 
 // splitDepth picks the shortest prefix depth whose shard count reaches
 // target (or the item count, for tiny spaces).
-func splitDepth(n int, preds []uint64, target int) int {
+func splitDepth(preds []uint64, target int) int {
 	depth := 0
-	for depth < n {
+	for depth < len(preds) {
 		count := 0
-		prefixes(n, preds, depth, func([]int) bool {
+		extend(preds, make([]int, 0, depth), 0, depth, func([]int) bool {
 			count++
 			return count < target
 		})
@@ -165,33 +134,6 @@ func splitDepth(n int, preds []uint64, target int) int {
 		depth++
 	}
 	return depth
-}
-
-// prefixes enumerates every valid placement prefix of exactly the given
-// depth (an extension of the empty prefix choosing `depth` items whose
-// predecessors are all placed). The slice is reused; copy if retained.
-func prefixes(n int, preds []uint64, depth int, yield func(prefix []int) bool) {
-	order := make([]int, 0, depth)
-	var rec func(placed uint64) bool
-	rec = func(placed uint64) bool {
-		if len(order) == depth {
-			return yield(order)
-		}
-		for i := 0; i < n; i++ {
-			bit := uint64(1) << uint(i)
-			if placed&bit != 0 || preds[i]&^placed != 0 {
-				continue
-			}
-			order = append(order, i)
-			ok := rec(placed | bit)
-			order = order[:len(order)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
 }
 
 // ProductsParallel enumerates the same index vectors as Products, sharded

@@ -91,6 +91,25 @@ func TestParallelCycleYieldsNothing(t *testing.T) {
 	}
 }
 
+// TestCycleWalksNothing holds both enumerators to the cycle guard: with
+// items 0 and 1 ordered both ways and 30 more items free, they yield
+// nothing and report the space exhausted. A walk that met the cycle only
+// at the end of each ordering would try the 30! orderings of the free
+// items, and the test would hang until the -timeout watchdog stops it.
+func TestCycleWalksNothing(t *testing.T) {
+	before := func(a, b int) bool { return a < 2 && b < 2 && a != b }
+	never := func([]int) bool { return false }
+	if !LinearExtensions(32, before, never) {
+		t.Error("sequential: yielded an extension of a cyclic order")
+	}
+	for _, workers := range []int{1, 2} {
+		exhausted, err := LinearExtensionsParallel(context.Background(), workers, 32, before, never)
+		if err != nil || !exhausted {
+			t.Errorf("workers=%d: exhausted=%v err=%v, want the empty space exhausted", workers, exhausted, err)
+		}
+	}
+}
+
 // TestParallelEarlyStop: a yield returning false stops the whole pool and
 // the enumerator reports the early stop.
 func TestParallelEarlyStop(t *testing.T) {

@@ -4,6 +4,8 @@
 // serializations (RC_sc).
 package perm
 
+import "math/bits"
+
 // LinearExtensions enumerates every ordering of the items 0..n-1 in which
 // item a appears before item b whenever before(a, b) is true. The yield
 // function receives each extension; the slice is reused between calls and
@@ -11,42 +13,68 @@ package perm
 // LinearExtensions returns false; otherwise it returns true after
 // exhausting all extensions.
 //
-// before need not be transitively closed, but it must be acyclic over the
-// items; a cycle simply yields no extensions. n must be at most 64.
+// before need not be transitively closed or acyclic: a cycle yields no
+// extensions, and is found in O(n²) before any ordering is walked. n must
+// be at most 64.
 func LinearExtensions(n int, before func(a, b int) bool, yield func(order []int) bool) bool {
 	if n > 64 {
 		panic("perm: LinearExtensions limited to 64 items")
 	}
-	// preds[i] is the bitmask of items that must precede item i.
+	preds, ok := precedence(n, before)
+	return !ok || extend(preds, make([]int, 0, n), 0, n, yield)
+}
+
+// precedence returns the items' precedence masks — preds[i] is the bitmask
+// of the items that must come before item i — and whether they are
+// acyclic. Acyclicity is decided Kahn-style on the masks: each pass places
+// every item whose predecessors are all placed, and the masks are acyclic
+// exactly when every item gets placed, after at most n passes of n items.
+// Without this check a walk over cyclic masks would try every ordering of
+// the items it can place before finding that none completes.
+func precedence(n int, before func(a, b int) bool) ([]uint64, bool) {
 	preds := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+	for i := range n {
+		for j := range n {
 			if i != j && before(j, i) {
 				preds[i] |= 1 << uint(j)
 			}
 		}
 	}
-	order := make([]int, 0, n)
-	var rec func(placed uint64) bool
-	rec = func(placed uint64) bool {
-		if len(order) == n {
-			return yield(order)
-		}
-		for i := 0; i < n; i++ {
+	var placed uint64
+	for progress := true; progress; {
+		progress = false
+		for i, p := range preds {
 			bit := uint64(1) << uint(i)
-			if placed&bit != 0 || preds[i]&^placed != 0 {
-				continue
-			}
-			order = append(order, i)
-			ok := rec(placed | bit)
-			order = order[:len(order)-1]
-			if !ok {
-				return false
+			if placed&bit == 0 && p&^placed == 0 {
+				placed |= bit
+				progress = true
 			}
 		}
-		return true
 	}
-	return rec(0)
+	return preds, bits.OnesCount64(placed) == n
+}
+
+// extend walks every way to extend order, a placement prefix whose items
+// are the bits of placed, to depth items under the acyclic masks preds,
+// and passes each to yield; the slice is reused, so order must have
+// capacity for depth items. It returns false as soon as yield does. Every
+// prefix it builds extends to a linear extension, so over acyclic masks
+// the walk meets no dead end: yield is called at least once every n
+// steps.
+func extend(preds []uint64, order []int, placed uint64, depth int, yield func(order []int) bool) bool {
+	if len(order) == depth {
+		return yield(order)
+	}
+	for i, p := range preds {
+		bit := uint64(1) << uint(i)
+		if placed&bit != 0 || p&^placed != 0 {
+			continue
+		}
+		if !extend(preds, append(order, i), placed|bit, depth, yield) {
+			return false
+		}
+	}
+	return true
 }
 
 // CountLinearExtensions returns the number of linear extensions; it is a

@@ -3,6 +3,7 @@ package model_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/history"
 	"repro/model"
@@ -128,6 +129,44 @@ func TestFastPathGenerousBudgetDecides(t *testing.T) {
 		}
 		if v.Allowed != ref.Allowed {
 			t.Errorf("%s: budgeted fast verdict %v, enumerator says %v", m.Name(), v.Allowed, ref.Allowed)
+		}
+	}
+}
+
+// TestCyclicWriteOrderDecidedBeforeDeadline pins a history a PCG
+// simulator produced (seed 40, 36 operations) that TSO forbids because the
+// orders a global write order must extend — program order and the
+// write→write edges the pre-pass forces — are cyclic together. The
+// write-order enumeration finds the cycle before walking a single
+// ordering; a walk that met it only at the end of each ordering would try
+// every ordering of the other writes without charging the meter, past any
+// deadline.
+// Under a 5 ms deadline the check must decide forbidden within 10 ms at 1
+// and 2 workers.
+func TestCyclicWriteOrderDecidedBeforeDeadline(t *testing.T) {
+	s, err := history.Parse(`p0: r(z)0 w(y)1 w(y)2 w(y)3 w(z)4 r(x)1048579 r(x)2097155
+p1: w(y)1048577 r(x)0 w(z)1048578 w(x)1048579 w(y)1048580 w(x)1048581 r(z)1048578 r(x)1048581 w(x)1048582 w(x)1048583 r(x)1048583 r(z)3145729 r(z)3145729
+p2: r(y)0 w(z)2097153 w(y)2097154 r(x)1048579 w(x)2097155 w(y)2097156 r(x)2097155
+p3: r(z)0 r(y)1048577 r(z)1048578 r(x)0 w(z)3145729 w(x)3145730 w(z)3145731 r(z)3145731 r(x)1048582`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 5 * time.Millisecond
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithTimeout(model.WithRoute(context.Background(), model.RouteAuto), deadline)
+		start := time.Now()
+		v, err := model.WithWorkers(model.TSO, workers).Allows(ctx, s)
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		t.Logf("workers=%d: allowed=%v in %v", workers, v.Allowed, elapsed)
+		if !v.Decided() || v.Allowed {
+			t.Errorf("workers=%d: allowed=%v unknown=%v, want decided forbidden", workers, v.Allowed, v.Unknown)
+		}
+		if elapsed > 2*deadline {
+			t.Errorf("workers=%d: returned after %v, want ≤ %v", workers, elapsed, 2*deadline)
 		}
 	}
 }

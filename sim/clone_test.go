@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +113,35 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 				}
 				if g, w := observe(src.CloneInto(got)), observe(src.Clone()); g != w {
 					t.Fatalf("%s seed %d: copying into a used copy differs from Clone:\n%s\nwant\n%s", name, seed, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderDiscard checks that a memory whose recorder discards its
+// history evolves exactly as one that keeps it: after the same walk the two
+// have the same fingerprint and the same write counters, so their next
+// writes get the same tags. It records nothing, and neither do its copies,
+// taken by Clone or into the storage of a memory that records.
+func TestRecorderDiscard(t *testing.T) {
+	locs := []history.Loc{"x", "y", "flag[0]"}
+	for seed := int64(0); seed < 20; seed++ {
+		dropped := Memories(2)
+		for i, kept := range Memories(2) {
+			d := dropped[i]
+			walk(kept, rand.New(rand.NewSource(seed)), 10, locs)
+			walk(d, rand.New(rand.NewSource(seed)), 10, locs)
+			d.Recorder().Discard()
+			ms := []Memory{d, d.Clone(), d.CloneInto(kept.Clone())}
+			walk(kept, rand.New(rand.NewSource(seed+1000)), 30, locs)
+			for j, m := range ms {
+				walk(m, rand.New(rand.NewSource(seed+1000)), 30, locs)
+				if fingerprint(m) != fingerprint(kept) || !slices.Equal(m.Recorder().nextSeq, kept.Recorder().nextSeq) {
+					t.Errorf("%s seed %d copy %d: state or write counters differ from the recording memory's", kept.Name(), seed, j)
+				}
+				if n, ops := m.Recorder().Len(), m.Recorder().System().NumOps(); n != 0 || ops != 0 {
+					t.Errorf("%s seed %d copy %d: recorded %d operations (%d in System), want none", kept.Name(), seed, j, n, ops)
 				}
 			}
 		}

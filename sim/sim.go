@@ -38,9 +38,8 @@ import (
 // a processor's next operation synchronously (the operation "issues" and
 // the local effect happens immediately); Internal lists the currently
 // enabled internal transitions (deliveries, drains), and Step performs one.
-// Clone and CloneInto must copy all state so that the copy and the
-// original evolve independently; the recorder's recorded prefix may be
-// shared (see Recorder), since recorded operations are never mutated.
+// Clone and CloneInto must copy all state, the recorder included, so that
+// the copy and the original evolve independently.
 // AppendFingerprint must canonically and exactly encode the live state
 // (excluding the recorder); AppendKey is the same encoding with location
 // ids in place of names, the compact form explorers keep for every visited
@@ -119,25 +118,18 @@ type update struct {
 // processor's own progress, never on the global interleaving — states that
 // differ only in interleaving history fingerprint identically, which keeps
 // exhaustive exploration from fragmenting.
-//
-// The recorded operations form a persistent list, newest first: recording
-// an operation prepends a node and never mutates an existing one, so a
-// Recorder and its clones share the prefix they had in common when the
-// clone was taken. Cloning copies only the per-processor write counters,
-// and System builds the history on demand.
 type Recorder struct {
-	nprocs int
-	last   *recOp // most recent operation; nil when empty
-	n      int
+	nprocs  int
+	ops     []recOp
+	discard bool // record no operations (see Discard)
 	// nextSeq[p] is the number of writes p has recorded. Each recorder
 	// owns its counters: a write increments them in place, and every
-	// copy (Clone, copyFrom) copies them.
+	// copy (copyFrom) copies them.
 	nextSeq []history.Value
 }
 
-// recOp is one recorded operation in a Recorder's persistent list.
+// recOp is one recorded operation.
 type recOp struct {
-	prev    *recOp
 	proc    history.Proc
 	write   bool
 	labeled bool
@@ -149,12 +141,6 @@ type recOp struct {
 // issue at most tagStride-1 writes in one run.
 const tagStride = 1 << 20
 
-// NewRecorder returns a Recorder for nprocs processors.
-func NewRecorder(nprocs int) *Recorder {
-	r := newRecorder(nprocs)
-	return &r
-}
-
 func newRecorder(nprocs int) Recorder {
 	return Recorder{nprocs: nprocs, nextSeq: make([]history.Value, nprocs)}
 }
@@ -163,8 +149,9 @@ func (r *Recorder) record(p history.Proc, write, labeled bool, loc history.Loc, 
 	if int(p) < 0 || int(p) >= r.nprocs {
 		panic(fmt.Sprintf("sim: Recorder: processor %d out of range [0,%d)", p, r.nprocs))
 	}
-	r.last = &recOp{prev: r.last, proc: p, write: write, labeled: labeled, loc: loc, val: v}
-	r.n++
+	if !r.discard {
+		r.ops = append(r.ops, recOp{proc: p, write: write, labeled: labeled, loc: loc, val: v})
+	}
 }
 
 // Write records a write and returns its fresh tag.
@@ -181,14 +168,20 @@ func (r *Recorder) Read(p history.Proc, loc history.Loc, tag history.Value, labe
 	r.record(p, false, labeled, loc, tag)
 }
 
+// Discard drops the recorded operations and records none from now on.
+// Writes are still tagged as before, so the memory's states, fingerprints
+// and keys are unchanged; only System and Len see nothing. Copies of the
+// memory (Clone, CloneInto) inherit it. Explorers discard the history of
+// the machines they search, whose histories depend only on the schedule,
+// and rebuild a history by replaying its schedule when they need one.
+func (r *Recorder) Discard() {
+	r.ops, r.discard = nil, true
+}
+
 // System returns the recorded history so far.
 func (r *Recorder) System() *history.System {
-	ops := make([]*recOp, r.n)
-	for o, i := r.last, r.n-1; o != nil; o, i = o.prev, i-1 {
-		ops[i] = o
-	}
 	b := history.NewBuilder(r.nprocs)
-	for _, o := range ops {
+	for _, o := range r.ops {
 		switch {
 		case o.write && o.labeled:
 			b.Release(o.proc, o.loc, o.val)
@@ -233,23 +226,14 @@ func nthNonempty[T any](qs [][]T, i int) int {
 }
 
 // Len returns the number of recorded operations.
-func (r *Recorder) Len() int { return r.n }
+func (r *Recorder) Len() int { return len(r.ops) }
 
-// Clone returns an independent recorder that shares r's recorded prefix.
-// Later operations recorded on either one are invisible to the other.
-func (r *Recorder) Clone() *Recorder {
-	c := new(Recorder)
-	c.copyFrom(r)
-	return c
-}
-
-// copyFrom makes r a copy of src that shares src's recorded prefix and
-// keeps its write counters in r's own storage, which nothing else may use
-// any more. A memory's CloneInto copies its recorder into its
+// copyFrom makes r a copy of src in r's own storage, which nothing else may
+// use any more. A memory's CloneInto copies its recorder into its
 // destination's this way; a Recorder is never copied as a plain value,
-// which would share the counters.
+// which would share its storage.
 func (r *Recorder) copyFrom(src *Recorder) {
-	r.nprocs, r.n = src.nprocs, src.n
-	r.last = src.last
+	r.nprocs, r.discard = src.nprocs, src.discard
+	copyInto(&r.ops, src.ops)
 	copyInto(&r.nextSeq, src.nextSeq)
 }

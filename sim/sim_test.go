@@ -274,7 +274,7 @@ func TestCloneIndependence(t *testing.T) {
 		if string(m.AppendFingerprint(nil)) == string(c.AppendFingerprint(nil)) {
 			t.Errorf("%s: clone shares state (fingerprints equal after divergence)", m.Name())
 		}
-		// The clone shares the recorded prefix w(x); operations recorded
+		// The clone copies the recorded prefix w(x); operations recorded
 		// after the clone appear only in their own recorder.
 		m.Write(0, "z", 3, false)
 		for _, r := range []struct {
@@ -284,7 +284,7 @@ func TestCloneIndependence(t *testing.T) {
 		}{{"original", m.Recorder(), "z", "y"}, {"clone", c.Recorder(), "y", "z"}} {
 			s := r.rec.System()
 			if r.rec.Len() != 2 || s.NumOps() != 2 {
-				t.Errorf("%s %s: Len=%d NumOps=%d, want 2 (shared w(x) plus its own write)",
+				t.Errorf("%s %s: Len=%d NumOps=%d, want 2 (w(x) plus its own write)",
 					m.Name(), r.name, r.rec.Len(), s.NumOps())
 			}
 			locs := map[history.Loc]bool{}
