@@ -192,41 +192,6 @@ func BenchmarkBakeryRCpcComplete(b *testing.B) {
 	}
 }
 
-// BenchmarkBakeryTransition measures the two costs every successor the
-// explorer steps pays, on a Bakery(2,2) RCpc machine 40 random steps into
-// a run: copying the parent state into a reused machine (CloneInto) and
-// keying the result (AppendKey). Both must allocate nothing.
-func BenchmarkBakeryTransition(b *testing.B) {
-	m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for range 40 {
-		if n := m.Mem().NumInternal(); n > 0 && rng.Intn(2) == 0 {
-			m.Mem().Step(rng.Intn(n))
-		} else if r := m.Runnable(); len(r) > 0 {
-			if err := m.StepThread(r[rng.Intn(len(r))]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("CloneInto", func(b *testing.B) {
-		b.ReportAllocs()
-		dst := m.Clone()
-		for b.Loop() {
-			dst = m.CloneInto(dst)
-		}
-	})
-	b.Run("AppendKey", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := m.AppendKey(nil)
-		for b.Loop() {
-			buf = m.AppendKey(buf[:0])
-		}
-	})
-}
-
 // BenchmarkBakeryPaperHistory measures checking the paper's own 12-op
 // Section 5 violation history under both RC models.
 func BenchmarkBakeryPaperHistory(b *testing.B) {

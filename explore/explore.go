@@ -1,10 +1,9 @@
 // Package explore model-checks guest programs on simulated memories: it
 // exhaustively enumerates every interleaving of program steps and memory-
-// internal actions (deliveries, buffer drains), deduplicating states by
-// their exact keys, and checks an invariant — mutual exclusion, for the
-// paper's Section 5 — in every reachable state. It also provides a
-// stochastic runner for workloads whose state space is too large to
-// exhaust.
+// internal actions (deliveries, buffer drains), deduplicating states
+// exactly, and checks an invariant — mutual exclusion, for the paper's
+// Section 5 — in every reachable state. It also provides a stochastic
+// runner for workloads whose state space is too large to exhaust.
 //
 // This is the tool that mechanizes the paper's central experiment: under
 // the RCsc memory the Bakery algorithm's state space contains no state
@@ -16,30 +15,28 @@
 // states are expanded concurrently level by level and the results merged
 // sequentially in frontier order, so violations, traces and counts are
 // deterministic at every worker count, and complete explorations report
-// exactly the sequential search's counts. Workers=1 selects the original
-// depth-first search, kept as the oracle the differential tests compare
-// against.
+// exactly the sequential search's counts. Workers=1 selects a depth-first
+// search.
 //
-// Both searches step successors in a reused scratch machine and recycle
-// the machines of states they are done with, so expansion allocates
-// almost nothing once a search is under way. The machines a search builds
-// record no history (sim.Recorder.Discard): a state's history depends
-// only on the root and the schedule that reached it. A search owns and
-// recycles every machine it builds. Each machine it hands out — a
-// violating state (Violation.State) or a terminal state passed to
-// Options.OnTerminal — is a fresh one, rebuilt by replaying its schedule
-// from the machine the caller passed in, with the history recorded along
-// the way; the caller may keep and inspect it. The depth-first search
-// recycles a state's machine once its successors are stepped; parallel.go
-// describes when the breadth-first one does.
+// Both searches keep a state as a tuple of ids of its components — each
+// thread's local state and the memory's state, interned once each — and
+// find successors through memos of the thread steps and internal actions
+// already taken, so most transitions step no machine (space.go). The
+// machines a search steps and checks record no history
+// (sim.Recorder.Discard): a state's history depends only on the root and
+// the schedule that reached it. A search hands out none of them. Each
+// machine it hands out — a violating state (Violation.State) or a
+// terminal state passed to Options.OnTerminal — is built apart, by
+// replaying its schedule from the machine the caller passed in, with the
+// history recorded along the way; the caller may keep and inspect it.
 package explore
 
 import (
 	"context"
 	"errors"
 	"fmt"
-
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/history"
@@ -49,9 +46,10 @@ import (
 )
 
 // Invariant checks a machine state, returning a non-nil error describing
-// the violation if the state is bad. Exhaustive passes it the machines it
-// searches, which record no history; a violation's History is rebuilt
-// after the search.
+// the violation if the state is bad. It must not change the machine.
+// Exhaustive passes it machines built from the search's state tables,
+// which record no history; a violation's History is rebuilt after the
+// search.
 type Invariant func(*program.Machine) error
 
 // MutualExclusion is the invariant of the paper's Section 5: at most one
@@ -183,18 +181,22 @@ type Result struct {
 	// exploration). Zero means the program is deadlock-free: every
 	// reachable state has some schedule that finishes.
 	StuckStates int
-	// KeyBytes is the size of the visited-state set at the end of the
-	// search: every state key with its length prefix, plus the index's
-	// slots. It is an exact count, not a measurement of the heap, and
-	// complete explorations report the same figure at every worker
-	// count while the memory's locations number fewer than 128.
+	// KeyBytes is the size of the search's state tables at its end: the
+	// visited set (a fixed-width tuple of component ids per state, plus
+	// its index's slots) and the component tables (every thread-local
+	// and memory state's key with its length prefix and position, plus
+	// their indexes' slots). It is an exact count, not a measurement of
+	// the heap, and complete explorations report the same figure at
+	// every worker count while the memory's locations number fewer than
+	// 128.
 	KeyBytes int
-	// progress-tracking internals (TrackProgress only).
-	edges     map[string][]string
-	terminals []string
-	// stepped counts the successors the search stepped, whether or not
-	// it kept them.
-	stepped int
+	// progress-tracking internals (TrackProgress only): the successors
+	// of each state, by state number, and the terminal states.
+	edges     [][]uint32
+	terminals []uint32
+	// hits and stepped count the transitions the search found in a memo
+	// and the memo misses it stepped.
+	hits, stepped int
 	// found holds the violations the search found, in order, for
 	// ExhaustiveCtx to build into Violations once the search is over.
 	found []found
@@ -227,20 +229,20 @@ func ctxReason(err error) IncompleteReason {
 	return IncompleteCanceled
 }
 
-// node is a search node: a machine state, the last step of the schedule
-// that reached it, and that schedule's length. A node on the parallel
-// search's frontier is built lazily: m stays nil, and parent points to the
-// frontier node whose machine step is applied to, until the node's own
-// expansion builds it. kids counts the node's kept children that have not
-// yet been built from its machine; the child that brings it to zero
-// recycles the machine. The merge sets kids and the next level's workers
-// decrement it atomically; the pool's joins order the two.
+// addEdge records a transition from state from to state to.
+func (r *Result) addEdge(from, to uint32) {
+	for int(from) >= len(r.edges) {
+		r.edges = append(r.edges, nil)
+	}
+	r.edges[from] = append(r.edges[from], to)
+}
+
+// node is a search node: a state's number in the visited set, the last
+// step of the schedule that reached it, and that schedule's length.
 type node struct {
-	m      *program.Machine
-	parent *node
-	step   *step
-	depth  int
-	kids   int32
+	state uint32
+	step  *step
+	depth int
 }
 
 // step is one scheduling choice, linked to the step before it. Nodes share
@@ -272,15 +274,6 @@ func (b *stepSlab) add(st step) *step {
 	return &(*b)[len(*b)-1]
 }
 
-// render renders the step as it appears in Violation.Trace, taken in
-// state m.
-func (s step) render(m *program.Machine) string {
-	if s.internal {
-		return internalStep(s.index, m.Mem().DescribeInternal(s.index))
-	}
-	return threadStep(s.index)
-}
-
 // threadStep renders a program step of thread i as Violation.Trace lists
 // it.
 func threadStep(i int) string { return "thread " + strconv.Itoa(i) }
@@ -305,29 +298,19 @@ func (s *step) apply(m *program.Machine) error {
 
 // replay builds the state the schedule ending in s reaches in a fresh
 // copy of root, the machine the search started from, which records the
-// history along the way. With trace it also renders the schedule, oldest
-// step first, each internal action described as the state it was taken in
-// offered it.
-func (s *step) replay(root *program.Machine, trace bool) (*program.Machine, []string, error) {
+// history along the way.
+func (s *step) replay(root *program.Machine) (*program.Machine, error) {
 	var steps []*step
 	for p := s; p != nil; p = p.parent {
 		steps = append(steps, p)
 	}
-	var out []string
-	if trace && len(steps) > 0 {
-		out = make([]string, len(steps))
-	}
 	m := root.Clone()
-	for i := range steps {
-		st := steps[len(steps)-1-i]
-		if trace {
-			out[i] = st.render(m)
-		}
-		if err := st.apply(m); err != nil {
-			return nil, nil, err
+	for i := len(steps) - 1; i >= 0; i-- {
+		if err := steps[i].apply(m); err != nil {
+			return nil, err
 		}
 	}
-	return m, out, nil
+	return m, nil
 }
 
 // found is a violation as a search records it: the invariant's error and
@@ -339,109 +322,132 @@ type found struct {
 }
 
 // buildViolations builds the Violations of a search that started in root
-// from what it found, in the order it found them, on up to workers
-// goroutines. Each one's schedule is replayed from root, which nothing
-// changes meanwhile. If a schedule cannot be replayed, buildViolations
-// returns the violations before it and the error.
-func buildViolations(fs []found, root *program.Machine, workers int) ([]Violation, error) {
+// from what it found, in the order it found them. The schedules share
+// prefixes, so they are replayed from a copy of root in one walk over
+// their tree (see violationWalk). If a schedule cannot be replayed,
+// buildViolations returns the violations before it and the error.
+func buildViolations(fs []found, root *program.Machine) ([]Violation, error) {
 	if len(fs) == 0 {
 		return nil, nil
 	}
-	vs := make([]Violation, len(fs))
-	errs := make([]error, len(fs))
-	if err := pool.Indexed(workers, len(fs), func(_, i int) {
-		m, trace, err := fs[i].step.replay(root, true)
-		if errs[i] = err; err == nil {
-			vs[i] = Violation{Err: fs[i].err, Trace: trace, History: m.Mem().Recorder().System(), State: m}
+	w := &violationWalk{fs: fs, ends: make([]int, len(fs)), order: make([]int, len(fs)),
+		vs: make([]Violation, len(fs)), errs: make([]error, len(fs))}
+	n := 0
+	for i, f := range fs {
+		for p := f.step; p != nil; p = p.parent {
+			n++
 		}
-	}); err != nil {
-		return nil, err
+		w.ends[i] = n
+		w.order[i] = i
 	}
-	for i, err := range errs {
+	w.paths = make([]uint32, n)
+	for i, f := range fs {
+		j := w.ends[i]
+		for p := f.step; p != nil; p = p.parent {
+			j--
+			w.paths[j] = uint32(p.index) << 1
+			if p.internal {
+				w.paths[j] |= 1
+			}
+		}
+	}
+	slices.SortFunc(w.order, func(a, b int) int { return slices.Compare(w.path(a), w.path(b)) })
+	w.traces = make([]string, n)
+	for i := range root.NumThreads() {
+		w.threads = append(w.threads, threadStep(i))
+	}
+	w.walk(root.Clone(), 0, len(fs), 0)
+	for i, err := range w.errs {
 		if err != nil {
-			return vs[:i], err
+			return w.vs[:i], err
 		}
 	}
-	return vs, nil
+	return w.vs, nil
 }
 
-// scratch is one searcher's reusable successor storage: the machine each
-// successor is stepped in, the buffer its key is built in, and the free
-// list of machines the searcher has recycled. Most successors reach a
-// state the search has already visited, so a successor is keyed before
-// anything is allocated for it; only one the search keeps takes the
-// machine over, and the next successor is then stepped in a recycled one.
-type scratch struct {
-	m   *program.Machine
-	key []byte
-	// free holds machines no search node uses any more, for the next
-	// state to be built in.
-	free []*program.Machine
-	// stepped counts the successors stepped, kept or not.
-	stepped int
-	// The parallel search's expansions of one chunk record their
-	// successors here, back to back, for the chunk's merge.
-	keys     []byte
-	children []childEdge
+// violationWalk replays the schedules of a search's violations as one
+// tree: the machine reaching a shared prefix is built once, and copied
+// only where schedules branch, and every step's rendering in
+// Violation.Trace is built once and shared by all the traces through it.
+type violationWalk struct {
+	fs []found
+	// paths holds each violation's schedule, oldest step first, back to
+	// back, each step as its index<<1 | 1 if it is an internal action;
+	// violation i's ends at ends[i].
+	paths []uint32
+	ends  []int
+	// order lists the violations with their schedules in lexicographic
+	// order, so that a prefix's violations are adjacent.
+	order []int
+	// traces backs every violation's Trace, laid out like paths.
+	traces  []string
+	threads []string // each thread's step as Trace lists it
+	trace   []string // the rendered prefix being walked
+	vs      []Violation
+	errs    []error
 }
 
-// take returns a recycled machine to build a state in, or nil, which
-// CloneInto replaces with fresh storage, when the free list is empty.
-func (s *scratch) take() *program.Machine {
-	if len(s.free) == 0 {
-		return nil
+// path returns violation i's schedule.
+func (w *violationWalk) path(i int) []uint32 {
+	start := 0
+	if i > 0 {
+		start = w.ends[i-1]
 	}
-	m := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	return m
+	return w.paths[start:w.ends[i]]
 }
 
-// recycle puts m, which nothing uses any more, on the free list.
-func (s *scratch) recycle(m *program.Machine) { s.free = append(s.free, m) }
-
-// successors steps each of n's successors in s, program steps first, then
-// internal actions, in index order, and passes the stepped machine, its
-// key and the step that produced it to yield. yield reports whether it
-// keeps the machine; the key, and a machine yield does not keep, are
-// overwritten by the next successor. The step is a value, so a child the
-// search drops costs no step allocation.
-func (s *scratch) successors(n *node, yield func(m *program.Machine, key []byte, st step) bool) error {
-	visit := func(st step) error {
-		if s.m == nil {
-			s.m = s.take()
-		}
-		m := n.m.CloneInto(s.m)
-		if err := st.apply(m); err != nil {
-			return err
-		}
-		s.stepped++
-		s.key = m.AppendKey(s.key[:0])
-		s.m = m
-		if yield(m, s.key, st) {
-			s.m = nil
-		}
-		return nil
-	}
-	for ti := range n.m.NumThreads() {
-		if n.m.ThreadHalted(ti) {
+// walk builds the violations order[lo:hi], whose schedules share their
+// first d steps, from m, the state those steps reach, which it takes
+// over.
+func (w *violationWalk) walk(m *program.Machine, lo, hi, d int) {
+	for lo < hi {
+		i := w.order[lo]
+		p := w.path(i)
+		if len(p) == d { // a violating state; the schedules sorted after it extend no further through it
+			mm := m
+			if lo+1 < hi {
+				mm = m.Clone()
+			}
+			var trace []string
+			if d > 0 {
+				trace = w.traces[w.ends[i]-d : w.ends[i] : w.ends[i]]
+				copy(trace, w.trace[:d])
+			}
+			w.vs[i] = Violation{Err: w.fs[i].err, Trace: trace, History: mm.Mem().Recorder().System(), State: mm}
+			lo++
 			continue
 		}
-		if err := visit(step{parent: n.step, index: ti}); err != nil {
-			return err
+		code := p[d]
+		g := lo + 1
+		for g < hi && w.path(w.order[g])[d] == code {
+			g++
 		}
-	}
-	for ii, k := 0, n.m.Mem().NumInternal(); ii < k; ii++ {
-		if err := visit(step{parent: n.step, internal: true, index: ii}); err != nil {
-			return err
+		st := step{internal: code&1 != 0, index: int(code >> 1)}
+		mm := m
+		if g < hi {
+			mm = m.Clone() // the schedules from g on branch off here
 		}
+		if st.internal {
+			w.trace = append(w.trace[:d], internalStep(st.index, mm.Mem().DescribeInternal(st.index)))
+		} else {
+			w.trace = append(w.trace[:d], w.threads[st.index])
+		}
+		if err := st.apply(mm); err != nil {
+			for _, k := range w.order[lo:g] {
+				w.errs[k] = err
+			}
+		} else {
+			w.walk(mm, lo, g, d+1)
+		}
+		lo = g
 	}
-	return nil
 }
 
 // Exhaustive explores every schedule of the machine (program steps and
-// memory-internal actions) from its current state, deduplicating states by
-// key (see program.Machine.AppendKey). The machine passed in is not
-// modified.
+// memory-internal actions) from its current state, deduplicating states
+// exactly: two states are the same when every thread's local state and the
+// memory's state are (see program.Machine.AppendThreadKey and
+// sim.Memory.AppendKey). The machine passed in is not modified.
 func Exhaustive(m0 *program.Machine, opts Options) (Result, error) {
 	return ExhaustiveCtx(context.Background(), m0, opts)
 }
@@ -469,23 +475,24 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 		obs.EmitTo(ctx, obs.Event{Type: obs.EvExploreStart, Worker: w})
 	}
 	ctx, endTask := obs.TaskRegion(ctx, "explore", "exhaustive")
-	// The set of visited states starts with the root's key; the searches
-	// add every state they reach.
-	seen := newKeySet()
-	seen.add(m0.AppendKey(nil))
-	res, err := func() (Result, error) {
+	sr := newSearch(m0, opts, inv)
+	err := func() error {
 		defer endTask()
 		if w > 1 {
-			return exhaustiveParallel(ctx, m0, opts, inv, w, seen)
+			return sr.parallel(ctx, w)
 		}
-		return exhaustiveSeq(ctx, m0, opts, inv, seen)
+		return sr.depthFirst(ctx)
 	}()
-	vs, verr := buildViolations(res.found, m0, w)
+	res := sr.res
+	if opts.TrackProgress && res.Complete && err == nil {
+		res.StuckStates = countStuck(res.edges, res.terminals, sr.sp.seen.len())
+	}
+	vs, verr := buildViolations(res.found, m0)
 	res.Violations, res.found = vs, nil
 	if err == nil {
 		err = verr
 	}
-	res.KeyBytes = seen.bytes()
+	res.KeyBytes = sr.sp.bytes()
 	if traced {
 		finishExplore(ctx, res)
 	}
@@ -518,100 +525,48 @@ func finishExplore(ctx context.Context, res Result) {
 	})
 }
 
-// exhaustiveSeq is the sequential depth-first search — the oracle the
-// parallel engine's differential tests compare against.
-func exhaustiveSeq(ctx context.Context, m0 *program.Machine, opts Options, inv Invariant, seen *keySet) (res Result, err error) {
-	res.Complete = true
-	if opts.TrackProgress {
-		res.edges = map[string][]string{}
-	}
-	root := m0.Clone()
-	root.Mem().Recorder().Discard()
-	stack := []node{{m: root}}
-	var s scratch
-	var steps stepSlab
-	defer func() { res.stepped = s.stepped }()
-
+// depthFirst is the sequential depth-first search: it settles each state
+// right after expanding it, and pushes the new states it reaches, the
+// first successor deepest, so the last is expanded next.
+func (sr *search) depthFirst(ctx context.Context) error {
+	s := newScratch(sr.root)
+	defer func() { sr.res.hits, sr.res.stepped = s.hits, s.stepped }()
+	stack := []node{{}} // the root, state 0
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
-			res.truncate(ctxReason(err))
-			return res, nil
+			sr.res.truncate(ctxReason(err))
+			return nil
 		}
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		res.States++
-		var nKey string
-		if opts.TrackProgress {
-			s.key = n.m.AppendKey(s.key[:0])
-			nKey = string(s.key)
+		s.reset()
+		exp := s.expand(sr, &n, sr.res.States+1 >= sr.opts.MaxStates, false)
+		if stop, err := sr.settle(&n, &exp, &stack); stop {
+			return err
 		}
-
-		switch bad := inv(n.m); {
-		case bad != nil: // not explored past
-			res.found = append(res.found, found{err: bad, step: n.step})
-			if opts.StopAtFirst {
-				res.truncate(IncompleteFirstViolation)
-				return res, nil
-			}
-		case n.m.Halted() && n.m.Mem().NumInternal() == 0:
-			res.TerminalStates++
-			if opts.TrackProgress {
-				res.terminals = append(res.terminals, nKey)
-			}
-			if opts.OnTerminal != nil {
-				t, _, err := n.step.replay(m0, false)
-				if err != nil {
-					return res, err
-				}
-				if !opts.OnTerminal(t) {
-					res.truncate(IncompleteCallbackStop)
-					return res, nil
-				}
-			}
-		case n.depth >= opts.MaxDepth:
-			res.truncate(IncompleteMaxDepth)
-		case res.States >= opts.MaxStates:
-			res.truncate(IncompleteMaxStates)
-		default:
-			err = s.successors(&n, func(child *program.Machine, key []byte, st step) bool {
-				res.Transitions++
-				if opts.TrackProgress {
-					res.edges[nKey] = append(res.edges[nKey], string(key))
-				}
-				if !seen.add(key) {
-					return false
-				}
-				stack = append(stack, node{m: child, step: steps.add(st), depth: n.depth + 1})
-				return true
-			})
-			if err != nil {
-				return res, err
-			}
-		}
-		s.recycle(n.m)
 	}
-	if opts.TrackProgress && res.Complete {
-		res.StuckStates = countStuck(res.edges, res.terminals)
-	}
-	return res, nil
+	return nil
 }
 
-// countStuck reverse-reaches from the terminal states and counts states
-// with no path to any terminal.
-func countStuck(edges map[string][]string, terminals []string) int {
-	rev := map[string][]string{}
-	all := map[string]bool{}
+// countStuck reverse-reaches from the terminal states and counts the
+// states, of the n a search numbered, that appear in an edge or as a
+// terminal state and have no path to any terminal.
+func countStuck(edges [][]uint32, terminals []uint32, n int) int {
+	rev := make([][]uint32, n)
+	seen := make([]bool, n)
 	for from, tos := range edges {
-		all[from] = true
+		if len(tos) > 0 {
+			seen[from] = true
+		}
 		for _, to := range tos {
-			rev[to] = append(rev[to], from)
-			all[to] = true
+			rev[to] = append(rev[to], uint32(from))
+			seen[to] = true
 		}
 	}
-	canFinish := map[string]bool{}
-	queue := append([]string(nil), terminals...)
+	canFinish := make([]bool, n)
+	queue := append([]uint32(nil), terminals...)
 	for _, t := range terminals {
-		all[t] = true
+		seen[t] = true
 		canFinish[t] = true
 	}
 	for len(queue) > 0 {
@@ -625,8 +580,8 @@ func countStuck(edges map[string][]string, terminals []string) int {
 		}
 	}
 	stuck := 0
-	for s := range all {
-		if !canFinish[s] {
+	for s := range n {
+		if seen[s] && !canFinish[s] {
 			stuck++
 		}
 	}

@@ -43,18 +43,22 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 	}
 }
 
-// maxMallocsPerTransition gates TestExploreMallocsPerTransition.
-const maxMallocsPerTransition = 1.0
+// maxMallocsPerTransition gates TestExploreMallocsPerTransition, by
+// worker count.
+var maxMallocsPerTransition = map[int]float64{1: 0.5, 2: 0.65}
 
 // TestExploreMallocsPerTransition gates the explorer's allocation rate, a
 // count that does not depend on timing: exploring Bakery(2,1) on RCpc, the
 // sequential search and the two-worker parallel one must each stay at or
-// below maxMallocsPerTransition heap allocations per explored transition.
-// With frontier machines recycled and no history recorded during the
-// search, most of what is left is the steps of kept states and the
-// replays that report the 28 violations. They measure 0.4 and 0.8–0.9,
-// under -race too: keying a state allocates nothing, so no pool's
-// behaviour under -race shows in the counts.
+// below their maxMallocsPerTransition heap allocations per explored
+// transition. A transition costs no allocation: a memo hit builds a tuple
+// in a reused buffer, and a miss is stepped in a reused machine. Most of
+// what is left is one copy of each distinct memory state, kept as its
+// representative, then the steps of kept states and the walk that reports
+// the 28 violations. At two workers, a worker copies each memory state the
+// tables do not hold yet, and several nodes of one chunk may reach the
+// same one; the copies settling does not keep are reused. They measure
+// 0.46 and 0.59–0.62, and 0.48 and 0.61 under -race.
 func TestExploreMallocsPerTransition(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
@@ -67,25 +71,28 @@ func TestExploreMallocsPerTransition(t *testing.T) {
 			t.Fatal(err)
 		}
 		per := float64(after.Mallocs-before.Mallocs) / float64(res.Transitions)
-		t.Logf("workers=%d: %d transitions, %.1f mallocs per transition", workers, res.Transitions, per)
-		if per > maxMallocsPerTransition {
-			t.Errorf("workers=%d: %.1f mallocs per transition, want <= %.1f", workers, per, maxMallocsPerTransition)
+		t.Logf("workers=%d: %d transitions, %.3f mallocs per transition", workers, res.Transitions, per)
+		if max := maxMallocsPerTransition[workers]; per > max {
+			t.Errorf("workers=%d: %.3f mallocs per transition, want <= %.2f", workers, per, max)
 		}
 	}
 }
 
 // TestGoldenKeyBytes pins Result.KeyBytes, the exact size of the visited
-// set, for complete Bakery(2,1) and Bakery(2,2) explorations on RCpc at the
-// sequential and the two-worker search. Every location id there is below
-// 128, so each takes one byte whatever order the workers numbered the
-// locations in, and the figure is the same at both worker counts and on
-// every host. A change to the key encoding or the set's layout moves it.
+// set and the component tables, for complete Bakery(2,1) and Bakery(2,2)
+// explorations on RCpc at the sequential and the two-worker search. The
+// visited set's tuples are fixed-width ids, and every location id in a
+// memory key is below 128, so it takes one byte whatever order the workers
+// numbered the locations in: the figure is the same at both worker counts
+// and on every host. A change to the key encoding or the tables' layout
+// moves it. Of Bakery(2,2)'s 2,426,374 bytes, the visited set holds
+// 2,061,952 (12 B of tuple per state and 2^17 slots).
 func TestGoldenKeyBytes(t *testing.T) {
 	for _, c := range []struct {
 		rounds, states, keyBytes int
 	}{
-		{1, 2425, 179550},
-		{2, 84448, 7462644},
+		{1, 2425, 88033},
+		{2, 84448, 2426374},
 	} {
 		for _, workers := range []int{1, 2} {
 			m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, c.rounds, true))

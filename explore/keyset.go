@@ -6,23 +6,26 @@ import (
 	"hash/maphash"
 )
 
-// keySet is an exact set of state keys: the explorer's record of the
-// states it has reached. Keys are stored once, back to back, each after its
-// uvarint length, in append-only arena chunks. The index is an
-// open-addressing table of uint64 slots, each holding a key's arena
-// position and the top bits of its hash. Neither the chunks nor the slots
-// hold pointers, so the garbage collector never scans them, and a state
-// costs its key, a length byte and its share of the slots instead of a
-// string header, a map entry and a heap object. Membership always compares
-// the full key bytes; the hash only chooses where to probe and skips most
-// slots that cannot match.
+// keySet is an exact set of byte keys that numbers them: the explorer's
+// table of the thread and memory states its states are built from. Keys
+// are stored once, back to back, each after its uvarint length, in
+// append-only arena chunks, and the i-th key added gets id i. The index is
+// an open-addressing table of uint64 slots, each holding a key's id and
+// the top half of its hash; pos holds each id's arena position. Neither
+// the chunks, the slots nor pos hold pointers, so the garbage collector
+// never scans them, and a key costs its bytes, a length byte, its
+// position and its share of the slots instead of a string header, a map
+// entry and a heap object. Membership always compares the full key bytes;
+// the hash only chooses where to probe and skips most slots that cannot
+// match.
 //
 // A keySet is not safe for concurrent use by writers: any number of
-// goroutines may call has at once, but none while add runs.
+// goroutines may read it at once, but none while intern runs.
 type keySet struct {
 	seed   maphash.Seed
 	chunks [][]byte // the arena; only the last chunk has room left
-	slots  []uint64 // 0 is empty, else tag<<posBits | (arena position+1)
+	slots  []uint64 // 0 is empty, else tag<<32 | id+1
+	pos    []uint64 // by id: the key's arena position
 	n      int      // keys held
 	used   int      // arena bytes in use
 }
@@ -32,34 +35,34 @@ const (
 	// hold at most 1 MiB unless one key alone is larger. An arena
 	// position is its chunk's index shifted past the offset.
 	chunkBits = 20
-	// posBits is the width of a slot's arena position, enough for 2^20
-	// chunks (1 TiB of keys); the hash tag takes the other 24 bits.
-	posBits  = 40
-	posMask  = 1<<posBits - 1
-	minChunk = 4 << 10
-	maxChunk = 1 << chunkBits
-	minSlots = 256
+	minChunk  = 4 << 10
+	maxChunk  = 1 << chunkBits
+	minSlots  = 256
+	// maxIDs bounds the keys a set numbers, so that id+1 fits a slot's
+	// low half.
+	maxIDs = 1<<32 - 1
 )
 
 func newKeySet() *keySet {
 	return &keySet{seed: maphash.MakeSeed(), slots: make([]uint64, minSlots)}
 }
 
-// hash returns key's hash, which hasHashed and addHashed take.
+// hash returns key's hash, which the other methods take.
 func (s *keySet) hash(key []byte) uint64 { return maphash.Bytes(s.seed, key) }
 
-// hasHashed reports whether the set holds key, whose hash is h.
-func (s *keySet) hasHashed(h uint64, key []byte) bool {
-	_, ok := s.find(h, key)
-	return ok
+// lookup returns the id of key, whose hash is h, and whether the set
+// holds it.
+func (s *keySet) lookup(h uint64, key []byte) (uint32, bool) {
+	i, ok := s.find(h, key)
+	if !ok {
+		return 0, false
+	}
+	return uint32(s.slots[i]) - 1, true
 }
 
-// add inserts key, copying it, and reports whether it was new.
-func (s *keySet) add(key []byte) bool { return s.addHashed(s.hash(key), key) }
-
-// addHashed inserts key, whose hash is h, copying it, and reports whether
-// it was new.
-func (s *keySet) addHashed(h uint64, key []byte) bool {
+// intern inserts key, whose hash is h, copying it, and returns its id and
+// whether it was new.
+func (s *keySet) intern(h uint64, key []byte) (uint32, bool) {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		s.grow()
 	}
@@ -67,40 +70,46 @@ func (s *keySet) addHashed(h uint64, key []byte) bool {
 }
 
 // insert adds key, whose hash is h, to an index with a free slot, and
-// reports whether it was new.
-func (s *keySet) insert(h uint64, key []byte) bool {
+// returns its id and whether it was new.
+func (s *keySet) insert(h uint64, key []byte) (uint32, bool) {
 	i, ok := s.find(h, key)
 	if ok {
-		return false
+		return uint32(s.slots[i]) - 1, false
 	}
-	s.slots[i] = h>>posBits<<posBits | (s.store(key) + 1)
+	if s.n == maxIDs {
+		panic("explore: more than 2^32-1 distinct keys")
+	}
+	id := uint32(s.n)
+	s.pos = append(s.pos, s.store(key))
+	s.slots[i] = h>>32<<32 | uint64(id) + 1
 	s.n++
-	return true
+	return id, true
 }
 
 // bytes returns the bytes the set holds: its keys with their length
-// prefixes, and its index. It depends only on the keys added, not on the
-// order they were added in.
-func (s *keySet) bytes() int { return s.used + 8*len(s.slots) }
+// prefixes, their positions, and its index. It depends only on the keys
+// added, not on the order they were added in.
+func (s *keySet) bytes() int { return s.used + 8*s.n + 8*len(s.slots) }
 
 // find probes for key, whose hash is h. It returns key's slot and true if
 // the set holds key, otherwise the empty slot where key belongs and false.
 func (s *keySet) find(h uint64, key []byte) (int, bool) {
 	mask := len(s.slots) - 1
-	tag := h >> posBits
+	tag := h >> 32
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		e := s.slots[i]
 		if e == 0 {
 			return i, false
 		}
-		if e>>posBits == tag && bytes.Equal(s.key(e&posMask-1), key) {
+		if e>>32 == tag && bytes.Equal(s.key(uint32(e)-1), key) {
 			return i, true
 		}
 	}
 }
 
-// key returns the key stored at arena position pos.
-func (s *keySet) key(pos uint64) []byte {
+// key returns the key numbered id.
+func (s *keySet) key(id uint32) []byte {
+	pos := s.pos[id]
 	c := s.chunks[pos>>chunkBits][pos&(maxChunk-1):]
 	n, w := binary.Uvarint(c)
 	return c[w : w+int(n)]
@@ -135,7 +144,7 @@ func (s *keySet) grow() {
 		if e == 0 {
 			continue
 		}
-		i := int(s.hash(s.key(e&posMask-1))) & mask
+		i := int(s.hash(s.key(uint32(e)-1))) & mask
 		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}

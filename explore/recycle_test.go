@@ -11,9 +11,9 @@ import (
 )
 
 // TestHandedOutMachinesOwned checks the searches' ownership rule: a search
-// recycles every machine it builds, and those machines record no history,
-// so each machine it hands to the caller is one it builds apart, by
-// replaying the state's schedule from the root. The invariant sees every
+// reuses the machines it checks and steps states in, and those machines
+// record no history, so each machine it hands to the caller is one it
+// builds apart, by replaying the state's schedule from the root. The invariant sees every
 // state a search reaches, and the machines it sees must record nothing.
 // Every Violation.State and every machine OnTerminal receives must be a
 // machine the invariant never saw, in the state of one it rejected (a
@@ -23,7 +23,7 @@ import (
 // a terminal state keeps the fingerprint and history it had when
 // OnTerminal received it. Bakery(2,1) supplies violations; Lamport's fast
 // mutex reaches terminal states while the breadth-first search still has
-// levels to build, in machines a wrongly handed-out search machine would
+// levels to check, in machines a wrongly handed-out search machine would
 // be reused for.
 func TestHandedOutMachinesOwned(t *testing.T) {
 	sc := func() sim.Memory { return sim.NewSC(2) }
@@ -132,21 +132,28 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 }
 
 // TestSteppedEqualsTransitions pins the work a search does to the work it
-// counts: every successor either search steps is a transition the result
-// reports. That holds on complete explorations and, since the parallel
-// merge decides the MaxStates cap before a chunk is expanded, also on
-// capped ones, where the frontier states past the cap are built and
-// checked but their successors are not stepped. The capped runs are
+// counts: every transition either search counts is a memo hit or a memo
+// miss it stepped, and nothing else is stepped. That holds on complete
+// explorations and, since the parallel settling decides the MaxStates cap
+// before a chunk is expanded, also on capped ones, where the frontier
+// states past the cap are checked but their successors are not looked up.
+// The number stepped is pinned exactly: the depth-first search steps each
+// distinct (memory, action) and (memory, thread, thread state) once; the
+// breadth-first one steps a miss once per node of the chunk that meets
+// it, since the memos are written when the chunk is settled, which does
+// not depend on how the workers are scheduled. The capped runs are
 // TestMaxStatesOvershoot's.
 func TestSteppedEqualsTransitions(t *testing.T) {
 	for _, c := range []struct {
-		rounds, maxStates, workers, states int
+		rounds, maxStates, workers, states, stepped int
 	}{
-		{1, 0, 1, 2425},
-		{1, 0, 2, 2425},
-		{2, 5000, 1, 5032},
-		{2, 5000, 2, 5997},
-		{2, 5000, 4, 5997},
+		{1, 0, 1, 2425, 1900},
+		{1, 0, 2, 2425, 2171},
+		{2, 0, 1, 84448, 41286},
+		{2, 0, 2, 84448, 53843},
+		{2, 5000, 1, 5032, 3765},
+		{2, 5000, 2, 5997, 5675},
+		{2, 5000, 4, 5997, 5675},
 	} {
 		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, c.rounds, true))
 		if err != nil {
@@ -156,11 +163,11 @@ func TestSteppedEqualsTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d transitions, %d successors stepped",
-			c.rounds, c.maxStates, c.workers, res.States, res.Transitions, res.stepped)
-		if res.States != c.states || res.stepped != res.Transitions {
-			t.Errorf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d successors stepped for %d transitions, want %d states and one step per transition",
-				c.rounds, c.maxStates, c.workers, res.States, res.stepped, res.Transitions, c.states)
+		t.Logf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d transitions, %d memo hits, %d misses stepped",
+			c.rounds, c.maxStates, c.workers, res.States, res.Transitions, res.hits, res.stepped)
+		if res.States != c.states || res.hits+res.stepped != res.Transitions || res.stepped != c.stepped {
+			t.Errorf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d hits and %d stepped for %d transitions, want %d states, %d stepped and every transition a hit or a stepped miss",
+				c.rounds, c.maxStates, c.workers, res.States, res.hits, res.stepped, res.Transitions, c.states, c.stepped)
 		}
 	}
 }

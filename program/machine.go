@@ -263,34 +263,64 @@ func (m *Machine) AppendFingerprint(dst []byte) []byte {
 	return m.mem.AppendFingerprint(m.appendThreads(dst))
 }
 
-// AppendKey appends the machine's key: the thread state as in
-// AppendFingerprint, then the memory's key (see sim.Memory). Keys of one
-// machine's clones compare exactly as their fingerprints do, and are
-// shorter; keys of machines built apart are not comparable.
-func (m *Machine) AppendKey(dst []byte) []byte {
-	return m.mem.AppendKey(m.appendThreads(dst))
-}
-
-// appendThreads appends the thread state AppendFingerprint and AppendKey
-// begin with.
+// appendThreads appends the thread state AppendFingerprint begins with:
+// each thread's AppendThreadKey, in thread order.
 func (m *Machine) appendThreads(dst []byte) []byte {
 	for i := range m.threads {
-		t := &m.threads[i]
-		dst = binary.AppendVarint(dst, int64(t.pc))
-		dst = binary.AppendUvarint(dst, uint64(len(t.regs)))
-		for _, r := range t.regs {
-			dst = binary.AppendVarint(dst, int64(r))
-		}
-		var flags byte
-		if t.inCS {
-			flags |= 1
-		}
-		if t.halted {
-			flags |= 2
-		}
-		dst = append(dst, flags)
+		dst = m.AppendThreadKey(dst, i)
 	}
 	return dst
+}
+
+// AppendThreadKey appends thread i's state — its pc, its length-prefixed
+// registers and its critical-section and halt flags, as AppendFingerprint
+// writes them — to dst and returns the extended slice. Thread i of two
+// machines running the same programs is in the same state exactly when
+// the keys are equal; SetThreadKey restores a thread from its key.
+func (m *Machine) AppendThreadKey(dst []byte, i int) []byte {
+	t := &m.threads[i]
+	dst = binary.AppendVarint(dst, int64(t.pc))
+	dst = binary.AppendUvarint(dst, uint64(len(t.regs)))
+	for _, r := range t.regs {
+		dst = binary.AppendVarint(dst, int64(r))
+	}
+	var flags byte
+	if t.inCS {
+		flags |= 1
+	}
+	if t.halted {
+		flags |= 2
+	}
+	return append(dst, flags)
+}
+
+// SetThreadKey puts thread i in the state key encodes: a key
+// AppendThreadKey wrote for thread i of a machine running the same
+// programs. Other threads and the memory are left as they are. A key of
+// any other shape panics.
+func (m *Machine) SetThreadKey(i int, key []byte) {
+	t := &m.threads[i]
+	next := func() int64 {
+		v, n := binary.Varint(key)
+		if n <= 0 {
+			panic(fmt.Sprintf("program: thread %d: malformed thread key", i))
+		}
+		key = key[n:]
+		return v
+	}
+	t.pc = int(next())
+	n, w := binary.Uvarint(key)
+	if w <= 0 || n != uint64(len(t.regs)) {
+		panic(fmt.Sprintf("program: thread %d: thread key is not for %d registers", i, len(t.regs)))
+	}
+	key = key[w:]
+	for r := range t.regs {
+		t.regs[r] = int(next())
+	}
+	if len(key) != 1 {
+		panic(fmt.Sprintf("program: thread %d: malformed thread key", i))
+	}
+	t.inCS, t.halted = key[0]&1 != 0, key[0]&2 != 0
 }
 
 // Fingerprint returns AppendFingerprint's encoding as a string, built in a

@@ -300,6 +300,59 @@ func TestCloneIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestSetThreadKeyRoundTrip: loading every thread's key, and copying the
+// memory, into a machine that ran another schedule of the same programs
+// reproduces the machine, fingerprint, registers and next steps alike;
+// AppendFingerprint begins with the threads' keys; and a key written for
+// a thread with another register count is rejected.
+func TestSetThreadKeyRoundTrip(t *testing.T) {
+	progs := [][]Stmt{
+		{Store{Loc: "x", E: Const(1)}, Load{Dst: "a", Loc: "y"}, CSEnter{}, Assign{Dst: "b", E: Bin{Op: Add, L: Local("a"), R: Const(-3)}}, CSExit{}},
+		{Store{Loc: "y", E: Const(1)}, Load{Dst: "c", Loc: "x"}},
+	}
+	m, _ := NewMachine(sim.NewPRAM(2), progs)
+	c := m.Clone()
+	for _, i := range []int{1, 0, 1, 0, 0} {
+		if err := m.StepThread(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.StepThread(0); err != nil {
+		t.Fatal(err)
+	}
+	var threads []byte
+	for i := range m.NumThreads() {
+		key := m.AppendThreadKey(nil, i)
+		threads = append(threads, key...)
+		c.SetThreadKey(i, key)
+	}
+	m.Mem().CloneInto(c.Mem())
+	if fp := m.AppendFingerprint(nil); string(fp[:len(threads)]) != string(threads) {
+		t.Error("the fingerprint does not begin with the threads' keys")
+	}
+	for i := range m.NumThreads() {
+		if c.Fingerprint() != m.Fingerprint() || !reflect.DeepEqual(c.Registers(i), m.Registers(i)) ||
+			c.ThreadInCS(i) != m.ThreadInCS(i) || c.ThreadHalted(i) != m.ThreadHalted(i) {
+			t.Fatalf("thread %d: loaded machine differs:\n%q\nwant\n%q", i, c.Fingerprint(), m.Fingerprint())
+		}
+	}
+	if err := c.StepThread(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StepThread(0); err != nil {
+		t.Fatal(err)
+	}
+	if c.Fingerprint() != m.Fingerprint() {
+		t.Error("the loaded machine steps differently")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a key for 2 registers was loaded into a thread with 1")
+		}
+	}()
+	c.SetThreadKey(1, m.AppendThreadKey(nil, 0))
+}
+
 func TestLabeledOpsRecorded(t *testing.T) {
 	progs := [][]Stmt{{
 		Store{Loc: "s", E: Const(1), Labeled: true},
