@@ -111,30 +111,26 @@ func benchWorkerCounts() []int {
 }
 
 // Figure 6 / Section 5: the Bakery experiment. RCsc — exhaustive proof of
-// mutual exclusion over the operational state space, at each pool size.
+// mutual exclusion over the operational state space.
 func BenchmarkBakeryRCsc(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := program.NewMachine(sim.NewRCsc(2), algorithms.Bakery(2, 1, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := explore.Exhaustive(m, explore.Options{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Sound() {
-					b.Fatalf("RCsc bakery unsound: %d violations", len(res.Violations))
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := program.NewMachine(sim.NewRCsc(2), algorithms.Bakery(2, 1, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := explore.Exhaustive(m, explore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Sound() {
+			b.Fatalf("RCsc bakery unsound: %d violations", len(res.Violations))
+		}
 	}
 }
 
 // Figure 6 / Section 5: RCpc — time to find the mutual-exclusion violation
-// and certify it with both checkers, at each pool size.
+// and certify it with both checkers, at each of the checkers' pool sizes.
 func BenchmarkBakeryRCpc(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -144,7 +140,7 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := explore.Exhaustive(m, explore.Options{StopAtFirst: true, Workers: w})
+				res, err := explore.Exhaustive(m, explore.Options{StopAtFirst: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,28 +163,22 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 
 // BenchmarkBakeryRCpcComplete runs the bakery-explore workload's
 // exploration — all of Bakery(2,2) on RCpc, no checker — so ns/op, B/op and
-// allocs/op measure explore, program and sim alone: on the sequential
-// search (workers=1) and on the default worker count the workload runs
-// (workers=0, one per CPU).
+// allocs/op measure explore, program and sim alone.
 func BenchmarkBakeryRCpcComplete(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := explore.Exhaustive(m, explore.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Complete || res.States != 84448 || len(res.Violations) != 930 {
-					b.Fatalf("complete=%v states=%d violations=%d, want complete 84448/930",
-						res.Complete, res.States, len(res.Violations))
-				}
-			}
-		})
+	b.ReportAllocs()
+	for b.Loop() {
+		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := explore.Exhaustive(m, explore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Complete || res.States != 84448 || len(res.Violations) != 930 {
+			b.Fatalf("complete=%v states=%d violations=%d, want complete 84448/930",
+				res.Complete, res.States, len(res.Violations))
+		}
 	}
 }
 

@@ -15,8 +15,9 @@
 //	       [-workers N] [-timeout D] [-budget N] [-trace FILE]
 //	       [-metrics FILE] [-report FILE] [-serve ADDR] [-pprof FILE]
 //
-// -timeout bounds the exploration (and the confirmation checks) by wall
-// clock; a truncated exploration reports why it stopped. -budget bounds the
+// -workers sizes the confirmation checkers' pools; the exploration is one
+// depth-first search. -timeout bounds the exploration (and the
+// confirmation checks) by wall clock; a truncated exploration reports why it stopped. -budget bounds the
 // confirmation checkers' work. -trace and -metrics stream exploration and
 // checker events/counters.
 package main
@@ -71,7 +72,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := explore.ExhaustiveCtx(ctx, m, explore.Options{StopAtFirst: true, Workers: *workers})
+		res, err := explore.ExhaustiveCtx(ctx, m, explore.Options{StopAtFirst: true})
 		if err != nil {
 			fatal(err)
 		}

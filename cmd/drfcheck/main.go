@@ -9,7 +9,7 @@
 // Usage:
 //
 //	drfcheck [-algorithm bakery|peterson|dekker|fast|szymanski] [-n 2]
-//	         [-labeled] [-workers N] [-timeout D] [-budget N]
+//	         [-labeled] [-timeout D] [-budget N]
 //	         [-trace FILE] [-metrics FILE] [-report FILE] [-serve ADDR]
 //	         [-pprof FILE]
 //
@@ -45,7 +45,6 @@ func main() {
 		fatal(err)
 	}
 	defer done()
-	opts := explore.Options{Workers: shared.Workers}
 
 	var progs [][]program.Stmt
 	switch *algo {
@@ -67,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("algorithm=%s n=%d labeled=%v\n\n", *algo, *n, *labeled)
 
-	rep, err := drf.AnalyzeCtx(ctx, progs, opts)
+	rep, err := drf.AnalyzeCtx(ctx, progs, explore.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -80,7 +79,7 @@ func main() {
 	nn := *n
 	compare := func(name string, mk func() sim.Memory) {
 		cmp, err := drf.CompareOutcomesCtx(ctx,
-			func() sim.Memory { return sim.NewSC(nn) }, mk, progs, opts)
+			func() sim.Memory { return sim.NewSC(nn) }, mk, progs, explore.Options{})
 		if err != nil {
 			fatal(err)
 		}

@@ -43,8 +43,9 @@ import (
 
 // Flags holds the parsed shared flags.
 type Flags struct {
-	// Workers sizes worker pools (checker enumeration, explorer
-	// expansion, sweep classification): 0 = one per CPU, 1 = sequential.
+	// Workers sizes worker pools (checker enumeration, sweep
+	// classification): 0 = one per CPU, 1 = sequential. The explorer is
+	// one sequential search and ignores it.
 	Workers int
 	// Timeout bounds the whole run by wall clock (0 = none).
 	Timeout time.Duration
@@ -100,7 +101,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 0,
-		"worker pool size (0 = one per CPU, 1 = sequential)")
+		"worker pool size for checkers and sweeps (0 = one per CPU, 1 = sequential); explorations are sequential")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"wall-clock limit for the whole run (0 = none); exceeding it reports UNKNOWN, not an error")
 	fs.Int64Var(&f.Budget, "budget", 0,

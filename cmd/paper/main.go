@@ -57,7 +57,6 @@ func main() {
 	}
 	defer done()
 	workers := shared.Workers
-	opts := func(o explore.Options) explore.Options { o.Workers = workers; return o }
 	models := make([]model.Model, 0, len(model.All()))
 	for _, m := range model.All() {
 		models = append(models, model.WithWorkers(m, workers))
@@ -142,7 +141,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := explore.ExhaustiveCtx(ctx, m, opts(explore.Options{TrackProgress: true}))
+	res, err := explore.ExhaustiveCtx(ctx, m, explore.Options{TrackProgress: true})
 	if err != nil {
 		fatal(err)
 	}
@@ -155,7 +154,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res2, err := explore.ExhaustiveCtx(ctx, m2, opts(explore.Options{StopAtFirst: true}))
+	res2, err := explore.ExhaustiveCtx(ctx, m2, explore.Options{StopAtFirst: true})
 	if err != nil {
 		fatal(err)
 	}
@@ -171,7 +170,7 @@ func main() {
 	claim("§5", "violating history: RCpc-legal and RCsc-illegal", certified, "")
 
 	// Section 5's premise: proper labeling and the SC≡RCsc theorem.
-	rep, err := drf.AnalyzeCtx(ctx, algorithms.Bakery(2, 1, true), opts(explore.Options{}))
+	rep, err := drf.AnalyzeCtx(ctx, algorithms.Bakery(2, 1, true), explore.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -179,7 +178,7 @@ func main() {
 	cmp, err := drf.CompareOutcomesCtx(ctx,
 		func() sim.Memory { return sim.NewSC(2) },
 		func() sim.Memory { return sim.NewRCsc(2) },
-		algorithms.Bakery(2, 1, true), opts(explore.Options{}))
+		algorithms.Bakery(2, 1, true), explore.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -188,7 +187,7 @@ func main() {
 	cmp2, err := drf.CompareOutcomesCtx(ctx,
 		func() sim.Memory { return sim.NewSC(2) },
 		func() sim.Memory { return sim.NewRCpc(2) },
-		algorithms.Bakery(2, 1, true), opts(explore.Options{}))
+		algorithms.Bakery(2, 1, true), explore.Options{})
 	if err != nil {
 		fatal(err)
 	}

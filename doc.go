@@ -23,11 +23,12 @@
 //     state-space explorer reproducing the Section 5 RCsc/RCpc split;
 //   - package relate — the empirical Figure 5 containment lattice.
 //
-// The checkers, the explorer and the classification sweeps run on a shared
+// The checkers and the classification sweeps run on a shared
 // work-splitting pool (internal/pool) with first-witness cancellation; a
 // uniform Workers knob (0 = one per CPU, 1 = the sequential oracle) sizes
-// it, and differential tests pin parallel ≡ sequential verdicts. See the
-// "Parallel checking" section of README.md.
+// it, and differential tests pin parallel ≡ sequential verdicts. The
+// explorer is one sequential depth-first search. See the "Parallel
+// checking" section of README.md.
 //
 // Because membership checking is NP-hard, every check is budgeted and
 // cancellable: the one check call, model.AllowsCtx, observes the context's

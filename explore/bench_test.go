@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/algorithms"
@@ -65,21 +66,26 @@ func BenchmarkBakeryTransition(b *testing.B) {
 		for id := uint32(sp.seen.len() / 2); i < 0; id++ {
 			t = sp.seen.tuple(id)
 			for j := range len(t) - 1 {
-				if !sp.halted[j][t[j]] {
+				if !sp.halted(j, t[j]) {
 					i = j
 					break
 				}
 			}
 		}
-		var buf []uint32
+		last := len(t) - 1
+		buf := slices.Clone(t)
+		hits := sp.hits
 		b.ReportAllocs()
 		b.ResetTimer()
 		for b.Loop() {
-			c, hit := sp.threadStep(t, i)
-			buf = c.tupleOf(buf, t)
-			if !hit || !sp.seen.has(buf) {
-				b.Fatal("a successor of a complete exploration is not a visited memo hit")
+			next, mem, err := sp.threadStep(i, t[i], t[last])
+			buf[i], buf[last] = next, mem
+			if _, seen := sp.seen.find(hashTuple(buf), buf); err != nil || !seen {
+				b.Fatal("a successor of a complete exploration is not a visited state")
 			}
+		}
+		if sp.hits-hits != b.N {
+			b.Fatal("a successor of a complete exploration is not a memo hit")
 		}
 	})
 }

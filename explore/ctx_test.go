@@ -9,40 +9,35 @@ import (
 )
 
 // TestExhaustiveCtxDeadline checks that an expired deadline truncates the
-// exploration with IncompleteDeadline rather than erroring, at both the
-// sequential and parallel engines.
+// exploration with IncompleteDeadline rather than erroring.
 func TestExhaustiveCtxDeadline(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := bakeryMachine(t, sim.NewSC(3), 3, false)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		res, err := ExhaustiveCtx(ctx, m, Options{Workers: workers})
-		cancel()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Complete {
-			t.Errorf("workers=%d: deadline-cut exploration reported complete", workers)
-		}
-		if res.Incomplete != IncompleteDeadline {
-			t.Errorf("workers=%d: Incomplete = %v, want %v", workers, res.Incomplete, IncompleteDeadline)
-		}
+	m := bakeryMachine(t, sim.NewSC(3), 3, false)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	res, err := ExhaustiveCtx(ctx, m, Options{})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Complete {
+		t.Error("deadline-cut exploration reported complete")
+	}
+	if res.Incomplete != IncompleteDeadline {
+		t.Errorf("Incomplete = %v, want %v", res.Incomplete, IncompleteDeadline)
 	}
 }
 
 // TestExhaustiveCtxCancel checks that cancelling mid-flight returns the
 // partial result with IncompleteCanceled and a nil error.
 func TestExhaustiveCtxCancel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := bakeryMachine(t, sim.NewSC(2), 2, false)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // already cancelled: nothing past the root may be explored
-		res, err := ExhaustiveCtx(ctx, m, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Incomplete != IncompleteCanceled {
-			t.Errorf("workers=%d: Incomplete = %v, want %v", workers, res.Incomplete, IncompleteCanceled)
-		}
+	m := bakeryMachine(t, sim.NewSC(2), 2, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: nothing past the root may be explored
+	res, err := ExhaustiveCtx(ctx, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete != IncompleteCanceled {
+		t.Errorf("Incomplete = %v, want %v", res.Incomplete, IncompleteCanceled)
 	}
 }
 
@@ -50,24 +45,22 @@ func TestExhaustiveCtxCancel(t *testing.T) {
 // its distinct reason — MaxStates and MaxDepth are distinguishable from each
 // other and from cancellation (the documented Options contract).
 func TestIncompleteReasonTruncation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		m := bakeryMachine(t, sim.NewSC(2), 2, false)
-		res, err := ExhaustiveCtx(context.Background(), m, Options{MaxStates: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Incomplete != IncompleteMaxStates {
-			t.Errorf("workers=%d: MaxStates cut: Incomplete = %v, want %v", workers, res.Incomplete, IncompleteMaxStates)
-		}
+	m := bakeryMachine(t, sim.NewSC(2), 2, false)
+	res, err := ExhaustiveCtx(context.Background(), m, Options{MaxStates: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete != IncompleteMaxStates {
+		t.Errorf("MaxStates cut: Incomplete = %v, want %v", res.Incomplete, IncompleteMaxStates)
+	}
 
-		m = bakeryMachine(t, sim.NewSC(2), 2, false)
-		res, err = ExhaustiveCtx(context.Background(), m, Options{MaxDepth: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Incomplete != IncompleteMaxDepth {
-			t.Errorf("workers=%d: MaxDepth cut: Incomplete = %v, want %v", workers, res.Incomplete, IncompleteMaxDepth)
-		}
+	m = bakeryMachine(t, sim.NewSC(2), 2, false)
+	res, err = ExhaustiveCtx(context.Background(), m, Options{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete != IncompleteMaxDepth {
+		t.Errorf("MaxDepth cut: Incomplete = %v, want %v", res.Incomplete, IncompleteMaxDepth)
 	}
 }
 

@@ -11,20 +11,19 @@
 // finds one and returns the schedule and the recorded history — a history
 // the model.RCpc checker accepts and the model.RCsc checker rejects.
 //
-// Exhaustive explores in parallel by default (Options.Workers): frontier
-// states are expanded concurrently level by level and the results merged
-// sequentially in frontier order, so violations, traces and counts are
-// deterministic at every worker count, and complete explorations report
-// exactly the sequential search's counts. Workers=1 selects a depth-first
-// search.
+// Exhaustive is one sequential depth-first search, so violations, traces
+// and counts are deterministic. It keeps a state as a tuple of ids of its
+// components — each thread's local state and the memory's state, interned
+// once each — and finds successors through memos of the thread steps,
+// memory operations and internal actions already taken, so most
+// transitions step no machine (space.go). Depth-first order does not give
+// shortest counterexamples: on Bakery(2,2) RCpc with StopAtFirst, the
+// schedule it reports has 36 steps where a breadth-first search reports
+// 16.
 //
-// Both searches keep a state as a tuple of ids of its components — each
-// thread's local state and the memory's state, interned once each — and
-// find successors through memos of the thread steps and internal actions
-// already taken, so most transitions step no machine (space.go). The
-// machines a search steps and checks record no history
+// The machines the search steps and checks record no history
 // (sim.Recorder.Discard): a state's history depends only on the root and
-// the schedule that reached it. A search hands out none of them. Each
+// the schedule that reached it. The search hands out none of them. Each
 // machine it hands out — a violating state (Violation.State) or a
 // terminal state passed to Options.OnTerminal — is built apart, by
 // replaying its schedule from the machine the caller passed in, with the
@@ -41,7 +40,6 @@ import (
 
 	"repro/history"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/program"
 )
 
@@ -108,13 +106,6 @@ type Options struct {
 	// livelock). The paper's Section 5 notes Bakery is "free from
 	// deadlocks"; this makes the claim checkable.
 	TrackProgress bool
-	// Workers sizes Exhaustive's expansion pool: 0 (the zero value) uses
-	// one worker per CPU, 1 selects the sequential depth-first search, and
-	// larger values set the pool size explicitly. Results are
-	// deterministic at every setting, and on complete explorations the
-	// counts (States, Transitions, TerminalStates) are identical to the
-	// sequential search's; Stochastic ignores it.
-	Workers int
 }
 
 // IncompleteReason classifies why an exploration did not exhaust the state
@@ -186,17 +177,16 @@ type Result struct {
 	// its index's slots) and the component tables (every thread-local
 	// and memory state's key with its length prefix and position, plus
 	// their indexes' slots). It is an exact count, not a measurement of
-	// the heap, and complete explorations report the same figure at
-	// every worker count while the memory's locations number fewer than
-	// 128.
+	// the heap, and does not count the memos.
 	KeyBytes int
 	// progress-tracking internals (TrackProgress only): the successors
 	// of each state, by state number, and the terminal states.
 	edges     [][]uint32
 	terminals []uint32
-	// hits and stepped count the transitions the search found in a memo
-	// and the memo misses it stepped.
-	hits, stepped int
+	// hits, factored and stepped count the transitions the search found
+	// in a whole-step memo, found in the memos of a thread step's parts,
+	// and stepped some machine for (see space).
+	hits, factored, stepped int
 	// found holds the violations the search found, in order, for
 	// ExhaustiveCtx to build into Violations once the search is over.
 	found []found
@@ -456,8 +446,8 @@ func Exhaustive(m0 *program.Machine, opts Options) (Result, error) {
 // truncates the exploration, returning the partial Result (Complete false,
 // Incomplete reporting IncompleteCanceled or IncompleteDeadline) with a
 // nil error — a truncated exploration is a weaker answer, not a failure.
-// The context is checked per popped state (sequential) or per expansion
-// (parallel), so truncation lands within one state's expansion cost.
+// The context is checked per popped state, so truncation lands within one
+// state's expansion cost.
 func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Result, error) {
 	if opts.MaxStates == 0 {
 		opts.MaxStates = 1 << 20
@@ -469,20 +459,14 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 	if inv == nil {
 		inv = MutualExclusion
 	}
-	w := pool.Size(opts.Workers)
 	traced := obs.Enabled(ctx)
 	if traced {
-		obs.EmitTo(ctx, obs.Event{Type: obs.EvExploreStart, Worker: w})
+		obs.EmitTo(ctx, obs.Event{Type: obs.EvExploreStart})
 	}
 	ctx, endTask := obs.TaskRegion(ctx, "explore", "exhaustive")
 	sr := newSearch(m0, opts, inv)
-	err := func() error {
-		defer endTask()
-		if w > 1 {
-			return sr.parallel(ctx, w)
-		}
-		return sr.depthFirst(ctx)
-	}()
+	err := sr.depthFirst(ctx)
+	endTask()
 	res := sr.res
 	if opts.TrackProgress && res.Complete && err == nil {
 		res.StuckStates = countStuck(res.edges, res.terminals, sr.sp.seen.len())
@@ -525,12 +509,44 @@ func finishExplore(ctx context.Context, res Result) {
 	})
 }
 
-// depthFirst is the sequential depth-first search: it settles each state
-// right after expanding it, and pushes the new states it reaches, the
-// first successor deepest, so the last is expanded next.
+// search is one exhaustive search's state: its options, its space, the
+// result it builds and the steps of the states it keeps.
+type search struct {
+	m0   *program.Machine
+	opts Options
+	inv  Invariant
+	sp   *space
+	res  Result
+	// view is the machine states are shown to the invariant in, and
+	// shown the components it holds, ^0 for none.
+	view  *program.Machine
+	shown []uint32
+	steps stepSlab
+	// parent and tuple are visit's buffers.
+	parent, tuple []uint32
+}
+
+func newSearch(m0 *program.Machine, opts Options, inv Invariant) *search {
+	root := m0.Clone()
+	root.Mem().Recorder().Discard()
+	sr := &search{m0: m0, opts: opts, inv: inv, sp: newSpace(root),
+		view: root.Clone(), shown: make([]uint32, root.NumThreads()+1)}
+	for i := range sr.shown {
+		sr.shown[i] = ^uint32(0)
+	}
+	sr.res.Complete = true
+	if opts.TrackProgress {
+		sr.res.edges = [][]uint32{}
+	}
+	return sr
+}
+
+// depthFirst is the search: it visits the state on top of its stack and
+// pushes the new states that state reaches, the first successor deepest,
+// so the last is visited next.
 func (sr *search) depthFirst(ctx context.Context) error {
-	s := newScratch(sr.root)
-	defer func() { sr.res.hits, sr.res.stepped = s.hits, s.stepped }()
+	sp := sr.sp
+	defer func() { sr.res.hits, sr.res.factored, sr.res.stepped = sp.hits, sp.factored, sp.stepped }()
 	stack := []node{{}} // the root, state 0
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -539,13 +555,107 @@ func (sr *search) depthFirst(ctx context.Context) error {
 		}
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		s.reset()
-		exp := s.expand(sr, &n, sr.res.States+1 >= sr.opts.MaxStates, false)
-		if stop, err := sr.settle(&n, &exp, &stack); stop {
+		if stop, err := sr.visit(&n, &stack); stop {
 			return err
 		}
 	}
 	return nil
+}
+
+// visit counts node n's state into the search's result: as a violation, a
+// terminal state, a state at a cap, or a state whose successors are
+// transitions. It pushes a node for each successor that reaches a new
+// state onto the stack, and reports whether the search is to stop.
+func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
+	res, opts, sp := &sr.res, &sr.opts, sr.sp
+	res.States++
+	// The visited set's tuples move as it grows, so the state's is copied.
+	t := append(sr.parent[:0], sp.seen.tuple(n.state)...)
+	sr.parent = t
+	if bad := sr.inv(sr.show(t)); bad != nil { // not explored past
+		res.found = append(res.found, found{err: bad, step: n.step})
+		if opts.StopAtFirst {
+			res.truncate(IncompleteFirstViolation)
+			return true, nil
+		}
+		return false, nil
+	}
+	switch {
+	case sp.terminal(t):
+		res.TerminalStates++
+		if opts.TrackProgress {
+			res.terminals = append(res.terminals, n.state)
+		}
+		if opts.OnTerminal != nil {
+			m, err := n.step.replay(sr.m0)
+			if err != nil {
+				return true, err
+			}
+			if !opts.OnTerminal(m) {
+				res.truncate(IncompleteCallbackStop)
+				return true, nil
+			}
+		}
+		return false, nil
+	case n.depth >= opts.MaxDepth:
+		res.truncate(IncompleteMaxDepth)
+		return false, nil
+	case res.States >= opts.MaxStates:
+		res.truncate(IncompleteMaxStates)
+		return false, nil
+	}
+	last := len(t) - 1
+	mem := t[last]
+	for i, tid := range t[:last] {
+		if sp.halted(i, tid) {
+			continue
+		}
+		next, nmem, err := sp.threadStep(i, tid, mem)
+		if err != nil {
+			return true, err
+		}
+		sr.tuple = append(sr.tuple[:0], t...)
+		sr.tuple[i], sr.tuple[last] = next, nmem
+		sr.push(n, step{index: i}, stack)
+	}
+	for a := range sp.numInternal(mem) {
+		nmem := sp.internalStep(mem, a)
+		sr.tuple = append(sr.tuple[:0], t...)
+		sr.tuple[last] = nmem
+		sr.push(n, step{internal: true, index: a}, stack)
+	}
+	return false, nil
+}
+
+// push counts the transition st from node n to the state sr.tuple, and
+// pushes a node for that state onto the stack if it is new.
+func (sr *search) push(n *node, st step, stack *[]node) {
+	sr.res.Transitions++
+	id, added := sr.sp.seen.add(sr.tuple)
+	if sr.opts.TrackProgress {
+		sr.res.addEdge(n.state, id)
+	}
+	if added {
+		st.parent = n.step
+		*stack = append(*stack, node{state: id, step: sr.steps.add(st), depth: n.depth + 1})
+	}
+}
+
+// show returns the view machine in the state t, loading only the
+// components it does not hold already.
+func (sr *search) show(t []uint32) *program.Machine {
+	sp, n := sr.sp, len(t)-1
+	for i, id := range t[:n] {
+		if sr.shown[i] != id {
+			sr.view.SetThreadKey(i, sp.threads[i].key(id))
+			sr.shown[i] = id
+		}
+	}
+	if sr.shown[n] != t[n] {
+		sp.memReps[t[n]].CloneInto(sr.view.Mem())
+		sr.shown[n] = t[n]
+	}
+	return sr.view
 }
 
 // countStuck reverse-reaches from the terminal states and counts the
@@ -643,11 +753,10 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 		bad := false
 		for !m.Halted() && !bad {
 			runnable := m.Runnable()
-			internal := m.Mem().Internal()
-			if len(internal) > 0 && (len(runnable) == 0 || rng.Float64() < pInternal) {
-				ii := rng.Intn(len(internal))
+			if n := m.Mem().NumInternal(); n > 0 && (len(runnable) == 0 || rng.Float64() < pInternal) {
+				ii := rng.Intn(n)
+				trace = append(trace, internalStep(ii, m.Mem().DescribeInternal(ii)))
 				m.Mem().Step(ii)
-				trace = append(trace, internalStep(ii, internal[ii]))
 			} else {
 				ti := runnable[rng.Intn(len(runnable))]
 				if err := m.StepThread(ti); err != nil {

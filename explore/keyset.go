@@ -18,9 +18,6 @@ import (
 // entry and a heap object. Membership always compares the full key bytes;
 // the hash only chooses where to probe and skips most slots that cannot
 // match.
-//
-// A keySet is not safe for concurrent use by writers: any number of
-// goroutines may read it at once, but none while intern runs.
 type keySet struct {
 	seed   maphash.Seed
 	chunks [][]byte // the arena; only the last chunk has room left
@@ -49,16 +46,6 @@ func newKeySet() *keySet {
 
 // hash returns key's hash, which the other methods take.
 func (s *keySet) hash(key []byte) uint64 { return maphash.Bytes(s.seed, key) }
-
-// lookup returns the id of key, whose hash is h, and whether the set
-// holds it.
-func (s *keySet) lookup(h uint64, key []byte) (uint32, bool) {
-	i, ok := s.find(h, key)
-	if !ok {
-		return 0, false
-	}
-	return uint32(s.slots[i]) - 1, true
-}
 
 // intern inserts key, whose hash is h, copying it, and returns its id and
 // whether it was new.

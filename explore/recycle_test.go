@@ -22,9 +22,9 @@ import (
 // history, and every hand-out must be unchanged after Exhaustive returns:
 // a terminal state keeps the fingerprint and history it had when
 // OnTerminal received it. Bakery(2,1) supplies violations; Lamport's fast
-// mutex reaches terminal states while the breadth-first search still has
-// levels to check, in machines a wrongly handed-out search machine would
-// be reused for.
+// mutex reaches terminal states while the search still has states to
+// check, in machines a wrongly handed-out search machine would be reused
+// for.
 func TestHandedOutMachinesOwned(t *testing.T) {
 	sc := func() sim.Memory { return sim.NewSC(2) }
 	tso := func() sim.Memory { return sim.NewTSO(2) }
@@ -44,17 +44,15 @@ func TestHandedOutMachinesOwned(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mk := range c.mems {
-			for _, workers := range []int{1, 2, 4} {
-				testHandedOut(t, c.name, c.progs, mk(), workers)
-			}
+			testHandedOut(t, c.name, c.progs, mk())
 		}
 	}
 }
 
 // testHandedOut runs one case of TestHandedOutMachinesOwned.
-func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Memory, workers int) {
+func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Memory) {
 	t.Helper()
-	name := fmt.Sprintf("%s/%s/workers=%d", prog, mem.Name(), workers)
+	name := prog + "/" + mem.Name()
 	snapshot := func(m *program.Machine) string {
 		return m.Fingerprint() + "\n" + m.Mem().Recorder().System().String()
 	}
@@ -69,7 +67,6 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 	var terminals []*program.Machine
 	var terminalStates []string
 	res, err := Exhaustive(m0, Options{
-		Workers: workers,
 		Invariant: func(m *program.Machine) error {
 			err := MutualExclusion(m)
 			fp := m.Fingerprint()
@@ -131,43 +128,37 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 	}
 }
 
-// TestSteppedEqualsTransitions pins the work a search does to the work it
-// counts: every transition either search counts is a memo hit or a memo
-// miss it stepped, and nothing else is stepped. That holds on complete
-// explorations and, since the parallel settling decides the MaxStates cap
-// before a chunk is expanded, also on capped ones, where the frontier
-// states past the cap are checked but their successors are not looked up.
-// The number stepped is pinned exactly: the depth-first search steps each
-// distinct (memory, action) and (memory, thread, thread state) once; the
-// breadth-first one steps a miss once per node of the chunk that meets
-// it, since the memos are written when the chunk is settled, which does
-// not depend on how the workers are scheduled. The capped runs are
+// TestSteppedEqualsTransitions pins the work the search does to the work
+// it counts: every transition it counts is a hit in a whole-step or
+// internal memo, a hit in the memos of a thread step's parts (the
+// memory's answer and the thread's finish), or a miss for which it
+// stepped a machine, and nothing else is stepped. The numbers are pinned
+// exactly: the search steps each distinct (memory, internal action) once,
+// and each distinct (memory, thread, operation) and (thread state,
+// answer) once, when a whole-step miss first needs it. The capped run is
 // TestMaxStatesOvershoot's.
 func TestSteppedEqualsTransitions(t *testing.T) {
 	for _, c := range []struct {
-		rounds, maxStates, workers, states, stepped int
+		rounds, maxStates, states, factored, stepped int
 	}{
-		{1, 0, 1, 2425, 1900},
-		{1, 0, 2, 2425, 2171},
-		{2, 0, 1, 84448, 41286},
-		{2, 0, 2, 84448, 53843},
-		{2, 5000, 1, 5032, 3765},
-		{2, 5000, 2, 5997, 5675},
-		{2, 5000, 4, 5997, 5675},
+		{1, 0, 2425, 550, 1350},
+		{2, 0, 84448, 20628, 20658},
+		{2, 5000, 5032, 1336, 2429},
 	} {
 		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, c.rounds, true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Exhaustive(m, Options{Workers: c.workers, MaxStates: c.maxStates})
+		res, err := Exhaustive(m, Options{MaxStates: c.maxStates})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d transitions, %d memo hits, %d misses stepped",
-			c.rounds, c.maxStates, c.workers, res.States, res.Transitions, res.hits, res.stepped)
-		if res.States != c.states || res.hits+res.stepped != res.Transitions || res.stepped != c.stepped {
-			t.Errorf("Bakery(2,%d) RCpc cap %d workers=%d: %d states, %d hits and %d stepped for %d transitions, want %d states, %d stepped and every transition a hit or a stepped miss",
-				c.rounds, c.maxStates, c.workers, res.States, res.hits, res.stepped, res.Transitions, c.states, c.stepped)
+		t.Logf("Bakery(2,%d) RCpc cap %d: %d states, %d transitions, %d memo hits, %d factored hits, %d stepped",
+			c.rounds, c.maxStates, res.States, res.Transitions, res.hits, res.factored, res.stepped)
+		if res.States != c.states || res.hits+res.factored+res.stepped != res.Transitions ||
+			res.factored != c.factored || res.stepped != c.stepped {
+			t.Errorf("Bakery(2,%d) RCpc cap %d: %d states, %d hits, %d factored and %d stepped for %d transitions, want %d states, %d factored, %d stepped and every transition one of the three",
+				c.rounds, c.maxStates, res.States, res.hits, res.factored, res.stepped, res.Transitions, c.states, c.factored, c.stepped)
 		}
 	}
 }

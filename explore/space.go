@@ -5,48 +5,69 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/history"
 	"repro/program"
 	"repro/sim"
 )
 
-// This file holds what both searches share: the collapsed state space
-// and the one successor path.
+// This file holds the search's collapsed state space and its successor
+// path.
 //
-// A search does not keep a machine, nor a machine's whole key, per state.
-// A state is a tuple of component ids: one thread-state id per thread, in
-// thread order, then a memory id. Each component is interned once, in a
-// keySet of its exact key (program.Machine.AppendThreadKey for a thread,
-// sim.Memory.AppendKey for the memory), so within one search two states
-// are equal exactly when their tuples are. A thread state is represented
-// by its key bytes alone, which SetThreadKey loads back into a machine; a
-// memory state by a clone of a memory in that state, which is never
-// stepped.
+// The search does not keep a machine, nor a machine's whole key, per
+// state. A state is a tuple of component ids: one thread-state id per
+// thread, in thread order, then a memory id. Each component is interned
+// once, in a keySet of its exact key (program.Machine.AppendThreadKey for
+// a thread, sim.Memory.AppendKey for the memory), so two states are equal
+// exactly when their tuples are. A thread state is represented by its key
+// bytes alone, which SetThreadKey loads back into a machine; a memory
+// state by a clone of a memory in that state, which is never stepped.
 //
 // A thread step changes only its thread and the memory, and an internal
-// action only the memory, so successors are looked up in two memos:
-// (memory id, internal action) → memory id, and per thread
-// (memory id, thread-state id) → (thread-state id, memory id). Only a
-// memo miss is stepped: the memory's representative is copied into a
-// scratch machine, the thread's state loaded into it, the step taken and
-// the results keyed. Most transitions are memo hits and cost a lookup, a
-// tuple and a probe of the visited set; a machine is built from the
-// representatives only for the invariant check, once per state.
+// action only the memory, so successors are looked up in memos, written
+// as the search takes each step for the first time:
 //
-// Expansion (scratch.expand) only reads the tables and the memos: it
-// records a component the tables do not hold yet as pending, in the
-// scratch, with its key and, for a memory, a clone of it. Settling a node
-// (search.settle) interns pending components, writes the memo entries of
-// the misses and adds the successors' tuples to the visited set. The
-// depth-first search settles each node right after expanding it; the
-// breadth-first one expands a chunk of nodes on its workers and settles
-// them in frontier order on one goroutine.
+//   - (memory id, internal action) → memory id;
+//   - per thread, (memory id, thread-state id) → (thread-state id,
+//     memory id), the whole step.
+//
+// A thread step the second memo misses is taken apart as
+// program.Machine.StepThread takes it (PeekOp, Op.Perform, FinishOp):
+// each thread state records the id of the visible operation its step
+// performs, and two more memos hold the parts:
+//
+//   - per thread, (memory id, operation id) → (memory id, value id): the
+//     memory's answer to a load or store. A load is not a pure read on
+//     every memory (the non-forwarding TSO memory drains a buffer on it),
+//     so loads go through this memo too; only critical-section markers
+//     skip the memory.
+//   - per thread, (thread-state id, value id) → thread-state id: the
+//     thread finishing its step with the memory's answer.
+//
+// Many (memory, thread state) pairs issue an operation the memory has
+// already answered, and many answers lead a thread on to a state already
+// reached, so most whole-step misses step nothing. Only a miss of a part
+// is stepped, in a scratch machine loaded from the representatives, and
+// its results keyed and interned. A thread not at a visible operation (in
+// practice, one in its initial state) takes its whole step in the scratch
+// machine.
+
+// Special operation ids: a thread state's operation is one of these or
+// an index into space.opTab.
+const (
+	// opHalted marks a halted thread, which takes no step.
+	opHalted = ^uint32(0) - iota
+	// opLocal marks a thread that runs local instructions before its
+	// visible operation, and so takes its whole step in a machine.
+	opLocal
+)
 
 // space is a search's collapsed state space: the component tables, the
-// memos, and the visited set of component tuples.
+// memos, and the visited set of component tuples, with the scratch
+// machine and buffer the memo misses are stepped and keyed in.
 type space struct {
-	threads []*keySet // by thread: thread-state keys
-	halted  [][]bool  // by thread and thread-state id
-	mems    *keySet   // memory keys
+	threads []*keySet  // by thread: thread-state keys
+	ops     [][]uint32 // by thread and thread-state id: its operation's id
+	mems    *keySet    // memory keys
 	// memReps holds, by memory id, a memory in that state.
 	memReps []sim.Memory
 	// internal holds one slot per enabled internal action of each
@@ -55,67 +76,121 @@ type space struct {
 	// internal[memFirst[m]:memFirst[m+1]].
 	internal []uint32
 	memFirst []uint32
-	// steps[i] maps thread i's packed (memory id, thread-state id) to the
-	// packed (thread-state id, memory id) its step leads to. Like the
-	// tables, the maps are read by any number of goroutines while none
-	// writes them.
+	// steps[i] maps thread i's packed (memory id, thread-state id) to
+	// the packed (thread-state id, memory id) its step leads to.
 	steps []map[uint64]uint64
-	seen  stateSet
+	// answers[i] maps thread i's packed (memory id, operation id) to the
+	// packed (memory id, value id) the memory's answer leaves; finishes[i]
+	// maps its packed (thread-state id, value id) to the thread state the
+	// answer leads to.
+	answers  []map[uint64]uint64
+	finishes []map[uint64]uint32
+	// opTab and vals number the operations and the values, which
+	// opIDs and valIDs index.
+	opTab  []program.Op
+	opIDs  map[program.Op]uint32
+	vals   []history.Value
+	valIDs map[history.Value]uint32
+	seen   stateSet
+	m      *program.Machine // the scratch machine misses are stepped in
+	buf    []byte
+	// hits counts the transitions found in the whole-step or internal
+	// memo, factored those found in the parts' memos, and stepped those
+	// for which some machine was stepped.
+	hits, factored, stepped int
 }
 
 // newSpace interns root's components and adds root's state to the visited
-// set, as state 0. root becomes memory 0's representative and must not be
-// changed afterwards.
+// set, as state 0.
 func newSpace(root *program.Machine) *space {
 	n := root.NumThreads()
 	sp := &space{
 		threads:  make([]*keySet, n),
-		halted:   make([][]bool, n),
+		ops:      make([][]uint32, n),
 		mems:     newKeySet(),
 		memFirst: []uint32{0},
 		steps:    make([]map[uint64]uint64, n),
+		answers:  make([]map[uint64]uint64, n),
+		finishes: make([]map[uint64]uint32, n),
+		opIDs:    map[program.Op]uint32{},
+		vals:     []history.Value{0}, // value id 0, the answer to all but loads
+		valIDs:   map[history.Value]uint32{0: 0},
 		seen:     stateSet{width: n + 1, slots: make([]uint64, minSlots)},
+		m:        root.Clone(),
 	}
 	t := make([]uint32, n+1)
-	var key []byte
 	for i := range n {
-		sp.steps[i] = map[uint64]uint64{}
 		sp.threads[i] = newKeySet()
-		key = root.AppendThreadKey(key[:0], i)
-		t[i] = sp.internThread(i, sp.threads[i].hash(key), key, root.ThreadHalted(i))
+		sp.steps[i] = map[uint64]uint64{}
+		sp.answers[i] = map[uint64]uint64{}
+		sp.finishes[i] = map[uint64]uint32{}
+		t[i] = sp.internThread(root, i)
 	}
-	key = root.Mem().AppendKey(key[:0])
-	t[n], _ = sp.internMem(sp.mems.hash(key), key, root.Mem())
+	t[n] = sp.internMem(root.Mem())
 	sp.seen.add(t)
 	return sp
 }
 
-// internThread returns the id of thread i's state whose key, hashed h, is
-// key; halted says whether the thread has halted in it.
-func (sp *space) internThread(i int, h uint64, key []byte, halted bool) uint32 {
-	id, added := sp.threads[i].intern(h, key)
+// internThread returns the id of thread i's state in m, interning it, and
+// its operation, if it is new.
+func (sp *space) internThread(m *program.Machine, i int) uint32 {
+	sp.buf = m.AppendThreadKey(sp.buf[:0], i)
+	ks := sp.threads[i]
+	id, added := ks.intern(ks.hash(sp.buf), sp.buf)
 	if added {
-		sp.halted[i] = append(sp.halted[i], halted)
+		sp.ops[i] = append(sp.ops[i], sp.opOf(m, i))
 	}
 	return id
 }
 
-// internMem returns the id of the memory state whose key, hashed h, is
-// key, and whether it is new. If it is, rep, a memory in that state,
-// becomes its representative.
-func (sp *space) internMem(h uint64, key []byte, rep sim.Memory) (uint32, bool) {
-	id, added := sp.mems.intern(h, key)
+// opOf returns the id of the operation thread i's next step in m performs.
+func (sp *space) opOf(m *program.Machine, i int) uint32 {
+	if m.ThreadHalted(i) {
+		return opHalted
+	}
+	op, ok := m.PeekOp(i)
+	if !ok {
+		return opLocal
+	}
+	id, ok := sp.opIDs[op]
+	if !ok {
+		id = uint32(len(sp.opTab))
+		sp.opTab = append(sp.opTab, op)
+		sp.opIDs[op] = id
+	}
+	return id
+}
+
+// internMem returns the id of mem's state, interning it, with a copy of
+// mem as its representative, if it is new.
+func (sp *space) internMem(mem sim.Memory) uint32 {
+	sp.buf = mem.AppendKey(sp.buf[:0])
+	id, added := sp.mems.intern(sp.mems.hash(sp.buf), sp.buf)
 	if added {
-		sp.memReps = append(sp.memReps, rep)
+		sp.memReps = append(sp.memReps, mem.Clone())
 		// Grown in place rather than by appending a make'd slice, which
 		// -race builds allocate.
-		n, l := rep.NumInternal(), len(sp.internal)
+		n, l := mem.NumInternal(), len(sp.internal)
 		sp.internal = slices.Grow(sp.internal, n)[:l+n]
 		clear(sp.internal[l:])
 		sp.memFirst = append(sp.memFirst, uint32(l+n))
 	}
-	return id, added
+	return id
 }
+
+// valID returns v's id, numbering it if it is new.
+func (sp *space) valID(v history.Value) uint32 {
+	id, ok := sp.valIDs[v]
+	if !ok {
+		id = uint32(len(sp.vals))
+		sp.vals = append(sp.vals, v)
+		sp.valIDs[v] = id
+	}
+	return id
+}
+
+// halted reports whether thread i has halted in its state tid.
+func (sp *space) halted(i int, tid uint32) bool { return sp.ops[i][tid] == opHalted }
 
 // terminal reports whether the state t is terminal: every thread halted
 // and no internal action enabled.
@@ -125,11 +200,84 @@ func (sp *space) terminal(t []uint32) bool {
 		return false
 	}
 	for i, id := range t[:len(t)-1] {
-		if !sp.halted[i][id] {
+		if !sp.halted(i, id) {
 			return false
 		}
 	}
 	return true
+}
+
+// numInternal returns the number of internal actions memory mem enables.
+func (sp *space) numInternal(mem uint32) int { return int(sp.memFirst[mem+1] - sp.memFirst[mem]) }
+
+// internalStep returns the id of the memory internal action a of memory
+// mem leads to.
+func (sp *space) internalStep(mem uint32, a int) uint32 {
+	slot := sp.memFirst[mem] + uint32(a)
+	if v := sp.internal[slot]; v != 0 {
+		sp.hits++
+		return v - 1
+	}
+	sp.stepped++
+	mm := sp.memReps[mem].CloneInto(sp.m.Mem())
+	mm.Step(a)
+	id := sp.internMem(mm)
+	sp.internal[slot] = id + 1
+	return id
+}
+
+// threadStep returns the ids of the thread state and the memory thread
+// i's step from its state tid on memory mem leads to.
+func (sp *space) threadStep(i int, tid, mem uint32) (next, nmem uint32, err error) {
+	whole := pack(mem, tid)
+	if v, ok := sp.steps[i][whole]; ok {
+		sp.hits++
+		next, nmem = unpack(v)
+		return next, nmem, nil
+	}
+	stepped := false
+	if op := sp.ops[i][tid]; op == opLocal {
+		stepped = true
+		sp.memReps[mem].CloneInto(sp.m.Mem())
+		sp.m.SetThreadKey(i, sp.threads[i].key(tid))
+		if err := sp.m.StepThread(i); err != nil {
+			return 0, 0, fmt.Errorf("explore: step thread %d: %w", i, err)
+		}
+		next, nmem = sp.internThread(sp.m, i), sp.internMem(sp.m.Mem())
+	} else {
+		nmem = mem
+		val := uint32(0)
+		if o := &sp.opTab[op]; o.Kind == program.OpLoad || o.Kind == program.OpStore {
+			k := pack(mem, op)
+			a, ok := sp.answers[i][k]
+			if !ok {
+				stepped = true
+				mm := sp.memReps[mem].CloneInto(sp.m.Mem())
+				v := o.Perform(mm, history.Proc(i))
+				a = pack(sp.internMem(mm), sp.valID(v))
+				sp.answers[i][k] = a
+			}
+			nmem, val = unpack(a)
+		}
+		k := pack(tid, val)
+		var ok bool
+		if next, ok = sp.finishes[i][k]; !ok {
+			stepped = true
+			sp.m.SetThreadKey(i, sp.threads[i].key(tid))
+			if err := sp.m.FinishOp(i, sp.vals[val]); err != nil {
+				return 0, 0, fmt.Errorf("explore: step thread %d: %w", i, err)
+			}
+			next = sp.internThread(sp.m, i)
+			sp.finishes[i][k] = next
+		}
+	}
+	if stepped {
+		sp.stepped++
+	} else {
+		sp.factored++
+	}
+	sp.steps[i][whole] = pack(next, nmem)
+	return next, nmem, nil
 }
 
 // bytes returns the bytes the visited set and the component tables hold
@@ -163,8 +311,7 @@ func mix64(h uint64) uint64 {
 // component ids that numbers them in the order they are added. The tuples
 // are stored back to back; the index is an open-addressing table of
 // uint64 slots, each holding a state's number and the top half of its
-// hash. Like keySet, it holds no pointers and may be read by any number
-// of goroutines while none writes it.
+// hash. Like keySet, it holds no pointers.
 type stateSet struct {
 	width  int
 	tuples []uint32 // state s's tuple is tuples[s*width:(s+1)*width]
@@ -203,12 +350,6 @@ func (s *stateSet) find(h uint64, t []uint32) (int, bool) {
 			return i, true
 		}
 	}
-}
-
-// has reports whether the set holds t.
-func (s *stateSet) has(t []uint32) bool {
-	_, ok := s.find(hashTuple(t), t)
-	return ok
 }
 
 // add inserts t, copying it, and returns its state number and whether it
@@ -251,343 +392,3 @@ func (s *stateSet) grow() {
 // bytes returns the bytes the set holds: its tuples and its index. It
 // depends only on the number of states.
 func (s *stateSet) bytes() int { return 4*len(s.tuples) + 8*len(s.slots) }
-
-// child is one successor as an expansion records it: the step taken
-// (without its parent, which settle links), and the ids of the thread
-// state (for a program step) and the memory it leads to. newThread and
-// newMem are 1 + the index of a component pending in the expanding
-// scratch, which settle interns, or 0 when the id is known. miss marks a
-// successor that was stepped, whose result settle writes to its memo.
-type child struct {
-	step              step
-	thread, mem       uint32
-	newThread, newMem int32
-	miss              bool
-}
-
-// tupleOf writes into dst the tuple of the state c reaches from the state
-// t, once c's ids are known.
-func (c *child) tupleOf(dst, t []uint32) []uint32 {
-	dst = append(dst[:0], t...)
-	if !c.step.internal {
-		dst[c.step.index] = c.thread
-	}
-	dst[len(dst)-1] = c.mem
-	return dst
-}
-
-// pending is a component a scratch stepped into that the tables did not
-// hold: its key, at pendKeys[start:end], hashed h; whether the thread has
-// halted, for a thread state; and a copy of it, for a memory, which
-// becomes the memory's representative if settling interns it as new and
-// otherwise goes back to the scratch's spares.
-type pending struct {
-	start, end int
-	h          uint64
-	halted     bool
-	rep        sim.Memory
-}
-
-// scratch is one searcher's reusable storage: the machine states are
-// shown to the invariant in, the machine memo misses are stepped in, the
-// buffers keys and tuples are built in, and the children and pending
-// components of the expansions since the last reset.
-type scratch struct {
-	view  *program.Machine
-	shown []uint32 // the components view holds, ^0 for none
-	m     *program.Machine
-	buf   []byte
-	tuple []uint32
-	// hits and stepped count the successors found in a memo and the
-	// memo misses stepped.
-	hits, stepped int
-	children      []child
-	pend          []pending
-	pendKeys      []byte
-	// spares holds memories no pending component holds any more, for
-	// the next ones to be copied into.
-	spares []sim.Memory
-}
-
-// newScratch returns a scratch whose machines are copies of root.
-func newScratch(root *program.Machine) *scratch {
-	s := &scratch{view: root.Clone(), m: root.Clone(), shown: make([]uint32, root.NumThreads()+1)}
-	for i := range s.shown {
-		s.shown[i] = ^uint32(0)
-	}
-	return s
-}
-
-// reset forgets the children and pending components recorded so far, and
-// keeps the pending memories that did not become representatives as
-// spares.
-func (s *scratch) reset() {
-	for _, p := range s.pend {
-		if p.rep != nil {
-			s.spares = append(s.spares, p.rep)
-		}
-	}
-	clear(s.pend)
-	s.children, s.pend, s.pendKeys = s.children[:0], s.pend[:0], s.pendKeys[:0]
-}
-
-// show returns s's view machine in the state t, loading only the
-// components it does not hold already.
-func (s *scratch) show(sp *space, t []uint32) *program.Machine {
-	n := len(t) - 1
-	for i, id := range t[:n] {
-		if s.shown[i] != id {
-			s.view.SetThreadKey(i, sp.threads[i].key(id))
-			s.shown[i] = id
-		}
-	}
-	if s.shown[n] != t[n] {
-		sp.memReps[t[n]].CloneInto(s.view.Mem())
-		s.shown[n] = t[n]
-	}
-	return s.view
-}
-
-// expansion is what expanding one node yields: the invariant's verdict,
-// whether the state is terminal, and otherwise its successors, which live
-// in the scratch s until it is reset. dropped counts successors the
-// expansion found already visited; they are still transitions, and settle
-// counts them as such.
-type expansion struct {
-	s         *scratch
-	violation error
-	terminal  bool
-	err       error
-	children  []child
-	dropped   int
-}
-
-// expand checks node n's state and, unless it violates the invariant, is
-// terminal, is at the depth cap or capped is set, lists its successors:
-// program steps first, then internal actions, in index order. A memo hit
-// costs no step; a miss is stepped in s. With prefilter, a hit that
-// reaches a state the visited set already holds is only counted. expand
-// reads the space and writes nothing to it.
-func (s *scratch) expand(sr *search, n *node, capped, prefilter bool) expansion {
-	sp := sr.sp
-	exp := expansion{s: s}
-	t := sp.seen.tuple(n.state)
-	if err := sr.inv(s.show(sp, t)); err != nil {
-		exp.violation = err
-		return exp
-	}
-	if sp.terminal(t) {
-		exp.terminal = true
-		return exp
-	}
-	if n.depth >= sr.opts.MaxDepth || capped {
-		return exp
-	}
-	first := len(s.children)
-	mem := t[len(t)-1]
-	visit := func(c child, hit bool) {
-		if hit {
-			s.hits++
-		}
-		if hit && prefilter {
-			s.tuple = c.tupleOf(s.tuple, t)
-			if sp.seen.has(s.tuple) {
-				exp.dropped++
-				return
-			}
-		}
-		s.children = append(s.children, c)
-	}
-	for i, tid := range t[:len(t)-1] {
-		if sp.halted[i][tid] {
-			continue
-		}
-		c, hit := sp.threadStep(t, i)
-		if !hit {
-			if exp.err = s.stepThread(sp, &c, tid, mem); exp.err != nil {
-				return exp
-			}
-		}
-		visit(c, hit)
-	}
-	lo, hi := sp.memFirst[mem], sp.memFirst[mem+1]
-	for a := lo; a < hi; a++ {
-		c := child{step: step{internal: true, index: int(a - lo)}}
-		hit := sp.internal[a] != 0
-		if hit {
-			c.mem = sp.internal[a] - 1
-		} else {
-			mm := sp.memReps[mem].CloneInto(s.m.Mem())
-			mm.Step(c.step.index)
-			s.stepped++
-			c.miss = true
-			c.mem, c.newMem = s.memID(sp, mm)
-		}
-		visit(c, hit)
-	}
-	exp.children = s.children[first:]
-	return exp
-}
-
-// threadStep returns the successor thread i's step in state t leads to,
-// with its components' ids, and true if the memo holds it; otherwise the
-// step alone and false.
-func (sp *space) threadStep(t []uint32, i int) (child, bool) {
-	c := child{step: step{index: i}}
-	v, hit := sp.steps[i][pack(t[len(t)-1], t[i])]
-	c.thread, c.mem = unpack(v)
-	return c, hit
-}
-
-// stepThread steps thread c.step.index from thread state tid on memory
-// mem in s's machine, and records the result in c.
-func (s *scratch) stepThread(sp *space, c *child, tid, mem uint32) error {
-	i := c.step.index
-	sp.memReps[mem].CloneInto(s.m.Mem())
-	s.m.SetThreadKey(i, sp.threads[i].key(tid))
-	if err := s.m.StepThread(i); err != nil {
-		return fmt.Errorf("explore: step thread %d: %w", i, err)
-	}
-	s.stepped++
-	c.miss = true
-	s.buf = s.m.AppendThreadKey(s.buf[:0], i)
-	th := sp.threads[i]
-	h := th.hash(s.buf)
-	if id, ok := th.lookup(h, s.buf); ok {
-		c.thread = id
-	} else {
-		c.newThread = s.addPending(h, s.m.ThreadHalted(i), nil)
-	}
-	c.mem, c.newMem = s.memID(sp, s.m.Mem())
-	return nil
-}
-
-// memID returns the id of mem's state, or, if the table does not hold it,
-// 1 + the index of a pending copy of mem.
-func (s *scratch) memID(sp *space, mem sim.Memory) (uint32, int32) {
-	s.buf = mem.AppendKey(s.buf[:0])
-	h := sp.mems.hash(s.buf)
-	if id, ok := sp.mems.lookup(h, s.buf); ok {
-		return id, 0
-	}
-	var spare sim.Memory
-	if n := len(s.spares); n > 0 {
-		spare, s.spares = s.spares[n-1], s.spares[:n-1]
-	}
-	return 0, s.addPending(h, false, mem.CloneInto(spare))
-}
-
-// addPending records the component keyed by s.buf, hashed h, as pending
-// and returns 1 + its index.
-func (s *scratch) addPending(h uint64, halted bool, rep sim.Memory) int32 {
-	start := len(s.pendKeys)
-	s.pendKeys = append(s.pendKeys, s.buf...)
-	s.pend = append(s.pend, pending{start: start, end: len(s.pendKeys), h: h, halted: halted, rep: rep})
-	return int32(len(s.pend))
-}
-
-// search is one exhaustive search's shared state: its options, its space,
-// the result it builds and the steps of the states it keeps.
-type search struct {
-	m0    *program.Machine
-	opts  Options
-	inv   Invariant
-	root  *program.Machine // m0's history-free copy, memory 0's representative
-	sp    *space
-	res   Result
-	steps stepSlab
-	// parent and tuple are settle's buffers.
-	parent, tuple []uint32
-}
-
-func newSearch(m0 *program.Machine, opts Options, inv Invariant) *search {
-	root := m0.Clone()
-	root.Mem().Recorder().Discard()
-	sr := &search{m0: m0, opts: opts, inv: inv, root: root, sp: newSpace(root)}
-	sr.res.Complete = true
-	if opts.TrackProgress {
-		sr.res.edges = [][]uint32{}
-	}
-	return sr
-}
-
-// settle counts node n, expanded as exp, into the search's result: as a
-// violation, a terminal state, a state at a cap, or a state whose
-// successors are transitions. It interns the successors' pending
-// components, writes their memo entries, and appends a node for each
-// successor that reaches a new state to next. It reports whether the
-// search is to stop.
-func (sr *search) settle(n *node, exp *expansion, next *[]node) (stop bool, err error) {
-	res, opts, sp := &sr.res, &sr.opts, sr.sp
-	res.States++
-	if exp.err != nil {
-		return true, exp.err
-	}
-	switch {
-	case exp.violation != nil: // not explored past
-		res.found = append(res.found, found{err: exp.violation, step: n.step})
-		if opts.StopAtFirst {
-			res.truncate(IncompleteFirstViolation)
-			return true, nil
-		}
-	case exp.terminal:
-		res.TerminalStates++
-		if opts.TrackProgress {
-			res.terminals = append(res.terminals, n.state)
-		}
-		if opts.OnTerminal != nil {
-			t, err := n.step.replay(sr.m0)
-			if err != nil {
-				return true, err
-			}
-			if !opts.OnTerminal(t) {
-				res.truncate(IncompleteCallbackStop)
-				return true, nil
-			}
-		}
-	case n.depth >= opts.MaxDepth:
-		res.truncate(IncompleteMaxDepth)
-	case res.States >= opts.MaxStates:
-		res.truncate(IncompleteMaxStates)
-	default:
-		res.Transitions += exp.dropped
-		// The visited set's tuples move as it grows, so the parent's is
-		// copied.
-		sr.parent = append(sr.parent[:0], sp.seen.tuple(n.state)...)
-		mem := sr.parent[len(sr.parent)-1]
-		s := exp.s
-		for i := range exp.children {
-			c := &exp.children[i]
-			res.Transitions++
-			if c.newThread != 0 {
-				p := &s.pend[c.newThread-1]
-				c.thread = sp.internThread(c.step.index, p.h, s.pendKeys[p.start:p.end], p.halted)
-			}
-			if c.newMem != 0 {
-				p := &s.pend[c.newMem-1]
-				var added bool
-				if c.mem, added = sp.internMem(p.h, s.pendKeys[p.start:p.end], p.rep); added {
-					p.rep = nil // the representative now
-				}
-			}
-			if c.miss {
-				if c.step.internal {
-					sp.internal[sp.memFirst[mem]+uint32(c.step.index)] = c.mem + 1
-				} else {
-					sp.steps[c.step.index][pack(mem, sr.parent[c.step.index])] = pack(c.thread, c.mem)
-				}
-			}
-			sr.tuple = c.tupleOf(sr.tuple, sr.parent)
-			id, added := sp.seen.add(sr.tuple)
-			if opts.TrackProgress {
-				res.addEdge(n.state, id)
-			}
-			if added {
-				st := c.step
-				st.parent = n.step
-				*next = append(*next, node{state: id, step: sr.steps.add(st), depth: n.depth + 1})
-			}
-		}
-	}
-	return false, nil
-}

@@ -1,8 +1,7 @@
-// Package pool is the repository's one worker-pool implementation. Three
+// Package pool is the repository's one worker-pool implementation. Two
 // subsystems consume it: the parallel enumeration engine in internal/perm
-// (candidate write orders and coherence orders for the model checkers), the
-// frontier-parallel state-space explorer in package explore, and the
-// classification sweeps in package relate. Keeping the spawn/wait/cancel
+// (candidate write orders and coherence orders for the model checkers) and
+// the classification sweeps in package relate. Keeping the spawn/wait/cancel
 // plumbing here keeps those consumers to pure work definitions.
 //
 // Every knob in the repository follows one convention, resolved by Size:

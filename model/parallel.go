@@ -40,7 +40,7 @@ import (
 
 // smallSpace is the candidate-count floor below which the search helpers
 // skip the pool: sharding a dozen candidates costs more than testing them.
-const smallSpace = 16
+const smallSpace = 512
 
 // run is the per-check state shared by a checker's enumeration: the
 // caller's context, the resolved worker knob, the budget meter every

@@ -23,6 +23,10 @@ var differentialHistories = []struct {
 	{"coh-3writers", "p0: w(x)1\np1: w(x)2\np2: w(x)3 r(x)1"},
 	{"many-writes", "p0: w(x)1 w(y)1 w(z)1\np1: w(x)2 w(y)2 w(z)2\np2: r(x)2 r(y)1 r(z)2"},
 	{"labeled-rc", "p0: W(s)1 w(x)1 W(s)2\np1: R(s)2 r(x)1"},
+	// Four writers of x and y: 2,520 write orders and 576 coherence
+	// products, past the floor below which the helpers stay sequential;
+	// the two readers see x's writes in opposite orders.
+	{"wide-writes", "p0: w(x)1 w(y)1\np1: w(x)2 w(y)2\np2: w(x)3 w(y)3\np3: w(x)4 w(y)4\np4: r(x)1 r(x)2 r(y)2 r(y)1\np5: r(x)2 r(x)1"},
 }
 
 func parseDifferential(t *testing.T, text string) *history.System {

@@ -27,8 +27,8 @@ type threadState struct {
 	halted bool
 }
 
-// maxLocalSteps bounds consecutive local (non-shared) instructions per
-// step; exceeding it indicates a loop with no shared access, which can
+// maxLocalSteps bounds consecutive local (non-shared) instructions;
+// exceeding it indicates a loop with no shared access, which can
 // never terminate or change interleaving.
 const maxLocalSteps = 10_000
 
@@ -108,41 +108,117 @@ func (m *Machine) ThreadHalted(i int) bool { return m.threads[i].halted }
 // mutual-exclusion invariant could never see two threads inside. Calling
 // StepThread on a halted thread is an error; an unbounded local loop (no
 // visible operations) is also an error.
+//
+// A step is three parts, which a caller may also take apart: PeekOp names
+// the visible operation, Op.Perform has the memory perform it, and
+// FinishOp hands the memory's answer back to the thread and runs the local
+// instructions after it.
 func (m *Machine) StepThread(i int) error {
 	if i < 0 || i >= len(m.threads) {
 		return fmt.Errorf("program: thread %d out of range [0,%d)", i, len(m.threads))
 	}
-	t := &m.threads[i]
-	if t.halted {
+	if m.threads[i].halted {
 		return fmt.Errorf("program: thread %d already halted", i)
 	}
-	code := m.progs[i].code
-	didVisible := false
-	visible := func(op opcode) bool {
-		return op == opLoad || op == opStore || op == opCSIn || op == opCSOut
+	if err := m.runLocal(i); err != nil || m.threads[i].halted {
+		return err
 	}
+	op, _ := m.PeekOp(i)
+	return m.FinishOp(i, op.Perform(m.mem, history.Proc(i)))
+}
+
+// OpKind is the kind of a visible operation.
+type OpKind uint8
+
+const (
+	OpLoad OpKind = iota + 1
+	OpStore
+	OpCSEnter
+	OpCSExit
+)
+
+// Op is a visible operation as PeekOp names it. Loc and Labeled describe
+// a load or a store, and Value is the value a store writes; a
+// critical-section marker has only its kind.
+type Op struct {
+	Kind    OpKind
+	Loc     history.Loc
+	Value   history.Value
+	Labeled bool
+}
+
+// Perform has mem perform op for processor p and returns the memory's
+// answer: the value a load reads, and 0 for a store. A critical-section
+// marker does not reach the memory, and its answer is 0.
+func (op Op) Perform(mem sim.Memory, p history.Proc) history.Value {
+	switch op.Kind {
+	case OpLoad:
+		return mem.Read(p, op.Loc, op.Labeled)
+	case OpStore:
+		mem.Write(p, op.Loc, op.Value, op.Labeled)
+	}
+	return 0
+}
+
+// PeekOp returns the visible operation thread i's next step performs, and
+// true, when the thread's pc is at one, as it is after any step of a
+// thread that has not halted. It returns false for a halted thread, and
+// for one that runs local instructions first, as a thread may at the
+// start of its program. It changes nothing.
+func (m *Machine) PeekOp(i int) (Op, bool) {
+	t := &m.threads[i]
+	if t.halted {
+		return Op{}, false
+	}
+	switch ins := &m.progs[i].code[t.pc]; ins.op {
+	case opLoad:
+		return Op{Kind: OpLoad, Loc: history.Loc(ins.locOf(t.regs)), Labeled: ins.labeled}, true
+	case opStore:
+		return Op{Kind: OpStore, Loc: history.Loc(ins.locOf(t.regs)), Value: history.Value(ins.eval(t.regs)), Labeled: ins.labeled}, true
+	case opCSIn:
+		return Op{Kind: OpCSEnter}, true
+	case opCSOut:
+		return Op{Kind: OpCSExit}, true
+	}
+	return Op{}, false
+}
+
+// FinishOp completes thread i's step once the memory has answered v to
+// the operation PeekOp names: a load puts v in its register (any other
+// operation ignores v), a critical-section marker moves the thread in or
+// out of its critical section, and then the thread runs its local
+// instructions up to its next visible operation or halt. It touches only
+// thread i, not the memory. Thread i must be at a visible operation.
+func (m *Machine) FinishOp(i int, v history.Value) error {
+	t := &m.threads[i]
+	switch ins := &m.progs[i].code[t.pc]; ins.op {
+	case opLoad:
+		t.regs[ins.dst] = int(v)
+	case opStore:
+	case opCSIn:
+		t.inCS = true
+	case opCSOut:
+		t.inCS = false
+	default:
+		return fmt.Errorf("program: thread %d is not at a visible operation", i)
+	}
+	t.pc++
+	return m.runLocal(i)
+}
+
+// runLocal executes thread i's local instructions up to its next visible
+// operation or halt.
+func (m *Machine) runLocal(i int) error {
+	t := &m.threads[i]
+	code := m.progs[i].code
 	for steps := 0; ; steps++ {
 		if steps > maxLocalSteps {
 			return fmt.Errorf("program: thread %d: no shared access in %d instructions (local livelock)", i, maxLocalSteps)
 		}
-		ins := &code[t.pc]
-		// After the visible operation, stop before the next one.
-		if didVisible && visible(ins.op) {
-			return nil
-		}
-		switch ins.op {
+		switch ins := &code[t.pc]; ins.op {
 		case opAssign:
 			t.regs[ins.dst] = ins.eval(t.regs)
 			t.pc++
-		case opLoad:
-			v := m.mem.Read(history.Proc(i), history.Loc(ins.locOf(t.regs)), ins.labeled)
-			t.regs[ins.dst] = int(v)
-			t.pc++
-			didVisible = true
-		case opStore:
-			m.mem.Write(history.Proc(i), history.Loc(ins.locOf(t.regs)), history.Value(ins.eval(t.regs)), ins.labeled)
-			t.pc++
-			didVisible = true
 		case opJmp:
 			t.pc = ins.target
 		case opJz:
@@ -151,16 +227,10 @@ func (m *Machine) StepThread(i int) error {
 			} else {
 				t.pc++
 			}
-		case opCSIn:
-			t.inCS = true
-			t.pc++
-			didVisible = true
-		case opCSOut:
-			t.inCS = false
-			t.pc++
-			didVisible = true
 		case opHalt:
 			t.halted = true
+			return nil
+		default: // a visible operation
 			return nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/history"
 	"repro/sim"
 )
 
@@ -433,5 +434,71 @@ func TestDynamicIndexMatchesStaticLocation(t *testing.T) {
 	}
 	if got := mem.Read(0, "out", false); got != 9 {
 		t.Errorf("out = %d, want 9", got)
+	}
+}
+
+// TestStepParts takes steps apart as the explorer does. PeekOp names a
+// thread's next operation without changing the machine, FinishOp changes
+// only its own thread, and PeekOp, Op.Perform and FinishOp on one copy
+// reach the state, recorded history included, that StepThread reaches on
+// another, on every memory. A thread that runs local instructions before
+// its first operation, and a halted one, name none, and FinishOp refuses a
+// thread that is not at an operation.
+func TestStepParts(t *testing.T) {
+	progs := [][]Stmt{
+		{Assign{Dst: "a", E: Const(2)}, Store{Loc: "x", E: Local("a"), Labeled: true}, Load{Dst: "r", Loc: "y"}, CSEnter{}, CSExit{}},
+		{Load{Dst: "r", Loc: "x"}, Store{Loc: "y", E: Bin{Op: Add, L: Local("r"), R: Const(1)}}, Load{Dst: "s", Loc: "x", Labeled: true}},
+	}
+	memFP := func(m *Machine) string { return string(m.Mem().AppendFingerprint(nil)) }
+	for _, mem := range sim.Memories(2) {
+		m, err := NewMachine(mem, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op, ok := m.PeekOp(0); ok {
+			t.Errorf("%s: thread 0 runs a local instruction first, PeekOp named %+v", mem.Name(), op)
+		}
+		if err := m.FinishOp(0, 0); err == nil {
+			t.Errorf("%s: FinishOp accepted a thread at a local instruction", mem.Name())
+		}
+		if op, ok := m.PeekOp(1); !ok || op != (Op{Kind: OpLoad, Loc: "x"}) {
+			t.Errorf("%s: thread 1's first operation is %+v (%v), want a load of x", mem.Name(), op, ok)
+		}
+		for step := 0; !m.Halted() || m.Mem().NumInternal() > 0; step++ {
+			if n := m.Mem().NumInternal(); n > 0 && (m.Halted() || step%3 == 2) {
+				m.Mem().Step(step % n)
+				continue
+			}
+			r := m.Runnable()
+			i := r[step%len(r)]
+			want := m.Clone()
+			if err := want.StepThread(i); err != nil {
+				t.Fatal(err)
+			}
+			got := m.Clone()
+			before := got.Fingerprint()
+			if op, ok := got.PeekOp(i); ok {
+				if got.Fingerprint() != before {
+					t.Fatalf("%s: PeekOp changed the machine", mem.Name())
+				}
+				v := op.Perform(got.Mem(), history.Proc(i))
+				answered := memFP(got)
+				if err := got.FinishOp(i, v); err != nil {
+					t.Fatal(err)
+				}
+				if memFP(got) != answered {
+					t.Errorf("%s: FinishOp changed the memory", mem.Name())
+				}
+			} else if err := got.StepThread(i); err != nil {
+				t.Fatal(err)
+			}
+			if got.Fingerprint() != want.Fingerprint() || got.Mem().Recorder().System().String() != want.Mem().Recorder().System().String() {
+				t.Fatalf("%s: step %d of thread %d taken apart differs from StepThread", mem.Name(), step, i)
+			}
+			m = got
+		}
+		if _, ok := m.PeekOp(0); ok {
+			t.Errorf("%s: PeekOp named an operation of a halted thread", mem.Name())
+		}
 	}
 }

@@ -17,8 +17,10 @@ import (
 // its table.
 //
 // The table is an immutable snapshot behind an atomic pointer, replaced by
-// a grown copy when a new location appears, so the parallel explorer's
-// workers look ids up without locking. Only growth takes the mutex.
+// a grown copy when a new location appears. The explorer steps all its
+// clones on one goroutine, but nothing stops a caller from running clones
+// of one memory on several, so lookups stay lock-free and safe there too.
+// Only growth takes the mutex.
 type locTable struct {
 	mu   sync.Mutex
 	snap atomic.Pointer[locSnap]

@@ -11,8 +11,8 @@ import (
 )
 
 // TestLocTableConcurrent numbers the same locations from several
-// goroutines at once, in different orders, as parallel explorer workers do
-// on clones of one memory. Every location must get one id, and the
+// goroutines at once, in different orders, as goroutines running clones of
+// one memory may. Every location must get one id, and the
 // snapshot's name order must list every id once, sorted by name.
 func TestLocTableConcurrent(t *testing.T) {
 	var locs []history.Loc
