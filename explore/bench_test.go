@@ -11,13 +11,14 @@ import (
 )
 
 // BenchmarkBakeryTransition measures what a successor costs the explorer
-// on Bakery(2,2) RCpc. A memo miss copies a memory representative into a
-// scratch machine (CloneInto measures a whole machine's copy, on a machine
-// 40 random steps into a run) and keys the stepped components
-// (AppendKey: every thread's key and the memory's). A memo hit, the path
-// most transitions take, looks the step up, builds the successor's tuple
-// and probes the visited set (MemoHit, on a state of a complete
-// exploration, whose successors are all memo hits). None may allocate.
+// on Bakery(2,2) RCpc. An unknown successor copies a memory
+// representative into a scratch machine (CloneInto measures a whole
+// machine's copy, on a machine 40 random steps into a run) and keys the
+// stepped components (AppendKey: every thread's key and the memory's). A
+// known one, the path most transitions take, reads the step from the
+// successor tables, builds the successor's tuple and probes the visited
+// set (MemoHit, on a state of a complete exploration, whose successors
+// are all known). None may allocate.
 func BenchmarkBakeryTransition(b *testing.B) {
 	newBakery := func() *program.Machine {
 		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, 2, true))
@@ -85,7 +86,7 @@ func BenchmarkBakeryTransition(b *testing.B) {
 			}
 		}
 		if sp.hits-hits != b.N {
-			b.Fatal("a successor of a complete exploration is not a memo hit")
+			b.Fatal("a successor of a complete exploration is not in the tables")
 		}
 	})
 }

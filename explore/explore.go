@@ -14,12 +14,13 @@
 // Exhaustive is one sequential depth-first search, so violations, traces
 // and counts are deterministic. It keeps a state as a tuple of ids of its
 // components — each thread's local state and the memory's state, interned
-// once each — and finds successors through memos of the thread steps,
-// memory operations and internal actions already taken, so most
-// transitions step no machine (space.go). Depth-first order does not give
-// shortest counterexamples: on Bakery(2,2) RCpc with StopAtFirst, the
-// schedule it reports has 36 steps where a breadth-first search reports
-// 16.
+// once each — and reads successors from dense tables, indexed by those
+// ids, of the memory operations, thread finishes and internal actions
+// already taken, so most transitions step no machine and look up no map
+// (space.go). A state's schedule is one link to its parent state.
+// Depth-first order does not give shortest counterexamples: on
+// Bakery(2,2) RCpc with StopAtFirst, the schedule it reports has 36 steps
+// where a breadth-first search reports 16.
 //
 // The machines the search steps and checks record no history
 // (sim.Recorder.Discard): a state's history depends only on the root and
@@ -44,10 +45,10 @@ import (
 )
 
 // Invariant checks a machine state, returning a non-nil error describing
-// the violation if the state is bad. It must not change the machine.
-// Exhaustive passes it machines built from the search's state tables,
-// which record no history; a violation's History is rebuilt after the
-// search.
+// the violation if the state is bad. It must not change the machine, nor
+// step its memory: Exhaustive passes it a machine whose memory is one of
+// the search's state tables' own (see program.Machine.ShareMem), and which
+// records no history; a violation's History is rebuilt after the search.
 type Invariant func(*program.Machine) error
 
 // MutualExclusion is the invariant of the paper's Section 5: at most one
@@ -177,16 +178,16 @@ type Result struct {
 	// its index's slots) and the component tables (every thread-local
 	// and memory state's key with its length prefix and position, plus
 	// their indexes' slots). It is an exact count, not a measurement of
-	// the heap, and does not count the memos.
+	// the heap, and does not count the successor tables.
 	KeyBytes int
 	// progress-tracking internals (TrackProgress only): the successors
 	// of each state, by state number, and the terminal states.
 	edges     [][]uint32
 	terminals []uint32
-	// hits, factored and stepped count the transitions the search found
-	// in a whole-step memo, found in the memos of a thread step's parts,
-	// and stepped some machine for (see space).
-	hits, factored, stepped int
+	// hits and stepped count the transitions the search read from its
+	// successor tables alone, and those it stepped some machine for (see
+	// space).
+	hits, stepped int
 	// found holds the violations the search found, in order, for
 	// ExhaustiveCtx to build into Violations once the search is over.
 	found []found
@@ -227,42 +228,31 @@ func (r *Result) addEdge(from, to uint32) {
 	r.edges[from] = append(r.edges[from], to)
 }
 
-// node is a search node: a state's number in the visited set, the last
-// step of the schedule that reached it, and that schedule's length.
+// node is a search node: a state's number in the visited set and the
+// length of the schedule that reached it.
 type node struct {
-	state uint32
-	step  *step
-	depth int
+	state, depth uint32
 }
 
-// step is one scheduling choice, linked to the step before it. Nodes share
-// their schedule's prefix through the parent pointers, so a node costs one
-// step however deep it is; Violation.Trace strings, and the descriptions
-// of internal actions in them, are built only for the violations found,
-// once the search is over (see buildViolations).
+// step is one scheduling choice: a thread step or an internal memory
+// action.
 type step struct {
-	parent   *step
 	internal bool // an internal memory action rather than a thread step
 	index    int  // thread index, or internal-action index
 }
 
-// stepBlock is the number of steps in each of a stepSlab's arrays.
-const stepBlock = 1024
-
-// stepSlab hands out kept children's steps from shared arrays, so a kept
-// child costs no heap object of its own. Steps are never freed one by
-// one: an array lives while any step in it is on a live schedule.
-type stepSlab []step
-
-// add stores st and returns its address, which stays valid: a full slab
-// moves on to a new array instead of growing the old one.
-func (b *stepSlab) add(st step) *step {
-	if len(*b) == cap(*b) {
-		*b = make([]step, 0, stepBlock)
+// code packs the step into the low half of a schedule link: its index<<1,
+// | 1 if it is an internal action.
+func (s step) code() uint32 {
+	c := uint32(s.index) << 1
+	if s.internal {
+		c |= 1
 	}
-	*b = append(*b, st)
-	return &(*b)[len(*b)-1]
+	return c
 }
+
+// stepOf undoes step.code.
+func stepOf(code uint32) step { return step{internal: code&1 != 0, index: int(code >> 1)} }
 
 // threadStep renders a program step of thread i as Violation.Trace lists
 // it.
@@ -275,7 +265,7 @@ func internalStep(i int, desc string) string {
 }
 
 // apply performs the step on m, a copy of the state it was chosen in.
-func (s *step) apply(m *program.Machine) error {
+func (s step) apply(m *program.Machine) error {
 	if s.internal {
 		m.Mem().Step(s.index)
 		return nil
@@ -286,17 +276,33 @@ func (s *step) apply(m *program.Machine) error {
 	return nil
 }
 
-// replay builds the state the schedule ending in s reaches in a fresh
-// copy of root, the machine the search started from, which records the
-// history along the way.
-func (s *step) replay(root *program.Machine) (*program.Machine, error) {
-	var steps []*step
-	for p := s; p != nil; p = p.parent {
-		steps = append(steps, p)
+// schedules holds, by state number, the link of the step that first
+// reached each state: its parent state<<32 | the step's code. State 0,
+// the root, has none. A state's schedule is read back along the links,
+// so it costs 8 bytes however deep it is, and no pointer; Violation.Trace
+// strings, and the descriptions of internal actions in them, are built
+// only for the violations found, once the search is over (see
+// buildViolations).
+type schedules struct{ links table[uint64] }
+
+// appendPath appends the codes of the steps that reach state s to dst,
+// last step first.
+func (l *schedules) appendPath(dst []uint32, s uint32) []uint32 {
+	for s != 0 {
+		link := l.links.at(s)
+		dst = append(dst, uint32(link))
+		s = uint32(link >> 32)
 	}
+	return dst
+}
+
+// replay builds state s in a fresh copy of root, the machine the search
+// started from, which records the history along the way.
+func (l *schedules) replay(s uint32, root *program.Machine) (*program.Machine, error) {
+	path := l.appendPath(nil, s)
 	m := root.Clone()
-	for i := len(steps) - 1; i >= 0; i-- {
-		if err := steps[i].apply(m); err != nil {
+	for i := len(path) - 1; i >= 0; i-- {
+		if err := stepOf(path[i]).apply(m); err != nil {
 			return nil, err
 		}
 	}
@@ -304,43 +310,33 @@ func (s *step) replay(root *program.Machine) (*program.Machine, error) {
 }
 
 // found is a violation as a search records it: the invariant's error and
-// the last step of the schedule that reached it. Building its Trace,
-// History and State is left to buildViolations, after the search.
+// the violating state's number. Building its Trace, History and State is
+// left to buildViolations, after the search.
 type found struct {
-	err  error
-	step *step
+	err   error
+	state uint32
 }
 
 // buildViolations builds the Violations of a search that started in root
-// from what it found, in the order it found them. The schedules share
+// from what it found, in the order it found them, reading their schedules
+// from sched. The schedules share
 // prefixes, so they are replayed from a copy of root in one walk over
 // their tree (see violationWalk). If a schedule cannot be replayed,
 // buildViolations returns the violations before it and the error.
-func buildViolations(fs []found, root *program.Machine) ([]Violation, error) {
+func buildViolations(fs []found, sched *schedules, root *program.Machine) ([]Violation, error) {
 	if len(fs) == 0 {
 		return nil, nil
 	}
 	w := &violationWalk{fs: fs, ends: make([]int, len(fs)), order: make([]int, len(fs)),
 		vs: make([]Violation, len(fs)), errs: make([]error, len(fs))}
-	n := 0
 	for i, f := range fs {
-		for p := f.step; p != nil; p = p.parent {
-			n++
-		}
-		w.ends[i] = n
+		start := len(w.paths)
+		w.paths = sched.appendPath(w.paths, f.state)
+		slices.Reverse(w.paths[start:])
+		w.ends[i] = len(w.paths)
 		w.order[i] = i
 	}
-	w.paths = make([]uint32, n)
-	for i, f := range fs {
-		j := w.ends[i]
-		for p := f.step; p != nil; p = p.parent {
-			j--
-			w.paths[j] = uint32(p.index) << 1
-			if p.internal {
-				w.paths[j] |= 1
-			}
-		}
-	}
+	n := len(w.paths)
 	slices.SortFunc(w.order, func(a, b int) int { return slices.Compare(w.path(a), w.path(b)) })
 	w.traces = make([]string, n)
 	for i := range root.NumThreads() {
@@ -362,8 +358,7 @@ func buildViolations(fs []found, root *program.Machine) ([]Violation, error) {
 type violationWalk struct {
 	fs []found
 	// paths holds each violation's schedule, oldest step first, back to
-	// back, each step as its index<<1 | 1 if it is an internal action;
-	// violation i's ends at ends[i].
+	// back, each step as its code; violation i's ends at ends[i].
 	paths []uint32
 	ends  []int
 	// order lists the violations with their schedules in lexicographic
@@ -412,7 +407,7 @@ func (w *violationWalk) walk(m *program.Machine, lo, hi, d int) {
 		for g < hi && w.path(w.order[g])[d] == code {
 			g++
 		}
-		st := step{internal: code&1 != 0, index: int(code >> 1)}
+		st := stepOf(code)
 		mm := m
 		if g < hi {
 			mm = m.Clone() // the schedules from g on branch off here
@@ -471,7 +466,7 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 	if opts.TrackProgress && res.Complete && err == nil {
 		res.StuckStates = countStuck(res.edges, res.terminals, sr.sp.seen.len())
 	}
-	vs, verr := buildViolations(res.found, m0)
+	vs, verr := buildViolations(res.found, &sr.sched, m0)
 	res.Violations, res.found = vs, nil
 	if err == nil {
 		err = verr
@@ -510,20 +505,21 @@ func finishExplore(ctx context.Context, res Result) {
 }
 
 // search is one exhaustive search's state: its options, its space, the
-// result it builds and the steps of the states it keeps.
+// result it builds and the schedules of the states it numbers.
 type search struct {
-	m0   *program.Machine
-	opts Options
-	inv  Invariant
-	sp   *space
-	res  Result
+	m0    *program.Machine
+	opts  Options
+	inv   Invariant
+	sp    *space
+	res   Result
+	sched schedules
 	// view is the machine states are shown to the invariant in, and
-	// shown the components it holds, ^0 for none.
+	// shown the components it holds, ^0 for none. Its memory is the
+	// shown memory's representative, shared, not copied.
 	view  *program.Machine
 	shown []uint32
-	steps stepSlab
-	// parent and tuple are visit's buffers.
-	parent, tuple []uint32
+	// tuple is visit's buffer.
+	tuple []uint32
 }
 
 func newSearch(m0 *program.Machine, opts Options, inv Invariant) *search {
@@ -546,7 +542,7 @@ func newSearch(m0 *program.Machine, opts Options, inv Invariant) *search {
 // so the last is visited next.
 func (sr *search) depthFirst(ctx context.Context) error {
 	sp := sr.sp
-	defer func() { sr.res.hits, sr.res.factored, sr.res.stepped = sp.hits, sp.factored, sp.stepped }()
+	defer func() { sr.res.hits, sr.res.stepped = sp.hits, sp.stepped }()
 	stack := []node{{}} // the root, state 0
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -569,11 +565,9 @@ func (sr *search) depthFirst(ctx context.Context) error {
 func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 	res, opts, sp := &sr.res, &sr.opts, sr.sp
 	res.States++
-	// The visited set's tuples move as it grows, so the state's is copied.
-	t := append(sr.parent[:0], sp.seen.tuple(n.state)...)
-	sr.parent = t
+	t := sp.seen.tuple(n.state)
 	if bad := sr.inv(sr.show(t)); bad != nil { // not explored past
-		res.found = append(res.found, found{err: bad, step: n.step})
+		res.found = append(res.found, found{err: bad, state: n.state})
 		if opts.StopAtFirst {
 			res.truncate(IncompleteFirstViolation)
 			return true, nil
@@ -587,7 +581,7 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 			res.terminals = append(res.terminals, n.state)
 		}
 		if opts.OnTerminal != nil {
-			m, err := n.step.replay(sr.m0)
+			m, err := sr.sched.replay(n.state, sr.m0)
 			if err != nil {
 				return true, err
 			}
@@ -597,7 +591,7 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 			}
 		}
 		return false, nil
-	case n.depth >= opts.MaxDepth:
+	case int(n.depth) >= opts.MaxDepth:
 		res.truncate(IncompleteMaxDepth)
 		return false, nil
 	case res.States >= opts.MaxStates:
@@ -628,7 +622,8 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 }
 
 // push counts the transition st from node n to the state sr.tuple, and
-// pushes a node for that state onto the stack if it is new.
+// pushes a node for that state onto the stack, linked to n's, if it is
+// new.
 func (sr *search) push(n *node, st step, stack *[]node) {
 	sr.res.Transitions++
 	id, added := sr.sp.seen.add(sr.tuple)
@@ -636,13 +631,14 @@ func (sr *search) push(n *node, st step, stack *[]node) {
 		sr.res.addEdge(n.state, id)
 	}
 	if added {
-		st.parent = n.step
-		*stack = append(*stack, node{state: id, step: sr.steps.add(st), depth: n.depth + 1})
+		sr.sched.links.set(id, pack(n.state, st.code()))
+		*stack = append(*stack, node{state: id, depth: n.depth + 1})
 	}
 }
 
 // show returns the view machine in the state t, loading only the
-// components it does not hold already.
+// components it does not hold already. The memory is the representative
+// itself, which the invariant must leave unchanged.
 func (sr *search) show(t []uint32) *program.Machine {
 	sp, n := sr.sp, len(t)-1
 	for i, id := range t[:n] {
@@ -652,7 +648,7 @@ func (sr *search) show(t []uint32) *program.Machine {
 		}
 	}
 	if sr.shown[n] != t[n] {
-		sp.memReps[t[n]].CloneInto(sr.view.Mem())
+		sr.view.ShareMem(sp.memReps[t[n]])
 		sr.shown[n] = t[n]
 	}
 	return sr.view

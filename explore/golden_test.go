@@ -41,17 +41,17 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 }
 
 // maxMallocsPerTransition gates TestExploreMallocsPerTransition.
-const maxMallocsPerTransition = 0.5
+const maxMallocsPerTransition = 0.49
 
 // TestExploreMallocsPerTransition gates the explorer's allocation rate, a
 // count that does not depend on timing: exploring Bakery(2,1) on RCpc, the
 // search must stay at or below maxMallocsPerTransition heap allocations
-// per explored transition. A transition costs no allocation: a memo hit
-// builds a tuple in a reused buffer, and a miss is stepped in a reused
-// machine. Most of what is left is one copy of each distinct memory
-// state, kept as its representative, the memos' growth, then the steps of
-// kept states and the walk that reports the 28 violations. It measures
-// MEASURED.
+// per explored transition. A transition costs no allocation: a known
+// successor builds a tuple in a reused buffer, and an unknown one is
+// stepped in a reused machine. Most of what is left is one copy of each
+// distinct memory state, kept as its representative, then the walk that
+// reports the 28 violations and the pages of the tables. It measures
+// 0.467 (0.481 under -race).
 func TestExploreMallocsPerTransition(t *testing.T) {
 	m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
 	runtime.GC()
@@ -74,9 +74,9 @@ func TestExploreMallocsPerTransition(t *testing.T) {
 // explorations on RCpc. The visited set's tuples are fixed-width ids, and
 // every location id in a memory key is below 128, so it takes one byte:
 // the figure is the same on every host. A change to the key encoding or
-// the tables' layout moves it; the memos are not counted. Of Bakery(2,2)'s
-// 2,426,374 bytes, the visited set holds 2,061,952 (12 B of tuple per
-// state and 2^17 slots).
+// the tables' layout moves it; the successor tables are not counted. Of
+// Bakery(2,2)'s 2,426,374 bytes, the visited set holds 2,061,952 (12 B
+// of tuple per state and 2^17 slots).
 func TestGoldenKeyBytes(t *testing.T) {
 	for _, c := range []struct {
 		rounds, states, keyBytes int

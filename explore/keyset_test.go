@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -85,5 +86,54 @@ func TestKeySetComparesWholeKeys(t *testing.T) {
 	}
 	if id, added := s.insert(h, []byte("key7")); added || id != 7 {
 		t.Errorf("a held key was added again, or under id %d, not 7", id)
+	}
+}
+
+// TestStateSetMatchesMap drives a stateSet and a map with the same random
+// tuples, many of them repeated, so the index grows several times, each
+// time re-placing its slots by their tags alone. Every add must report
+// what the map reports, every tuple must stay a member under the number
+// it was given, in the order it was added, and the size must count every
+// tuple and the index.
+func TestStateSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const width = 3
+	s := stateSet{width: width, slots: make([]uint64, minSlots)}
+	ids := map[[width]uint32]uint32{}
+	grows := 0
+	for i := 0; i < 40000; i++ {
+		var k [width]uint32
+		for j := range k {
+			k[j] = uint32(rng.Intn(40))
+		}
+		slots := len(s.slots)
+		id, added := s.add(k[:])
+		if len(s.slots) != slots {
+			grows++
+		}
+		want, held := ids[k]
+		if added == held || (held && id != want) {
+			t.Fatalf("add %d of %v: number %d, added %v; map holds it under %d: %v", i, k, id, added, want, held)
+		}
+		if added {
+			if id != uint32(len(ids)) {
+				t.Fatalf("add %d of %v: numbered %d, want %d", i, k, id, len(ids))
+			}
+			ids[k] = id
+		}
+	}
+	for k, id := range ids {
+		slot, ok := s.find(hashTuple(k[:]), k[:])
+		if !ok || uint32(s.slots[slot])-1 != id || !slices.Equal(s.tuple(id), k[:]) {
+			t.Fatalf("%v: member %v, or not under number %d", k, ok, id)
+		}
+	}
+	absent := []uint32{40, 0, 0}
+	if _, ok := s.find(hashTuple(absent), absent); ok {
+		t.Error("holds a tuple never added")
+	}
+	t.Logf("%d tuples, %d slots, %d grows", s.len(), len(s.slots), grows)
+	if grows < 5 || s.len() != len(ids) || s.bytes() != 4*width*len(ids)+8*len(s.slots) || 4*s.len() > 3*len(s.slots) {
+		t.Errorf("%d tuples in %d slots after %d grows, %d bytes; want %d tuples", s.len(), len(s.slots), grows, s.bytes(), len(ids))
 	}
 }

@@ -14,9 +14,10 @@ import (
 // collapsed searches are tested against: every state is a whole machine,
 // keyed by every thread's key followed by the memory's, every successor is
 // copied into a spare machine and stepped, and every violation's schedule is replayed and
-// rendered from the root on its own. It shares the step type and the key
-// set with the package, and nothing of the component tables, the memos or
-// the violation walk.
+// rendered from the root on its own. Its schedules are linked by
+// pointers. It shares the step type and the key set with the package, and
+// nothing of the component tables, the successor tables, the schedule
+// links or the violation walk.
 
 // oracleKey appends m's whole key: each thread's key, then the memory's.
 func oracleKey(dst []byte, m *program.Machine) []byte {
@@ -30,8 +31,22 @@ func oracleKey(dst []byte, m *program.Machine) []byte {
 // step of the schedule that reached it and that schedule's length.
 type oracleNode struct {
 	m     *program.Machine
-	step  *step
+	step  *oracleStep
 	depth int
+}
+
+// oracleStep is a step of the reference search, linked to the step before
+// it.
+type oracleStep struct {
+	parent *oracleStep
+	step
+}
+
+// oracleFound is a violation the reference search found: the invariant's
+// error and the last step of the schedule that reached it.
+type oracleFound struct {
+	err  error
+	step *oracleStep
 }
 
 // oracleExhaustive explores m0's state space in the reference way,
@@ -62,7 +77,7 @@ func oracleExhaustive(m0 *program.Machine, opts Options) (Result, error) {
 	key := oracleKey(nil, root)
 	seen.intern(seen.hash(key), key)
 	work := []oracleNode{{m: root}}
-	var fs []found
+	var fs []oracleFound
 	var scratch *program.Machine // a machine no state holds
 
 	for len(work) > 0 {
@@ -74,7 +89,7 @@ func oracleExhaustive(m0 *program.Machine, opts Options) (Result, error) {
 			nKey = string(oracleKey(nil, n.m))
 		}
 		if bad := inv(n.m); bad != nil {
-			fs = append(fs, found{err: bad, step: n.step})
+			fs = append(fs, oracleFound{err: bad, step: n.step})
 			if opts.StopAtFirst {
 				res.truncate(IncompleteFirstViolation)
 				break
@@ -93,14 +108,14 @@ func oracleExhaustive(m0 *program.Machine, opts Options) (Result, error) {
 			res.truncate(IncompleteMaxStates)
 			continue
 		}
-		var steps []step
+		var steps []oracleStep
 		for i := range n.m.NumThreads() {
 			if !n.m.ThreadHalted(i) {
-				steps = append(steps, step{parent: n.step, index: i})
+				steps = append(steps, oracleStep{n.step, step{index: i}})
 			}
 		}
 		for i := range n.m.Mem().NumInternal() {
-			steps = append(steps, step{parent: n.step, internal: true, index: i})
+			steps = append(steps, oracleStep{n.step, step{internal: true, index: i}})
 		}
 		for _, st := range steps {
 			m := n.m.CloneInto(scratch)
@@ -134,8 +149,8 @@ func oracleExhaustive(m0 *program.Machine, opts Options) (Result, error) {
 
 // oracleReplay replays the schedule ending in s in a fresh copy of root,
 // rendering each step in the state it was taken in.
-func oracleReplay(s *step, root *program.Machine) (*program.Machine, []string, error) {
-	var steps []*step
+func oracleReplay(s *oracleStep, root *program.Machine) (*program.Machine, []string, error) {
+	var steps []*oracleStep
 	for p := s; p != nil; p = p.parent {
 		steps = append(steps, p)
 	}

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -129,21 +131,20 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 }
 
 // TestSteppedEqualsTransitions pins the work the search does to the work
-// it counts: every transition it counts is a hit in a whole-step or
-// internal memo, a hit in the memos of a thread step's parts (the
-// memory's answer and the thread's finish), or a miss for which it
-// stepped a machine, and nothing else is stepped. The numbers are pinned
-// exactly: the search steps each distinct (memory, internal action) once,
-// and each distinct (memory, thread, operation) and (thread state,
-// answer) once, when a whole-step miss first needs it. The capped run is
+// it counts: every transition it counts is read from its successor tables
+// alone (a hit) or steps a machine, and nothing else is stepped. The
+// numbers are pinned exactly: the search steps each distinct (memory,
+// internal action), (thread, operation, memory) and (thread state,
+// answer) once, when a transition first needs it, and a thread in its
+// initial state every time it steps. The capped run is
 // TestMaxStatesOvershoot's.
 func TestSteppedEqualsTransitions(t *testing.T) {
 	for _, c := range []struct {
-		rounds, maxStates, states, factored, stepped int
+		rounds, maxStates, states, hits, stepped int
 	}{
-		{1, 0, 2425, 550, 1350},
-		{2, 0, 84448, 20628, 20658},
-		{2, 5000, 5032, 1336, 2429},
+		{1, 0, 2425, 5384, 1350},
+		{2, 0, 84448, 250430, 20798},
+		{2, 5000, 5032, 11897, 2460},
 	} {
 		m, err := program.NewMachine(sim.NewRCpc(2), algorithms.Bakery(2, c.rounds, true))
 		if err != nil {
@@ -153,12 +154,46 @@ func TestSteppedEqualsTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("Bakery(2,%d) RCpc cap %d: %d states, %d transitions, %d memo hits, %d factored hits, %d stepped",
-			c.rounds, c.maxStates, res.States, res.Transitions, res.hits, res.factored, res.stepped)
-		if res.States != c.states || res.hits+res.factored+res.stepped != res.Transitions ||
-			res.factored != c.factored || res.stepped != c.stepped {
-			t.Errorf("Bakery(2,%d) RCpc cap %d: %d states, %d hits, %d factored and %d stepped for %d transitions, want %d states, %d factored, %d stepped and every transition one of the three",
-				c.rounds, c.maxStates, res.States, res.hits, res.factored, res.stepped, res.Transitions, c.states, c.factored, c.stepped)
+		t.Logf("Bakery(2,%d) RCpc cap %d: %d states, %d transitions, %d hits, %d stepped",
+			c.rounds, c.maxStates, res.States, res.Transitions, res.hits, res.stepped)
+		if res.States != c.states || res.hits+res.stepped != res.Transitions ||
+			res.hits != c.hits || res.stepped != c.stepped {
+			t.Errorf("Bakery(2,%d) RCpc cap %d: %d states, %d hits and %d stepped for %d transitions, want %d states, %d hits, %d stepped and every transition one of the two",
+				c.rounds, c.maxStates, res.States, res.hits, res.stepped, res.Transitions, c.states, c.hits, c.stepped)
+		}
+	}
+}
+
+// TestRepresentativesKeepTheirKeys checks that nothing changes a memory
+// representative during a search. The invariant is shown each state's
+// representative itself (program.Machine.ShareMem), not a copy, and the
+// successor tables are filled by stepping copies of it, so a step of the
+// view's memory, or of a representative in place of its copy, would leave
+// a representative in another state than the one its id names, and every
+// state built on it wrong. After a complete search of Bakery(2,1) on each
+// of the nine memories, every representative must still key to the key
+// it was interned under.
+func TestRepresentativesKeepTheirKeys(t *testing.T) {
+	for _, mem := range sim.Memories(2) {
+		m, err := program.NewMachine(mem, algorithms.Bakery(2, 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := newSearch(m, Options{MaxStates: 1 << 20, MaxDepth: 10_000}, MutualExclusion)
+		if err := sr.depthFirst(context.Background()); err != nil || !sr.res.Complete {
+			t.Fatalf("%s: complete=%v err=%v", mem.Name(), sr.res.Complete, err)
+		}
+		sp := sr.sp
+		changed := 0
+		var key []byte
+		for id, rep := range sp.memReps {
+			if key = rep.AppendKey(key[:0]); !bytes.Equal(key, sp.mems.key(uint32(id))) {
+				changed++
+			}
+		}
+		t.Logf("%s: %d states, %d memory representatives", mem.Name(), sr.res.States, len(sp.memReps))
+		if changed != 0 {
+			t.Errorf("%s: %d of %d memory representatives no longer key to their ids", mem.Name(), changed, len(sp.memReps))
 		}
 	}
 }

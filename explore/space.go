@@ -23,33 +23,29 @@ import (
 // state by a clone of a memory in that state, which is never stepped.
 //
 // A thread step changes only its thread and the memory, and an internal
-// action only the memory, so successors are looked up in memos, written
-// as the search takes each step for the first time:
+// action only the memory, so successors are read from dense tables
+// indexed by component ids, filled as the search takes each step for the
+// first time. None of them is a Go map:
 //
-//   - (memory id, internal action) → memory id;
-//   - per thread, (memory id, thread-state id) → (thread-state id,
-//     memory id), the whole step.
+//   - by memory id and internal action: the memory the action leads to.
+//   - by thread and thread-state id: the id of the visible operation the
+//     thread's step performs (program.Machine.PeekOp), numbered once.
+//   - by thread and operation id, a row indexed by memory id: the
+//     memory's answer, as the memory it leaves and the id of the value
+//     it returns. A load is not a pure read on every memory (the
+//     non-forwarding TSO memory drains a buffer on it), so loads have
+//     rows too; only critical-section markers skip the memory.
+//   - by thread and thread-state id, a row indexed by value id: the
+//     thread state the thread's step finishes in, given the answer
+//     (program.Machine.FinishOp).
 //
-// A thread step the second memo misses is taken apart as
-// program.Machine.StepThread takes it (PeekOp, Op.Perform, FinishOp):
-// each thread state records the id of the visible operation its step
-// performs, and two more memos hold the parts:
-//
-//   - per thread, (memory id, operation id) → (memory id, value id): the
-//     memory's answer to a load or store. A load is not a pure read on
-//     every memory (the non-forwarding TSO memory drains a buffer on it),
-//     so loads go through this memo too; only critical-section markers
-//     skip the memory.
-//   - per thread, (thread-state id, value id) → thread-state id: the
-//     thread finishing its step with the memory's answer.
-//
-// Many (memory, thread state) pairs issue an operation the memory has
-// already answered, and many answers lead a thread on to a state already
-// reached, so most whole-step misses step nothing. Only a miss of a part
-// is stepped, in a scratch machine loaded from the representatives, and
-// its results keyed and interned. A thread not at a visible operation (in
-// practice, one in its initial state) takes its whole step in the scratch
-// machine.
+// A thread step is so three array reads: its operation, the memory's
+// answer and the thread's finish. Only an unknown entry is stepped, in a
+// scratch machine loaded from the representatives (Op.Perform on a memory
+// for an answer, FinishOp on a thread for a finish), and its results keyed
+// and interned. A thread not at a visible operation (in practice, one in
+// its initial state) takes its whole step in the scratch machine, every
+// time.
 
 // Special operation ids: a thread state's operation is one of these or
 // an index into space.opTab.
@@ -61,9 +57,44 @@ const (
 	opLocal
 )
 
+const (
+	// pageBits sets the size of a table's pages, 1<<pageBits entries, and
+	// of the visited set's, 1<<pageBits tuples.
+	pageBits = 10
+	pageMask = 1<<pageBits - 1
+	// blockLen is the length of the blocks finish rows are cut from.
+	blockLen = 1024
+)
+
+// table is an array indexed by id, held in pages of 1<<pageBits entries,
+// each allocated when an entry in it is first set: it grows without
+// copying, and a sparse table holds only the pages it uses. An entry never
+// set reads 0. Its pages hold no pointers.
+type table[E uint32 | uint64] [][]E
+
+// at returns entry i.
+func (t table[E]) at(i uint32) E {
+	if p := int(i >> pageBits); p < len(t) && t[p] != nil {
+		return t[p][i&pageMask]
+	}
+	return 0
+}
+
+// set sets entry i to v.
+func (t *table[E]) set(i uint32, v E) {
+	p := int(i >> pageBits)
+	for p >= len(*t) {
+		*t = append(*t, nil)
+	}
+	if (*t)[p] == nil {
+		(*t)[p] = make([]E, 1<<pageBits)
+	}
+	(*t)[p][i&pageMask] = v
+}
+
 // space is a search's collapsed state space: the component tables, the
-// memos, and the visited set of component tuples, with the scratch
-// machine and buffer the memo misses are stepped and keyed in.
+// successor tables, and the visited set of component tuples, with the
+// scratch machine and buffer unknown entries are stepped and keyed in.
 type space struct {
 	threads []*keySet  // by thread: thread-state keys
 	ops     [][]uint32 // by thread and thread-state id: its operation's id
@@ -76,28 +107,27 @@ type space struct {
 	// internal[memFirst[m]:memFirst[m+1]].
 	internal []uint32
 	memFirst []uint32
-	// steps[i] maps thread i's packed (memory id, thread-state id) to
-	// the packed (thread-state id, memory id) its step leads to.
-	steps []map[uint64]uint64
-	// answers[i] maps thread i's packed (memory id, operation id) to the
-	// packed (memory id, value id) the memory's answer leaves; finishes[i]
-	// maps its packed (thread-state id, value id) to the thread state the
-	// answer leads to.
-	answers  []map[uint64]uint64
-	finishes []map[uint64]uint32
-	// opTab and vals number the operations and the values, which
-	// opIDs and valIDs index.
+	// answers[i][op].at(mem) is the memory's answer to thread i's
+	// operation op on memory mem: pack(1 + the id of the memory it
+	// leaves, the id of the value it returns), or 0 while it is unknown.
+	answers [][]table[uint64]
+	// finishes[i][tid][val] is 1 + the id of the state thread i's step
+	// from its state tid finishes in, given the value numbered val, or 0
+	// while it is unknown.
+	finishes [][][]uint32
+	block    []uint32 // what is left of the block finish rows are cut from
+	// opTab and vals number the operations and the values, which opIDs
+	// and valIDs index; those maps are read only when a step is stepped.
 	opTab  []program.Op
 	opIDs  map[program.Op]uint32
 	vals   []history.Value
 	valIDs map[history.Value]uint32
 	seen   stateSet
-	m      *program.Machine // the scratch machine misses are stepped in
+	m      *program.Machine // the scratch machine unknown entries are stepped in
 	buf    []byte
-	// hits counts the transitions found in the whole-step or internal
-	// memo, factored those found in the parts' memos, and stepped those
-	// for which some machine was stepped.
-	hits, factored, stepped int
+	// hits counts the transitions read from the tables alone, and
+	// stepped those for which some machine was stepped.
+	hits, stepped int
 }
 
 // newSpace interns root's components and adds root's state to the visited
@@ -109,9 +139,8 @@ func newSpace(root *program.Machine) *space {
 		ops:      make([][]uint32, n),
 		mems:     newKeySet(),
 		memFirst: []uint32{0},
-		steps:    make([]map[uint64]uint64, n),
-		answers:  make([]map[uint64]uint64, n),
-		finishes: make([]map[uint64]uint32, n),
+		answers:  make([][]table[uint64], n),
+		finishes: make([][][]uint32, n),
 		opIDs:    map[program.Op]uint32{},
 		vals:     []history.Value{0}, // value id 0, the answer to all but loads
 		valIDs:   map[history.Value]uint32{0: 0},
@@ -121,9 +150,6 @@ func newSpace(root *program.Machine) *space {
 	t := make([]uint32, n+1)
 	for i := range n {
 		sp.threads[i] = newKeySet()
-		sp.steps[i] = map[uint64]uint64{}
-		sp.answers[i] = map[uint64]uint64{}
-		sp.finishes[i] = map[uint64]uint32{}
 		t[i] = sp.internThread(root, i)
 	}
 	t[n] = sp.internMem(root.Mem())
@@ -139,6 +165,7 @@ func (sp *space) internThread(m *program.Machine, i int) uint32 {
 	id, added := ks.intern(ks.hash(sp.buf), sp.buf)
 	if added {
 		sp.ops[i] = append(sp.ops[i], sp.opOf(m, i))
+		sp.finishes[i] = append(sp.finishes[i], nil)
 	}
 	return id
 }
@@ -157,6 +184,9 @@ func (sp *space) opOf(m *program.Machine, i int) uint32 {
 		id = uint32(len(sp.opTab))
 		sp.opTab = append(sp.opTab, op)
 		sp.opIDs[op] = id
+		for t := range sp.answers {
+			sp.answers[t] = append(sp.answers[t], nil)
+		}
 	}
 	return id
 }
@@ -229,55 +259,66 @@ func (sp *space) internalStep(mem uint32, a int) uint32 {
 // threadStep returns the ids of the thread state and the memory thread
 // i's step from its state tid on memory mem leads to.
 func (sp *space) threadStep(i int, tid, mem uint32) (next, nmem uint32, err error) {
-	whole := pack(mem, tid)
-	if v, ok := sp.steps[i][whole]; ok {
-		sp.hits++
-		next, nmem = unpack(v)
-		return next, nmem, nil
-	}
-	stepped := false
-	if op := sp.ops[i][tid]; op == opLocal {
-		stepped = true
+	op := sp.ops[i][tid]
+	if op == opLocal {
+		sp.stepped++
 		sp.memReps[mem].CloneInto(sp.m.Mem())
 		sp.m.SetThreadKey(i, sp.threads[i].key(tid))
 		if err := sp.m.StepThread(i); err != nil {
 			return 0, 0, fmt.Errorf("explore: step thread %d: %w", i, err)
 		}
-		next, nmem = sp.internThread(sp.m, i), sp.internMem(sp.m.Mem())
-	} else {
-		nmem = mem
-		val := uint32(0)
-		if o := &sp.opTab[op]; o.Kind == program.OpLoad || o.Kind == program.OpStore {
-			k := pack(mem, op)
-			a, ok := sp.answers[i][k]
-			if !ok {
-				stepped = true
-				mm := sp.memReps[mem].CloneInto(sp.m.Mem())
-				v := o.Perform(mm, history.Proc(i))
-				a = pack(sp.internMem(mm), sp.valID(v))
-				sp.answers[i][k] = a
-			}
-			nmem, val = unpack(a)
-		}
-		k := pack(tid, val)
-		var ok bool
-		if next, ok = sp.finishes[i][k]; !ok {
+		return sp.internThread(sp.m, i), sp.internMem(sp.m.Mem()), nil
+	}
+	stepped := false
+	nmem, val := mem, uint32(0)
+	if o := &sp.opTab[op]; o.Kind == program.OpLoad || o.Kind == program.OpStore {
+		a := sp.answers[i][op].at(mem)
+		if a == 0 {
 			stepped = true
-			sp.m.SetThreadKey(i, sp.threads[i].key(tid))
-			if err := sp.m.FinishOp(i, sp.vals[val]); err != nil {
-				return 0, 0, fmt.Errorf("explore: step thread %d: %w", i, err)
-			}
-			next = sp.internThread(sp.m, i)
-			sp.finishes[i][k] = next
+			mm := sp.memReps[mem].CloneInto(sp.m.Mem())
+			v := o.Perform(mm, history.Proc(i))
+			a = pack(sp.internMem(mm)+1, sp.valID(v))
+			sp.answers[i][op].set(mem, a)
 		}
+		nmem, val = unpack(a)
+		nmem--
+	}
+	row := sp.finishes[i][tid]
+	if int(val) < len(row) && row[val] != 0 {
+		next = row[val] - 1
+	} else {
+		stepped = true
+		sp.m.SetThreadKey(i, sp.threads[i].key(tid))
+		if err := sp.m.FinishOp(i, sp.vals[val]); err != nil {
+			return 0, 0, fmt.Errorf("explore: step thread %d: %w", i, err)
+		}
+		next = sp.internThread(sp.m, i)
+		if int(val) >= len(row) {
+			row = sp.finishRow(row)
+			sp.finishes[i][tid] = row
+		}
+		row[val] = next + 1
 	}
 	if stepped {
 		sp.stepped++
 	} else {
-		sp.factored++
+		sp.hits++
 	}
-	sp.steps[i][whole] = pack(next, nmem)
 	return next, nmem, nil
+}
+
+// finishRow returns a copy of the finish row old with an entry for every
+// value numbered so far. Rows are cut from a shared block, so a thread
+// state's row costs no allocation of its own.
+func (sp *space) finishRow(old []uint32) []uint32 {
+	n := len(sp.vals)
+	if len(sp.block) < n {
+		sp.block = make([]uint32, max(n, blockLen))
+	}
+	row := sp.block[:n:n]
+	sp.block = sp.block[n:]
+	copy(row, old)
+	return row
 }
 
 // bytes returns the bytes the visited set and the component tables hold
@@ -290,7 +331,7 @@ func (sp *space) bytes() int {
 	return n
 }
 
-// pack packs two ids into a memo key or value.
+// pack packs two ids into one table entry.
 func pack(hi, lo uint32) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
 // unpack undoes pack.
@@ -309,13 +350,17 @@ func mix64(h uint64) uint64 {
 
 // stateSet is the visited set: an exact set of fixed-width tuples of
 // component ids that numbers them in the order they are added. The tuples
-// are stored back to back; the index is an open-addressing table of
+// are stored back to back, in pages of 1<<pageBits tuples, so they never
+// move as the set grows; the index is an open-addressing table of
 // uint64 slots, each holding a state's number and the top half of its
-// hash. Like keySet, it holds no pointers.
+// hash, its tag. A tuple's probe starts at the slot its tag names, so
+// growing the index re-places each slot by its tag alone, without
+// rehashing the tuple. Like keySet, it holds no pointers but its pages'.
 type stateSet struct {
 	width  int
-	tuples []uint32 // state s's tuple is tuples[s*width:(s+1)*width]
-	slots  []uint64 // 0 is empty, else tag<<32 | state+1
+	n      int        // states held
+	tuples [][]uint32 // state s's tuple is in page s>>pageBits
+	slots  []uint64   // 0 is empty, else tag<<32 | state+1
 }
 
 // hashTuple hashes a tuple of ids.
@@ -327,21 +372,21 @@ func hashTuple(t []uint32) uint64 {
 	return mix64(h)
 }
 
-// tuple returns state s's tuple, which add may move.
+// tuple returns state s's tuple.
 func (s *stateSet) tuple(id uint32) []uint32 {
-	i := int(id) * s.width
-	return s.tuples[i : i+s.width : i+s.width]
+	i := int(id&pageMask) * s.width
+	return s.tuples[id>>pageBits][i : i+s.width : i+s.width]
 }
 
 // len returns the number of states held.
-func (s *stateSet) len() int { return len(s.tuples) / s.width }
+func (s *stateSet) len() int { return s.n }
 
 // find probes for t, whose hash is h. It returns t's slot and true if the
 // set holds t, otherwise the empty slot where t belongs and false.
 func (s *stateSet) find(h uint64, t []uint32) (int, bool) {
 	mask := len(s.slots) - 1
 	tag := h >> 32
-	for i := int(h) & mask; ; i = (i + 1) & mask {
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
 		e := s.slots[i]
 		if e == 0 {
 			return i, false
@@ -367,12 +412,16 @@ func (s *stateSet) add(t []uint32) (uint32, bool) {
 	if n == maxIDs {
 		panic("explore: more than 2^32-1 states")
 	}
-	s.tuples = append(s.tuples, t...)
+	if n&pageMask == 0 {
+		s.tuples = append(s.tuples, make([]uint32, s.width<<pageBits))
+	}
+	copy(s.tuples[n>>pageBits][(n&pageMask)*s.width:], t)
+	s.n++
 	s.slots[i] = h>>32<<32 | uint64(n) + 1
 	return uint32(n), true
 }
 
-// grow doubles the index, re-placing every slot by its tuple's hash.
+// grow doubles the index, re-placing every slot by its tag.
 func (s *stateSet) grow() {
 	old := s.slots
 	s.slots = make([]uint64, 2*len(old))
@@ -381,7 +430,7 @@ func (s *stateSet) grow() {
 		if e == 0 {
 			continue
 		}
-		i := int(hashTuple(s.tuple(uint32(e)-1))) & mask
+		i := int(e>>32) & mask
 		for s.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -391,4 +440,4 @@ func (s *stateSet) grow() {
 
 // bytes returns the bytes the set holds: its tuples and its index. It
 // depends only on the number of states.
-func (s *stateSet) bytes() int { return 4*len(s.tuples) + 8*len(s.slots) }
+func (s *stateSet) bytes() int { return 4*s.width*s.n + 8*len(s.slots) }

@@ -351,9 +351,10 @@ func (c *canonizer) build(order []Proc, text string) (*System, *Renaming) {
 		byProc: make([][]OpID, n),
 		locs:   make([]Loc, nLocs),
 		locIdx: make(map[Loc]int, nLocs),
-		locOf:  make([]int32, nOps),
 		text:   text,
 	}
+	ids32 := make([]int32, 2*nOps)
+	cs.locOf, cs.writers = ids32[:nOps:nOps], ids32[nOps:]
 	// Canonical names sort as strings, so l10 precedes l2.
 	for t := range c.byName {
 		c.byName[t] = t
@@ -382,6 +383,14 @@ func (c *canonizer) build(order []Proc, text string) (*System, *Renaming) {
 			next++
 		}
 		cs.byProc[cp] = ids[start:next:next]
+	}
+	// Renaming maps each (location, value) pair one to one, so a read's
+	// writer is its original's, renamed.
+	for id, w := range s.writers {
+		if w >= 0 {
+			w = int32(r.OpTo[w])
+		}
+		cs.writers[r.OpTo[id]] = w
 	}
 	for l, orig := range s.locs {
 		cloc := canonLoc(c.locTok[l])

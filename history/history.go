@@ -14,6 +14,7 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -113,6 +114,10 @@ type System struct {
 	locs   []Loc    // distinct locations, sorted
 	locIdx map[Loc]int
 	locOf  []int32 // indexed by OpID: the operation's index in locs
+	// writers is indexed by OpID: for a read, the writer WriterOf returns
+	// (NoOp for the initial value), or unresolved if WriterOf reports an
+	// error; it is set by resolveWriters.
+	writers []int32
 	// text, when set, is the System's String rendering, computed once by
 	// the constructor that already had it (Canonicalize).
 	text string
@@ -290,11 +295,71 @@ func appendOp(b []byte, kind byte, loc Loc, v Value) []byte {
 // Relations that depend on reads-from resolution (writes-before, causal
 // order, semi-causality) require unambiguous writers; use
 // ValidateDistinctWrites to check a whole history up front.
+//
+// Every read's writer is resolved once, when the System is built, so a
+// call costs two array reads.
 func (s *System) WriterOf(read OpID) (OpID, bool, error) {
 	r := s.Op(read)
 	if r.Kind != Read {
 		return NoOp, false, fmt.Errorf("history: WriterOf(%v): not a read", r)
 	}
+	switch w := s.writers[read]; {
+	case w >= 0:
+		return OpID(w), true, nil
+	case w == int32(NoOp):
+		return NoOp, false, nil
+	}
+	return s.writerError(r)
+}
+
+// unresolved marks, in System.writers, a read whose writer WriterOf
+// reports an error for.
+const unresolved = int32(NoOp) - 1
+
+// resolveWriters sets s.writers from s.ops and s.locOf, using scratch,
+// one int32 per operation: it sorts the operations by location and value,
+// so that a read and the writes that could have written its value are
+// adjacent, and gives each read its group's unique write, NoOp or
+// unresolved, as WriterOf's cases decide.
+func (s *System) resolveWriters(scratch []int32) {
+	for i := range scratch {
+		scratch[i] = int32(i)
+	}
+	slices.SortFunc(scratch, func(a, b int32) int {
+		if c := cmp.Compare(s.locOf[a], s.locOf[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(s.ops[a].Value, s.ops[b].Value)
+	})
+	for lo := 0; lo < len(scratch); {
+		first := &s.ops[scratch[lo]]
+		hi, cand, n := lo+1, int32(NoOp), 0
+		for hi < len(scratch) && s.locOf[scratch[hi]] == s.locOf[first.ID] && s.ops[scratch[hi]].Value == first.Value {
+			hi++
+		}
+		for _, id := range scratch[lo:hi] {
+			if s.ops[id].Kind == Write {
+				cand = id
+				n++
+			}
+		}
+		w := unresolved
+		switch {
+		case n == 0 && first.Value == Initial:
+			w = int32(NoOp)
+		case n == 1 && first.Value != Initial:
+			w = cand
+		}
+		for _, id := range scratch[lo:hi] {
+			s.writers[id] = w
+		}
+		lo = hi
+	}
+}
+
+// writerError returns the error WriterOf reports for the read r, whose
+// writer is unresolved.
+func (s *System) writerError(r Op) (OpID, bool, error) {
 	cand := NoOp
 	n := 0
 	for i, o := range s.ops {
@@ -304,14 +369,10 @@ func (s *System) WriterOf(read OpID) (OpID, bool, error) {
 		}
 	}
 	switch {
-	case n == 0 && r.Value == Initial:
-		return NoOp, false, nil // reads the initial value
 	case n == 0:
 		return NoOp, false, fmt.Errorf("history: %v reads value never written to %s", r, r.Loc)
 	case n == 1 && r.Value == Initial:
 		return NoOp, false, fmt.Errorf("history: %v ambiguous: initial value or %v", r, s.Op(cand))
-	case n == 1:
-		return cand, true, nil
 	default:
 		return NoOp, false, fmt.Errorf("history: %v has %d candidate writers", r, n)
 	}
@@ -419,8 +480,10 @@ func (b *Builder) System() *System {
 		ops:    make([]Op, 0, n),
 		byProc: make([][]OpID, len(b.procs)),
 		locIdx: make(map[Loc]int),
-		locOf:  make([]int32, n),
 	}
+	// locOf, writers and resolveWriters' scratch share one allocation.
+	per := make([]int32, 3*n)
+	s.locOf, s.writers = per[:n:n], per[n:2*n:2*n]
 	ids := make([]OpID, n)
 	for p, ops := range b.procs {
 		start := len(s.ops)
@@ -444,5 +507,6 @@ func (b *Builder) System() *System {
 	for i, o := range s.ops {
 		s.locOf[i] = int32(s.locIdx[o.Loc])
 	}
+	s.resolveWriters(per[2*n:])
 	return s
 }

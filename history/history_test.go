@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -250,6 +252,80 @@ func TestWriterOfErrors(t *testing.T) {
 	}
 	if _, _, err := s.WriterOf(p1[2]); err == nil {
 		t.Error("WriterOf on a write: want error")
+	}
+}
+
+// scanWriterOf is WriterOf as a scan of every operation, the reference
+// the writers resolved at construction are held to.
+func scanWriterOf(s *System, read OpID) (OpID, bool, error) {
+	r := s.Op(read)
+	if r.Kind != Read {
+		return NoOp, false, fmt.Errorf("history: WriterOf(%v): not a read", r)
+	}
+	cand, n := NoOp, 0
+	for i, o := range s.ops {
+		if o.Kind == Write && o.Loc == r.Loc && o.Value == r.Value {
+			cand = OpID(i)
+			n++
+		}
+	}
+	switch {
+	case n == 0 && r.Value == Initial:
+		return NoOp, false, nil
+	case n == 0:
+		return NoOp, false, fmt.Errorf("history: %v reads value never written to %s", r, r.Loc)
+	case n == 1 && r.Value == Initial:
+		return NoOp, false, fmt.Errorf("history: %v ambiguous: initial value or %v", r, s.Op(cand))
+	case n == 1:
+		return cand, true, nil
+	default:
+		return NoOp, false, fmt.Errorf("history: %v has %d candidate writers", r, n)
+	}
+}
+
+// TestWriterOfMatchesScan holds WriterOf, whose answers are resolved when
+// a System is built, to a scan of the whole history, on random histories
+// whose few values make every case occur (a unique writer, the initial
+// value, a value never written, a written 0, several writers) and on
+// their canonical forms, whose writers are renamed from the original's.
+func TestWriterOfMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := map[string]int{}
+	for range 500 {
+		b := NewBuilder(1 + rng.Intn(3))
+		for range rng.Intn(12) {
+			p, loc, v := Proc(rng.Intn(len(b.procs))), Loc([]string{"x", "y", "z"}[rng.Intn(3)]), Value(rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				b.Write(p, loc, v)
+			} else {
+				b.Read(p, loc, v)
+			}
+		}
+		s := b.System()
+		c, _, err := Canonicalize(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*System{s, c} {
+			for _, id := range h.Ops() {
+				w, ok, err := h.WriterOf(id)
+				ww, wok, werr := scanWriterOf(h, id)
+				if w != ww || ok != wok || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("%v: WriterOf(%v) = %v, %v, %v; scan %v, %v, %v", h, h.Op(id), w, ok, err, ww, wok, werr)
+				}
+				switch {
+				case werr != nil:
+					cases[strings.Fields(werr.Error())[2]]++
+				case wok:
+					cases["writer"]++
+				default:
+					cases["initial"]++
+				}
+			}
+		}
+	}
+	if len(cases) < 6 {
+		t.Errorf("cases met: %v, want every case", cases)
 	}
 }
 

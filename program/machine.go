@@ -54,6 +54,14 @@ func NewMachine(mem sim.Memory, progs [][]Stmt) (*Machine, error) {
 // retrieving the recorded history.
 func (m *Machine) Mem() sim.Memory { return m.mem }
 
+// ShareMem points the machine at mem, in place of its memory, without
+// copying it: the machine and every other holder of mem then share one
+// memory, so a step of either, or a call to Mem().Step, changes both. mem
+// must serve the machine's processors. A caller that keeps mem unchanged
+// elsewhere may share it only with code that reads the machine and never
+// steps it.
+func (m *Machine) ShareMem(mem sim.Memory) { m.mem = mem }
+
 // NumThreads returns the number of threads (= processors).
 func (m *Machine) NumThreads() int { return len(m.threads) }
 
