@@ -236,14 +236,9 @@ func doRecord(stderr io.Writer, hist, mdl, routeName string, maxCand, maxNode in
 		return 2
 	}
 	m = model.WithWorkers(m, 1)
-	var route model.RouteMode
-	switch routeName {
-	case "", "auto":
-		route = model.RouteAuto
-	case "enumerate":
-		route = model.RouteEnumerate
-	default:
-		fmt.Fprintf(stderr, "obsreplay: unknown route %q (auto, enumerate)\n", routeName)
+	route, err := model.ParseRoute(routeName)
+	if err != nil {
+		fmt.Fprintln(stderr, "obsreplay:", err)
 		return 2
 	}
 
@@ -287,28 +282,12 @@ func doRecord(stderr io.Writer, hist, mdl, routeName string, maxCand, maxNode in
 		fmt.Fprintln(stderr, "obsreplay:", err)
 		return 2
 	}
-	info := incident.CheckInfo{
-		Candidates: v.Progress.Candidates,
-		Nodes:      v.Progress.Nodes,
-		Frontier:   v.Progress.Frontier,
-		WallUs:     time.Since(start).Microseconds(),
-	}
-	switch {
-	case !v.Decided():
-		info.Verdict = "unknown"
-		info.Reason = v.Unknown.String()
-	case v.Allowed:
-		info.Verdict = "allowed"
-	default:
-		info.Verdict = "forbidden"
-	}
-	if v.Decided() {
-		if e, eerr := model.Explain(m, sys, v); eerr == nil {
-			if data, jerr := e.JSON(); jerr == nil {
-				info.Explanation = data
-			}
-		}
-	}
+	wallUs := time.Since(start).Microseconds()
+	// The service's rendering, explanation included: a bundle sealed here
+	// records exactly what a served check would. A decided verdict whose
+	// explanation cannot be built is still recorded, without it.
+	info, _ := incident.Outcome(m, sys, v, true)
+	info.WallUs = wallUs
 	rec.NoteVerdict(req, info)
 
 	id := rec.CaptureNow(req, incident.Trigger{Kind: "manual", Detail: reason})

@@ -24,7 +24,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/history"
 	"repro/internal/obs"
+	"repro/model"
 )
 
 // BundleSchema versions the bundle JSON; Decode refuses other schemas so
@@ -81,6 +83,27 @@ type CheckInfo struct {
 	// Explanation is the recorded machine-checkable witness explanation
 	// (model.Explanation JSON), when the service produced one.
 	Explanation json.RawMessage `json:"explanation,omitempty"`
+}
+
+// Outcome renders an engine verdict of m on sys as a check's recorded
+// outcome: the verdict and reason (model.Verdict.Outcome), the work
+// counters and, when explain is set and v is decided, the witness
+// explanation built against sys (model.Explain, as JSON). The checking
+// service answers with it and obsreplay -record seals it. err reports why
+// a requested explanation could not be built; that costs the explanation,
+// never the verdict.
+func Outcome(m model.Model, sys *history.System, v model.Verdict, explain bool) (info CheckInfo, err error) {
+	info.Verdict, info.Reason = v.Outcome()
+	info.Candidates = v.Progress.Candidates
+	info.Nodes = v.Progress.Nodes
+	info.Frontier = v.Progress.Frontier
+	if explain && v.Decided() {
+		var e *model.Explanation
+		if e, err = model.Explain(m, sys, v); err == nil {
+			info.Explanation, err = e.JSON()
+		}
+	}
+	return info, err
 }
 
 // MetricsDelta is one sample of the rolling registry-delta window: which

@@ -89,14 +89,11 @@ func Replay(ctx context.Context, b *Bundle) (*Result, error) {
 		RecordedReason:  c.Reason,
 	}
 
-	switch c.Route {
-	case "", model.RouteAuto.String():
-		ctx = model.WithRoute(ctx, model.RouteAuto)
-	case model.RouteEnumerate.String():
-		ctx = model.WithRoute(ctx, model.RouteEnumerate)
-	default:
-		return nil, fmt.Errorf("incident: bundle %s: unknown route %q", b.ID, c.Route)
+	route, err := model.ParseRoute(c.Route)
+	if err != nil {
+		return nil, fmt.Errorf("incident: bundle %s: %w", b.ID, err)
 	}
+	ctx = model.WithRoute(ctx, route)
 	if c.MaxCandidates > 0 || c.MaxNodes > 0 {
 		ctx = model.WithBudget(ctx, model.Budget{
 			MaxCandidates: c.MaxCandidates,
@@ -120,10 +117,7 @@ func Replay(ctx context.Context, b *Bundle) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("incident: bundle %s replay: %w", b.ID, err)
 	}
-	res.ReplayVerdict = verdictString(v)
-	if !v.Decided() {
-		res.ReplayReason = v.Unknown.String()
-	}
+	res.ReplayVerdict, res.ReplayReason = v.Outcome()
 	res.Candidates = v.Progress.Candidates
 	res.Nodes = v.Progress.Nodes
 	res.Frontier = v.Progress.Frontier
@@ -172,19 +166,6 @@ func Replay(ctx context.Context, b *Bundle) (*Result, error) {
 
 	res.Phases = phaseDiff(b.Events, reg.Snapshot())
 	return res, nil
-}
-
-// verdictString renders a verdict the way the service and the trace
-// stream do.
-func verdictString(v model.Verdict) string {
-	switch {
-	case !v.Decided():
-		return "unknown"
-	case v.Allowed:
-		return "allowed"
-	default:
-		return "forbidden"
-	}
 }
 
 // phaseDiff folds the recorded span events and the replay's span

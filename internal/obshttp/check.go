@@ -1,6 +1,7 @@
 package obshttp
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -31,22 +32,36 @@ import (
 //   - Every check is admitted into a bounded queue under a per-tier budget
 //     (small/default/heavy: candidate and node caps plus a deadline that
 //     starts at admission, so queue wait counts against it).
+//   - Every admitted check takes one solve path. On a cache-enabled tier it
+//     goes through the verdict cache's core (vcache.CheckCanonical) over
+//     its canonical form, and a miss solves through submit; everywhere else
+//     (the heavy tier, an injected svc.cache fault, a history that defeats
+//     canonicalization) it calls submit directly. submit is the one place a
+//     job is built and enqueued; the fleet only runs model.AllowsCtx and
+//     hands the engine verdict back. The handler then renders the verdict
+//     in the caller's own labels and explains it (answer) — one rendering
+//     and one explanation, whichever way the verdict came.
 //   - When the queue is full the service answers immediately — 429 with
 //     Retry-After by default, or (in degrade mode) a 200 whose verdict is
 //     Unknown with reason "shed". Shedding never flips a verdict: the
-//     answer is withheld, exactly as PR 2's budgets withhold it.
+//     answer is withheld, exactly as the check budgets withhold it.
 //   - Graceful shutdown drains the queue: admission closes (503, /readyz
 //     flips), queued and in-flight checks finish within the drain deadline,
 //     and past the deadline in-flight checks are hard-cancelled (they
 //     return Unknown promptly — budgets made every checker cancellable).
 //   - Request accounting is an invariant, not a best effort: every check
-//     received is classified exactly once as admitted (ran to a verdict),
-//     shed (bounced by admission or drain), or failed (malformed, checker
-//     error, or contained panic), so admitted + shed + failed == received
-//     holds in the obs registry at every quiescent point. The chaos suite
-//     injects panics, delays and errors at every fault point on this path
-//     and asserts exactly that, plus verdict stability and zero goroutine
-//     leaks.
+//     received is classified exactly once, by its handler on its way out,
+//     as admitted (ran to a verdict, or its answer was withheld because
+//     the client left or the deadline passed), shed (bounced by admission
+//     or drain), or failed (malformed, checker error, or contained panic),
+//     so admitted + shed + failed == received holds in the obs registry at
+//     every quiescent point. A check's run_finish comes from its handler
+//     too, except when the answer is withheld while the fleet still runs
+//     the job: then the fleet emits it when the job ends (deliver), so
+//     /runs and the flight recorder carry the check's real outcome. The
+//     chaos suite injects panics, delays and errors at every fault point
+//     on this path and asserts exactly that, plus verdict stability and
+//     zero goroutine leaks.
 type checkRequest struct {
 	// History is the system execution history in the paper's notation
 	// (one processor per line or '|'-separated).
@@ -138,6 +153,11 @@ func tierByName(name string) (Tier, error) {
 	return Tier{}, fmt.Errorf("unknown tier %q (have small, default, heavy)", name)
 }
 
+// budget is the tier's work budget.
+func (t Tier) budget() model.Budget {
+	return model.Budget{MaxCandidates: t.MaxCandidates, MaxNodes: t.MaxNodes}
+}
+
 // CheckOptions configures the checking service a Server enables with
 // EnableCheck.
 type CheckOptions struct {
@@ -177,8 +197,8 @@ type checker struct {
 	jobs chan *job
 	// pending tracks every job the fleet owns (id -> *job), so a
 	// pool-level fault that kills a worker before the job's own recover
-	// runs can still be classified and answered — no request is ever
-	// lost between enqueue and finish.
+	// runs can still be answered — no request is ever lost between
+	// enqueue and its handler.
 	pending sync.Map
 
 	mu       sync.RWMutex // guards draining vs. enqueue (send-on-closed)
@@ -191,7 +211,6 @@ type checker struct {
 	inflight  atomic.Int64
 
 	degrade      bool
-	enumerate    bool
 	drainTimeout time.Duration
 
 	// cache is the content-addressed verdict cache, nil when disabled.
@@ -211,25 +230,61 @@ type checker struct {
 
 // job is one admitted check traveling from handler to fleet.
 type job struct {
-	id      string
-	req     checkRequest
-	sys     *history.System
-	m       model.Model
-	tier    Tier
-	ctx     context.Context // budget + deadline, started at admission
-	cancel  context.CancelFunc
-	enq     time.Time
-	done    chan checkResult // buffered: the fleet never blocks on a gone client
-	degrade bool
+	id     string
+	m      model.Model
+	sys    *history.System
+	tier   Tier
+	ctx    context.Context // budget + deadline, started at admission
+	cancel context.CancelFunc
+	enq    time.Time
+	done   chan outcome // buffered: the fleet never blocks on a gone handler
 	// span is the check's root span; qspan is its queue-wait child,
 	// opened at enqueue and ended by the fleet worker that picks the job
 	// up (Cancel'd when the job is flushed instead). Both are nil-safe.
 	span  *obs.Span
 	qspan *obs.Span
-	// verdict is the engine verdict runJob stashed, for the cache path
-	// (the witness lives here; checkResult only renders strings). Reading
-	// it is ordered by the j.done delivery.
-	verdict *model.Verdict
+	// settled is set by whichever comes first: deliver, or a handler that
+	// withholds the answer and hands the run_finish off (handOff) — then
+	// deliver emits it with the fleet's outcome.
+	settled atomic.Bool
+}
+
+// outcome is what the fleet hands back on a job's done channel: the engine
+// verdict, or err (a svcError) when the check ended without one, and where
+// the job's time went — queued, then in the solver.
+type outcome struct {
+	v               model.Verdict
+	err             error
+	waitUs, solveUs int64
+}
+
+// svcError is a check's outcome when it ended without an engine verdict:
+// an enqueue rejection, a drain-time shed, a checker failure or a withheld
+// answer. It crosses the verdict cache's single-flight boundary, so every
+// request that shared the solve answers with the same outcome under its
+// own id, and counts itself under kind.
+type svcError struct {
+	res  checkResult // ID is overwritten per request
+	kind string      // "admitted" (answer withheld), "shed" or "failed"
+}
+
+func (e svcError) Error() string {
+	if e.res.Error != "" {
+		return e.res.Error
+	}
+	return e.res.Reason
+}
+
+// unknown is j's answer withheld for reason, counted as kind.
+func (j *job) unknown(kind string, status int, reason string) outcome {
+	return outcome{err: svcError{kind: kind, res: checkResult{ID: j.id, Model: j.m.Name(),
+		Tier: j.tier.Name, Status: status, Verdict: "unknown", Reason: reason}}}
+}
+
+// failed is j ending in an error instead of a verdict.
+func (j *job) failed(status int, msg string) outcome {
+	return outcome{err: svcError{kind: "failed", res: checkResult{ID: j.id, Model: j.m.Name(),
+		Tier: j.tier.Name, Status: status, Error: msg}}}
 }
 
 // String renders a job as its request ID — it is what pool.Drain's
@@ -269,10 +324,12 @@ func (s *Server) EnableCheck(opts CheckOptions) {
 			// the cache is lying, and the bundle carries both answers.
 			cache.SetAuditEvery(s.inc.opts.AuditEvery)
 			cache.OnDivergence = func(modelName, enc string, cached, fresh model.Verdict) {
+				was, _ := cached.Outcome()
+				now, _ := fresh.Outcome()
 				rec.CaptureNow("", incident.Trigger{
 					Kind: "cache-divergence",
 					Detail: fmt.Sprintf("model %s: cached %s, fresh re-solve %s for %q",
-						modelName, renderVerdict(cached), renderVerdict(fresh), enc),
+						modelName, was, now, enc),
 				})
 			}
 		}
@@ -283,7 +340,6 @@ func (s *Server) EnableCheck(opts CheckOptions) {
 		cancel:       cancel,
 		fleetDone:    make(chan struct{}),
 		degrade:      opts.Degrade,
-		enumerate:    opts.Enumerate,
 		drainTimeout: opts.DrainTimeout,
 		cache:        cache,
 		sink:         s.sink,
@@ -306,7 +362,7 @@ func (s *Server) EnableCheck(opts CheckOptions) {
 			// The fleet reuses pool.Drain; runJob recovers every payload
 			// panic itself, so the only panics pool's containment sees
 			// are faults injected at pool's own points (fault.PoolGo,
-			// fault.PoolDrain). Those cancel the fleet — so classify the
+			// fault.PoolDrain). Those cancel the fleet — so answer the
 			// job the panic killed (its id is the PanicError's shard)
 			// and restart, rather than abandoning the queue.
 			err := pool.Drain(c.ctx, workers, c.jobs, c.process)
@@ -318,46 +374,35 @@ func (s *Server) EnableCheck(opts CheckOptions) {
 				if v, ok := c.pending.Load(pe.Shard); ok {
 					j := v.(*job)
 					j.cancel()
-					// Capture before finish: the panic trigger merges into
-					// any pending fault trigger, and the run_finish that
-					// finish emits seals the bundle with the outcome.
+					// Capture before delivery: the panic trigger merges
+					// into any pending fault trigger, and the run_finish
+					// that follows delivery seals the bundle with the
+					// outcome.
 					c.rec.Capture(j.id, incident.Trigger{
 						Kind: "panic", Detail: pe.Error(),
 					})
-					c.finish(j, checkResult{
-						ID: j.id, Model: j.req.Model, Tier: j.tier.Name,
-						Status: http.StatusInternalServerError,
-						Error:  pe.Error(),
-					}, "failed")
+					c.deliver(j, j.failed(http.StatusInternalServerError, pe.Error()))
 				}
 			}
 			time.Sleep(time.Millisecond) // a persistent fault must not spin the restart loop hot
 		}
 		// Hard-cancel path: workers may have exited on c.ctx with checks
 		// still queued. The queue is closed by then (drain closes it
-		// before cancelling), so flush and account for what is left —
-		// nothing admitted to the queue goes missing.
+		// before cancelling), so flush what is left to its handlers as
+		// shed — nothing admitted to the queue goes unanswered.
 		for j := range c.jobs {
 			c.queueDepth.Set(int64(len(c.jobs)))
 			j.qspan.Cancel()
 			j.cancel()
-			c.finish(j, checkResult{
-				ID: j.id, Model: j.req.Model, Tier: j.tier.Name,
-				Status:  http.StatusServiceUnavailable,
-				Verdict: "unknown", Reason: "draining",
-			}, "shed")
+			c.deliver(j, j.unknown("shed", http.StatusServiceUnavailable, "draining"))
 		}
 		// Belt and braces: anything still pending (a pool fault whose
-		// shard did not resolve) is classified rather than leaked.
+		// shard did not resolve) is answered as failed rather than leaked.
 		c.pending.Range(func(_, v any) bool {
 			j := v.(*job)
 			j.qspan.Cancel()
 			j.cancel()
-			c.finish(j, checkResult{
-				ID: j.id, Model: j.req.Model, Tier: j.tier.Name,
-				Status: http.StatusInternalServerError,
-				Error:  "check lost to a worker fault",
-			}, "failed")
+			c.deliver(j, j.failed(http.StatusInternalServerError, "check lost to a worker fault"))
 			return true
 		})
 	}()
@@ -480,19 +525,14 @@ func retryAfter(tierName string) string {
 	return fmt.Sprintf("%d", secs)
 }
 
-// do runs one check end to end: classify-once accounting, admission,
-// enqueue, wait. Every path out of this function (and out of the fleet,
-// for admitted checks) classifies the check exactly once as admitted,
-// shed, or failed. root is the request's root span (nil-safe); do hangs
-// the admit/canonicalize/queue children off it, stamped with this
-// check's id.
+// do runs one check end to end: admission, one solve path, the rendered
+// answer. Every path out of this function classifies the check exactly
+// once — as admitted, shed, or failed — and emits its run_finish. root is
+// the request's root span (nil-safe); do hangs the admit, canonicalize,
+// queue, solve and explain children off it, stamped with this check's id.
 func (c *checker) do(ctx context.Context, id string, req checkRequest, root *obs.Span) (res checkResult) {
 	c.received.Add(1)
 	counted := false
-	count := func(counter *obs.Counter) {
-		counter.Add(1)
-		counted = true
-	}
 	defer func() {
 		if v := recover(); v != nil {
 			// A fault injected on the handler path (admission hook,
@@ -517,18 +557,38 @@ func (c *checker) do(ctx context.Context, id string, req checkRequest, root *obs
 
 	// The admit span covers tier resolution, parsing, model lookup and
 	// the admission decision; it ends before the check enters the cache
-	// or the queue. End is idempotent, so the shed closure's End on the
-	// post-admission rejection paths (queue full, draining) is a no-op.
+	// or the queue. End is idempotent, so classify's End is a no-op after
+	// admission.
 	admit := root.Child("admit")
 	admit.SetReq(id)
 
+	// classify counts the check under kind and emits its run_finish,
+	// unless the fleet owes it (handedOff). A shed check answers 200
+	// Unknown{shed} in degrade mode, 429/503 otherwise — never an
+	// unbounded queue.
+	handedOff := false
+	classify := func(kind string, res checkResult) checkResult {
+		admit.End()
+		switch kind {
+		case "admitted":
+			c.admitted.Add(1)
+		case "shed":
+			c.shed.Add(1)
+			if degrade {
+				res.Status = http.StatusOK
+			}
+		default:
+			c.failed.Add(1)
+		}
+		counted = true
+		if !handedOff {
+			c.emitFinish(res)
+		}
+		return res
+	}
 	fail := func(status int, err error) checkResult {
 		admit.Attr("outcome", "failed")
-		admit.End()
-		count(c.failed)
-		res := checkResult{ID: id, Model: req.Model, Status: status, Error: err.Error()}
-		c.emitFinish(res)
-		return res
+		return classify("failed", checkResult{ID: id, Model: req.Model, Status: status, Error: err.Error()})
 	}
 
 	tier, err := tierByName(req.Tier)
@@ -546,6 +606,7 @@ func (c *checker) do(ctx context.Context, id string, req checkRequest, root *obs
 	// Fleet-level parallelism only: each check runs its checker
 	// sequentially, so one heavy check cannot commandeer every CPU.
 	m = model.WithWorkers(m, 1)
+	route := model.RouteFromContext(c.ctx)
 
 	// The flight recorder learns the check's full identity the moment it
 	// is resolved, so a trigger at any later point — even one that kills
@@ -554,7 +615,7 @@ func (c *checker) do(ctx context.Context, id string, req checkRequest, root *obs
 		History:       req.History,
 		Model:         m.Name(),
 		Tier:          tier.Name,
-		Route:         model.RouteFromContext(c.ctx).String(),
+		Route:         route.String(),
 		MaxCandidates: tier.MaxCandidates,
 		MaxNodes:      tier.MaxNodes,
 		DeadlineMs:    tier.Deadline.Milliseconds(),
@@ -563,287 +624,183 @@ func (c *checker) do(ctx context.Context, id string, req checkRequest, root *obs
 	c.emit(obs.Event{Type: obs.EvRunStart, Req: id, Model: m.Name(),
 		Ops: sys.NumOps(), Procs: sys.NumProcs(), Detail: "svc tier=" + tier.Name})
 
-	// shed classifies an over-capacity check: Unknown{shed} at 200 in
-	// degrade mode, 429/503 otherwise — never an unbounded queue.
-	shed := func(status int, reason string) checkResult {
-		admit.End()
-		count(c.shed)
-		res := checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-			Status: status, Verdict: "unknown", Reason: reason}
-		if degrade {
-			res.Status = http.StatusOK
-		}
-		c.emitFinish(res)
-		return res
-	}
-
 	if err := fault.Check(fault.SvcAdmit, 0, id); err != nil {
 		admit.Attr("outcome", "shed")
-		return shed(http.StatusTooManyRequests, "shed")
+		return classify("shed", checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
+			Status: http.StatusTooManyRequests, Verdict: "unknown", Reason: "shed"})
 	}
 	admit.Attr("tier", tier.Name)
 	admit.End()
 
-	// The verdict cache sits between admission control and the queue:
-	// cache-served checks consume no queue or fleet capacity, and
-	// relabeled variants of one history collapse onto one solve. An
-	// injected fault at svc.cache — or a history whose symmetry class
-	// defeats canonicalization — bypasses the cache and solves directly,
-	// so the cache can fail without flipping any verdict.
-	if c.cache != nil && tier.Cache {
-		if ferr := fault.Check(fault.SvcCache, 0, id); ferr == nil {
-			canonSp := root.Child("canonicalize")
-			canonSp.SetReq(id)
-			canon, ren, cerr := history.Canonicalize(sys)
-			canonSp.End()
-			if cerr == nil {
-				cres, kind := c.doCached(ctx, id, req, sys, canon, ren, m, tier, degrade, root)
-				if kind == "" {
-					counted = true // the flight or the fleet classified the initiating solve
-				} else {
-					switch kind {
-					case "admitted":
-						count(c.admitted)
-					case "shed":
-						count(c.shed)
-					default:
-						count(c.failed)
-					}
-					c.emitFinish(cres)
-				}
-				return cres
-			}
-		}
-	}
-
-	jctx, jcancel := context.WithDeadline(c.ctx, time.Now().Add(tier.Deadline))
-	jctx = model.WithBudget(jctx, model.Budget{MaxCandidates: tier.MaxCandidates, MaxNodes: tier.MaxNodes})
-	j := &job{
-		id: id, req: req, sys: sys, m: m, tier: tier,
-		ctx: jctx, cancel: jcancel,
-		enq: time.Now(), done: make(chan checkResult, 1), degrade: degrade,
-		span: root,
-	}
-	j.qspan = root.Child("queue")
-	j.qspan.SetReq(id)
-
-	switch c.enqueue(j) {
-	case admitOK:
-	case admitDraining:
-		j.qspan.Cancel()
-		jcancel()
-		return shed(http.StatusServiceUnavailable, "draining")
-	case admitFull:
-		j.qspan.Cancel()
-		jcancel()
-		return shed(http.StatusTooManyRequests, "shed")
-	}
-	counted = true // the fleet owns classification from here
-
-	select {
-	case res := <-j.done:
-		return res
-	case <-ctx.Done():
-		// The client went away; the fleet still runs the check to a
-		// verdict and classifies it (nothing in the queue is abandoned).
-		return checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-			Status: statusClientClosedRequest, Verdict: "unknown", Reason: "canceled"}
-	case <-j.ctx.Done():
-		// The tier deadline (or a shutdown hard-cancel) passed while the
-		// check was queued or running. The fleet owes the verdict and
-		// normally delivers it within a polling stride — give it a grace
-		// window, then answer rather than hang the connection (a fleet
-		// wedged by an injected stall classifies the job at drain time).
-		select {
-		case res := <-j.done:
-			return res
-		case <-ctx.Done():
-			return checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-				Status: statusClientClosedRequest, Verdict: "unknown", Reason: "canceled"}
-		case <-time.After(handlerGrace):
-			return checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-				Status: http.StatusGatewayTimeout, Verdict: "unknown", Reason: "deadline exceeded"}
-		}
-	}
-}
-
-// svcError carries a service-level outcome (an enqueue rejection, a
-// drain-time shed, a checker failure) across the cache's single-flight
-// boundary, so every waiter on the flight renders the same outcome under
-// its own request id. kind is the classify-once class the *waiter* should
-// count itself under; the initiating request is classified by the flight
-// itself (enqueue rejections) or by the fleet (owned jobs).
-type svcError struct {
-	res  checkResult // ID is overwritten per waiter
-	kind string      // "shed" or "failed"
-}
-
-func (e svcError) Error() string {
-	if e.res.Error != "" {
-		return e.res.Error
-	}
-	return e.res.Reason
-}
-
-// doCached serves one check through the verdict cache: a cached decided
-// verdict (or a seat on an identical in-flight solve) answers without
-// touching the queue; a cold key admits one job for the canonical history
-// into the fleet and every concurrent identical request shares its
-// verdict. The returned kind tells do how to classify this request — ""
-// means classification already happened elsewhere (the initiating solve is
-// classified by the flight or the fleet under this request's id).
-func (c *checker) doCached(ctx context.Context, id string, req checkRequest, sys, canon *history.System, ren *history.Renaming, m model.Model, tier Tier, degrade bool, root *obs.Span) (checkResult, string) {
-	enc := history.Format(canon)
-	c.rec.NoteCanonical(id, enc)
-	key := vcache.KeyFor(enc, m.Name(), model.RouteFromContext(c.ctx).String())
+	// The one solve path. On a cache-enabled tier the verdict cache sits
+	// between admission and the queue: cache-served checks consume no
+	// queue or fleet capacity, relabeled variants of one history collapse
+	// onto one solve of its canonical form, and that solve runs detached
+	// from any one client (a wait that is never done), so it completes and
+	// fills the cache even if every waiting client disconnects. Everything
+	// else calls submit directly under the client's context. WallUs starts
+	// after canonicalization, which has its own span.
+	canon, ren := c.canonical(id, sys, tier, root)
 	start := time.Now()
-	// root.Context instruments the wait context, so the cache's own
-	// lookup/coalesce spans nest under this request's tree. The solve
-	// itself runs detached under c.ctx; its spans hang off root via the
-	// job (solveCanonical).
-	v, hit, err := c.cache.Do(root.Context(ctx), key, enc, func() (model.Verdict, error) {
-		return c.solveCanonical(id, m, canon, tier, root)
-	})
+	var o outcome
+	var v model.Verdict
+	if canon != nil {
+		// root.Context nests the cache's lookup and coalesce spans under
+		// this request; the route keys the lookup and, with the budget,
+		// bounds a hit's audit.
+		cctx := model.WithRoute(model.WithBudget(root.Context(ctx), tier.budget()), route)
+		v, _, err = vcache.CheckCanonical(cctx, c.cache, m, canon, ren, func() (model.Verdict, error) {
+			o = c.submit(context.WithoutCancel(ctx), id, canon, m, tier, root)
+			return o.v, o.err
+		})
+	} else {
+		o = c.submit(ctx, id, sys, m, tier, root)
+		v, err = o.v, o.err
+	}
+
+	// o is this check's own finished solve, or zero when the cache
+	// answered it (a hit solved nothing).
+	kind := "admitted"
 	var se svcError
 	switch {
 	case err == nil:
-		if hit {
-			// Spend this hit against the audit cadence: when due, a
-			// background re-solve (same route, same budget class, its own
-			// lifetime) cross-checks the cached verdict. A disagreement is
-			// a captured incident, never a changed answer.
-			actx := model.WithBudget(c.ctx, model.Budget{
-				MaxCandidates: tier.MaxCandidates, MaxNodes: tier.MaxNodes,
-			})
-			c.cache.MaybeAudit(actx, m, canon, enc, v)
-		}
-		res := checkResult{ID: id, Model: m.Name(), Tier: tier.Name, Status: http.StatusOK,
-			Candidates: v.Progress.Candidates, Nodes: v.Progress.Nodes, Frontier: v.Progress.Frontier,
-			WallUs: time.Since(start).Microseconds()}
-		rv := model.RelabelVerdict(v, ren)
-		switch {
-		case !rv.Decided():
-			res.Verdict = "unknown"
-			res.Reason = rv.Unknown.String()
-		case rv.Allowed:
-			res.Verdict = "allowed"
-		default:
-			res.Verdict = "forbidden"
-		}
-		if req.Explain && rv.Decided() {
-			ex := root.Child("explain")
-			ex.SetReq(id)
-			defer ex.End()
-			// The cached witness is in canonical labels; rv carries it
-			// mapped back, so the explanation is built — and replayable —
-			// against the caller's own history.
-			if ferr := fault.Check(fault.SvcExplain, 0, id); ferr != nil {
-				res.ExplainError = ferr.Error()
-			} else if e, eerr := model.Explain(m, sys, rv); eerr != nil {
-				res.ExplainError = eerr.Error()
-			} else if data, jerr := e.JSON(); jerr != nil {
-				res.ExplainError = jerr.Error()
-			} else {
-				res.Explanation = data
-			}
-		}
-		if !hit {
-			// The fleet already emitted this id's run_finish — for the
-			// canonical solve, without the relabeled witness built above.
-			// Re-note the outcome so a later seal carries it.
-			c.rec.NoteVerdict(id, incident.CheckInfo{
-				Verdict: res.Verdict, Reason: res.Reason,
-				Candidates: res.Candidates, Nodes: res.Nodes, Frontier: res.Frontier,
-				WallUs: res.WallUs, Explanation: res.Explanation,
-			})
-			return res, ""
-		}
-		return res, "admitted"
+		res = answer(id, m, sys, tier, v, req.Explain, root)
+		res.WaitUs, res.SolveUs = o.waitUs, o.solveUs
 	case errors.As(err, &se):
-		res := se.res
+		res, kind = se.res, se.kind
 		res.ID = id
-		if degrade && se.kind == "shed" {
-			res.Status = http.StatusOK
-		}
-		if hit {
-			return res, se.kind
-		}
-		return res, "" // the flight classified and emitted under this id
+		res.WaitUs, res.SolveUs = o.waitUs, o.solveUs
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The caller's context expired while waiting. The solve (if this
-		// request initiated one) still completes and is classified under
-		// this id by the fleet; a waiter classifies itself — its answer
-		// was withheld, not refused.
-		res := checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
+		// The client went away while waiting on the cache. The solve it
+		// shares (or started) runs on and fills the cache; this check's
+		// answer is withheld, not refused. o may still be written by
+		// that solve, so it is not read here.
+		res = checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
 			Status: statusClientClosedRequest, Verdict: "unknown", Reason: "canceled"}
-		if hit {
-			return res, "admitted"
-		}
-		return res, ""
 	default:
 		// The solve died before the fleet owned a job — e.g. a panic
-		// injected at admission, contained by the flight — so no other
-		// layer classifies this check. Waiters and the initiator alike
-		// classify themselves as failed.
-		return checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-			Status: http.StatusInternalServerError, Error: err.Error()}, "failed"
+		// injected at enqueue, contained by the cache's flight.
+		res = checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
+			Status: http.StatusInternalServerError, Error: err.Error()}
+		kind = "failed"
+	}
+	res.WallUs = time.Since(start).Microseconds()
+	// A withheld answer (499, 504) whose job the fleet still runs leaves
+	// the run_finish to the fleet, so /runs and the flight recorder see
+	// how the check really ended: one trail, one bundle, solve included.
+	handedOff = kind == "admitted" && res.Status != http.StatusOK && c.handOff(id)
+	return classify(kind, res)
+}
+
+// handOff leaves the run_finish of check id to the fleet when its job is
+// still there undelivered, and reports whether it did.
+func (c *checker) handOff(id string) bool {
+	v, ok := c.pending.Load(id)
+	return ok && v.(*job).settled.CompareAndSwap(false, true)
+}
+
+// canonical returns sys's canonical form and the renaming back to sys when
+// the check goes through the verdict cache, or nils when it solves
+// directly: a tier without the cache (heavy is the escape hatch that buys
+// a fresh solve), an injected svc.cache fault, or a history whose symmetry
+// class defeats canonicalization — so the cache can fail without flipping
+// any verdict.
+func (c *checker) canonical(id string, sys *history.System, tier Tier, root *obs.Span) (*history.System, *history.Renaming) {
+	if c.cache == nil || !tier.Cache || fault.Check(fault.SvcCache, 0, id) != nil {
+		return nil, nil
+	}
+	sp := root.Child("canonicalize")
+	sp.SetReq(id)
+	canon, ren, err := history.Canonicalize(sys)
+	sp.End()
+	if err != nil {
+		return nil, nil
+	}
+	if c.rec != nil {
+		c.rec.NoteCanonical(id, history.Format(canon))
+	}
+	return canon, ren
+}
+
+// submit is the one way a check reaches the fleet: it builds the job for
+// sys under the tier's budget and a deadline starting now, enqueues it, and
+// waits for the engine verdict. A full queue or a draining service sheds
+// the check at once, and a job the fleet ends without a verdict comes back
+// as its svcError. ctx is the wait's client: when it is done the answer
+// is withheld (499) while the fleet still runs the check. Past the tier
+// deadline the fleet normally answers within a polling stride; after
+// handlerGrace more the answer is withheld as 504 rather than hang the
+// connection (a fleet wedged by an injected stall answers at drain time).
+func (c *checker) submit(ctx context.Context, id string, sys *history.System, m model.Model, tier Tier, root *obs.Span) outcome {
+	now := time.Now()
+	jctx, jcancel := context.WithDeadline(c.ctx, now.Add(tier.Deadline))
+	j := &job{
+		id: id, m: m, sys: sys, tier: tier,
+		ctx: model.WithBudget(jctx, tier.budget()), cancel: jcancel,
+		enq: now, done: make(chan outcome, 1),
+		span: root, qspan: root.Child("queue"),
+	}
+	j.qspan.SetReq(id)
+	switch c.enqueue(j) {
+	case admitDraining:
+		j.qspan.Cancel()
+		jcancel()
+		return j.unknown("shed", http.StatusServiceUnavailable, "draining")
+	case admitFull:
+		j.qspan.Cancel()
+		jcancel()
+		return j.unknown("shed", http.StatusTooManyRequests, "shed")
+	}
+	select {
+	case o := <-j.done:
+		return o
+	case <-ctx.Done():
+		return j.unknown("admitted", statusClientClosedRequest, "canceled")
+	case <-jctx.Done():
+		select {
+		case o := <-j.done:
+			return o
+		case <-ctx.Done():
+			return j.unknown("admitted", statusClientClosedRequest, "canceled")
+		case <-time.After(handlerGrace):
+			return j.unknown("admitted", http.StatusGatewayTimeout, "deadline exceeded")
+		}
 	}
 }
 
-// solveCanonical is the single engine solve behind a cache flight: it
-// admits a job for the canonical history into the fleet under the
-// initiating request's id and returns the engine verdict, witness in
-// canonical labels. It classifies the initiating request on the enqueue
-// rejection paths; an enqueued job is classified by the fleet as usual.
-// It runs detached from any request context — the solve completes and
-// populates the cache even if every waiting client disconnects.
-func (c *checker) solveCanonical(id string, m model.Model, canon *history.System, tier Tier, root *obs.Span) (model.Verdict, error) {
-	jctx, jcancel := context.WithDeadline(c.ctx, time.Now().Add(tier.Deadline))
-	jctx = model.WithBudget(jctx, model.Budget{MaxCandidates: tier.MaxCandidates, MaxNodes: tier.MaxNodes})
-	j := &job{
-		id: id, req: checkRequest{Model: m.Name(), Tier: tier.Name},
-		sys: canon, m: m, tier: tier,
-		ctx: jctx, cancel: jcancel,
-		enq: time.Now(), done: make(chan checkResult, 1),
-		span: root,
+// answer renders a verdict — already in the caller's labels — as the
+// check's result, and explains it against the caller's own history when
+// asked: the service's one rendering and one explanation, whichever path
+// the verdict took. A failed explanation (an injected svc.explain fault
+// included) loses the explanation, never the verdict.
+func answer(id string, m model.Model, sys *history.System, tier Tier, v model.Verdict, explain bool, root *obs.Span) checkResult {
+	explain = explain && v.Decided()
+	var ferr error
+	if explain {
+		sp := root.Child("explain")
+		sp.SetReq(id)
+		defer sp.End()
+		ferr = fault.Check(fault.SvcExplain, 0, id)
 	}
-	j.qspan = root.Child("queue")
-	j.qspan.SetReq(id)
-	rejected := func(status int, reason string) error {
-		j.qspan.Cancel()
-		jcancel()
-		res := checkResult{ID: id, Model: m.Name(), Tier: tier.Name,
-			Status: status, Verdict: "unknown", Reason: reason}
-		c.shed.Add(1)
-		c.emitFinish(res)
-		return svcError{kind: "shed", res: res}
+	info, err := incident.Outcome(m, sys, v, explain && ferr == nil)
+	res := checkResult{ID: id, Model: m.Name(), Tier: tier.Name, Status: http.StatusOK,
+		Verdict: info.Verdict, Reason: info.Reason,
+		Candidates: info.Candidates, Nodes: info.Nodes, Frontier: info.Frontier,
+		Explanation: info.Explanation}
+	if err = cmp.Or(ferr, err); err != nil {
+		res.ExplainError = err.Error()
 	}
-	switch c.enqueue(j) {
-	case admitOK:
-	case admitDraining:
-		return model.Verdict{}, rejected(http.StatusServiceUnavailable, "draining")
-	case admitFull:
-		return model.Verdict{}, rejected(http.StatusTooManyRequests, "shed")
-	}
-	res := <-j.done // the fleet always delivers: process, drain flush, or pending flush
-	if j.verdict == nil {
-		kind := "shed"
-		if res.Error != "" && res.Verdict == "" {
-			kind = "failed"
-		}
-		return model.Verdict{}, svcError{kind: kind, res: res}
-	}
-	return *j.verdict, nil
+	return res
 }
 
 // handlerGrace is how long past its deadline a handler waits for the
-// fleet's verdict before answering 504 on its own. The check itself is
-// still classified by the fleet, so accounting stays balanced.
+// fleet's verdict before answering 504 on its own.
 const handlerGrace = time.Second
 
 // statusClientClosedRequest is nginx's 499: the client disconnected
-// before the verdict was ready. The check itself still completes and is
-// accounted.
+// before the verdict was ready. The fleet still runs the check to its
+// end; the check is accounted as admitted, its answer withheld, and the
+// fleet emits its run_finish.
 const statusClientClosedRequest = 499
 
 type admitResult int
@@ -876,8 +833,8 @@ func (c *checker) enqueue(j *job) admitResult {
 	}
 }
 
-// process is the fleet worker payload: run the check, classify it,
-// answer the waiting handler. Panics are recovered in runJob, so one
+// process is the fleet worker payload: run the check and hand its outcome
+// back to the waiting handler. Panics are recovered in runJob, so one
 // poisoned request never takes the fleet down.
 func (c *checker) process(w int, j *job) {
 	defer j.cancel()
@@ -892,52 +849,50 @@ func (c *checker) process(w int, j *job) {
 	c.waitUs.Observe(wait.Microseconds())
 
 	start := time.Now()
-	res := c.runJob(w, j)
-	res.WallUs = time.Since(j.enq).Microseconds()
-	res.WaitUs = wait.Microseconds()
+	o := c.runJob(w, j)
+	o.waitUs = wait.Microseconds()
 	c.runUs.Observe(time.Since(start).Microseconds())
-
-	kind := "admitted"
-	if res.Error != "" && res.Verdict == "" {
-		kind = "failed"
-	}
-	c.finish(j, res, kind)
+	c.deliver(j, o)
 }
 
-// finish classifies a fleet-owned check exactly once, emits its terminal
-// event, and releases the handler.
-func (c *checker) finish(j *job, res checkResult, kind string) {
+// deliver hands a fleet-owned job's outcome to its handler, which
+// classifies and answers it. Every job is delivered exactly once: by the
+// worker that ran it, or by the drain and fault flushes. When the handler
+// has withheld the answer and handed the run_finish off, deliver emits it
+// here, rendered without an explanation (nobody reads one); the handler
+// has already counted the check.
+func (c *checker) deliver(j *job, o outcome) {
 	c.pending.Delete(j.id)
-	switch kind {
-	case "admitted":
-		c.admitted.Add(1)
-	case "shed":
-		c.shed.Add(1)
-	default:
-		c.failed.Add(1)
+	if !j.settled.CompareAndSwap(false, true) {
+		var res checkResult
+		if se := (svcError{}); errors.As(o.err, &se) {
+			res = se.res
+		} else {
+			res = answer(j.id, j.m, j.sys, j.tier, o.v, false, nil)
+		}
+		res.WaitUs, res.SolveUs = o.waitUs, o.solveUs
+		res.WallUs = time.Since(j.enq).Microseconds()
+		c.emitFinish(res)
 	}
-	c.emitFinish(res)
-	j.done <- res
+	j.done <- o
 }
 
-// runJob executes one admitted check under its tier budget, with every
+// runJob solves one admitted check under its tier budget, with every
 // panic contained to this check.
-func (c *checker) runJob(w int, j *job) (res checkResult) {
-	res = checkResult{ID: j.id, Model: j.m.Name(), Tier: j.tier.Name, Status: http.StatusOK}
-	var solve, explainSp *obs.Span
+func (c *checker) runJob(w int, j *job) (o outcome) {
+	var solve *obs.Span
 	defer func() {
 		if v := recover(); v != nil {
 			solve.End() // idempotent; a dangling phase still closes
-			explainSp.End()
-			// The capture defers to this job's run_finish (emitted by
-			// finish, right after this recover): one bundle, complete
-			// trail, panic attributed — merged with the fault trigger if
-			// an injected fault observer already marked this request.
+			// The capture defers to this job's run_finish (emitted by its
+			// handler once this outcome arrives, or by deliver when the
+			// handler has left): one bundle, complete trail, panic
+			// attributed — merged with the fault trigger if an injected
+			// fault observer already marked this request.
 			c.rec.Capture(j.id, incident.Trigger{
 				Kind: "panic", Detail: fmt.Sprintf("worker %d: %v", w, v),
 			})
-			res = checkResult{ID: j.id, Model: j.m.Name(), Tier: j.tier.Name,
-				Status: http.StatusInternalServerError, Error: fmt.Sprintf("panic: %v", v)}
+			o = j.failed(http.StatusInternalServerError, fmt.Sprintf("panic: %v", v))
 		}
 	}()
 	fault.Hit(fault.SvcWorker, w, j.id)
@@ -946,44 +901,15 @@ func (c *checker) runJob(w int, j *job) (res checkResult) {
 	solve.SetReq(j.id)
 	v, err := model.AllowsCtx(j.ctx, j.m, j.sys)
 	solve.End()
-	res.SolveUs = solve.Duration().Microseconds()
 	if err != nil {
 		// The question itself was malformed for this checker (oversized
 		// history, ambiguous reads-from) — a client error, not overload.
-		res.Status = http.StatusUnprocessableEntity
-		res.Error = err.Error()
-		return res
+		o = j.failed(http.StatusUnprocessableEntity, err.Error())
+	} else {
+		o.v = v
 	}
-	j.verdict = &v // the cache path needs the witness, not just the rendering
-	res.Candidates = v.Progress.Candidates
-	res.Nodes = v.Progress.Nodes
-	res.Frontier = v.Progress.Frontier
-	switch {
-	case !v.Decided():
-		res.Verdict = "unknown"
-		res.Reason = v.Unknown.String()
-	case v.Allowed:
-		res.Verdict = "allowed"
-	default:
-		res.Verdict = "forbidden"
-	}
-	if j.req.Explain && v.Decided() {
-		explainSp = j.span.Child("explain")
-		explainSp.SetReq(j.id)
-		defer explainSp.End()
-		// Explanation failures (including injected ones) lose the
-		// explanation, never the verdict.
-		if err := fault.Check(fault.SvcExplain, w, j.id); err != nil {
-			res.ExplainError = err.Error()
-		} else if e, err := model.Explain(j.m, j.sys, v); err != nil {
-			res.ExplainError = err.Error()
-		} else if data, err := e.JSON(); err != nil {
-			res.ExplainError = err.Error()
-		} else {
-			res.Explanation = data
-		}
-	}
-	return res
+	o.solveUs = solve.Duration().Microseconds()
+	return o
 }
 
 // drain shuts the service down gracefully: close admission, let the
@@ -1054,18 +980,6 @@ func (c *checker) emitFinish(res checkResult) {
 		Verdict: res.Verdict, Reason: res.Reason, Detail: res.Error,
 		Candidates: res.Candidates, Nodes: res.Nodes, Frontier: res.Frontier,
 		WaitUs: res.WaitUs, SolveUs: res.SolveUs})
-}
-
-// renderVerdict renders an engine verdict the way the service does.
-func renderVerdict(v model.Verdict) string {
-	switch {
-	case !v.Decided():
-		return "unknown (" + v.Unknown.String() + ")"
-	case v.Allowed:
-		return "allowed"
-	default:
-		return "forbidden"
-	}
 }
 
 // writeJSON writes v as the response with the given status.

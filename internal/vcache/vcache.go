@@ -19,6 +19,13 @@
 //
 // Unknown verdicts are never cached: a budget-starved answer must not mask
 // the full solve a later, better-funded request could complete.
+//
+// There is one way through the cache, CheckCanonical: key the canonical
+// history, answer through Do (solving on a miss), audit hits, and relabel
+// the verdict back to the caller's history. Check is canonicalization plus
+// that core with model.AllowsCtx as the solve, for in-process callers
+// (litmus, perfbench); the checking service canonicalizes itself and hands
+// the core a solve that runs on its worker fleet.
 package vcache
 
 import (
@@ -139,9 +146,11 @@ func (c *Cache) SetAuditEvery(n int64) {
 // the fresh verdict with the served one. cached must be the verdict in
 // canonical labels (as stored), canon the canonical history. The audit
 // detaches from the caller's cancellation (the request finishing must not
-// abort its own audit) but keeps the context's values — route and budget
-// still apply, so an audit is bounded exactly like the solve it checks.
-// Returns true when an audit was started.
+// abort its own audit) and from its event sink (the audit outlives the
+// request, so its engine events do not belong in the request's trace),
+// but keeps the context's other values — route and budget still apply, so
+// an audit is bounded exactly like the solve it checks, and its spans
+// still fold into the registry. Returns true when an audit was started.
 func (c *Cache) MaybeAudit(ctx context.Context, m model.Model, canon *history.System, enc string, cached model.Verdict) bool {
 	if c == nil {
 		return false
@@ -151,7 +160,7 @@ func (c *Cache) MaybeAudit(ctx context.Context, m model.Model, canon *history.Sy
 		return false
 	}
 	c.audits.Add(1)
-	actx := context.WithoutCancel(ctx)
+	actx := obs.WithSink(context.WithoutCancel(ctx), nil)
 	c.auditWG.Add(1)
 	go func() {
 		defer c.auditWG.Done()
@@ -368,12 +377,11 @@ func (c *Cache) putLocked(k Key, enc string, v model.Verdict) {
 	c.entriesG.Set(int64(c.lru.Len()))
 }
 
-// Check decides m on s through the cache: canonicalize, look up, solve on
-// a miss (model.AllowsCtx on the canonical form, so the cached witness is
-// in canonical labels), and map the verdict's witness back to s's labels.
-// The route mode in the context is part of the key. When the cache is nil
-// or the history defeats canonicalization (an oversized symmetry class),
-// the check falls through to a plain AllowsCtx — caching is an
+// Check decides m on s through the cache: canonicalize, then
+// CheckCanonical with a solve that runs model.AllowsCtx on the canonical
+// form, so the cached witness is in canonical labels. When the cache is
+// nil or the history defeats canonicalization (an oversized symmetry
+// class), the check falls through to a plain AllowsCtx — caching is an
 // optimization, never a prerequisite. hit is as in Do.
 func Check(ctx context.Context, c *Cache, m model.Model, s *history.System) (model.Verdict, bool, error) {
 	if c == nil {
@@ -387,11 +395,22 @@ func Check(ctx context.Context, c *Cache, m model.Model, s *history.System) (mod
 		v, err := model.AllowsCtx(ctx, m, s)
 		return v, false, err
 	}
-	enc := history.Format(canon)
-	k := KeyFor(enc, m.Name(), model.RouteFromContext(ctx).String())
-	v, hit, err := c.Do(ctx, k, enc, func() (model.Verdict, error) {
+	return CheckCanonical(ctx, c, m, canon, ren, func() (model.Verdict, error) {
 		return model.AllowsCtx(ctx, m, canon)
 	})
+}
+
+// CheckCanonical is the cache's core, shared by Check and the checking
+// service: canon is a history in canonical form, ren the renaming that
+// maps it back to the caller's labels, and solve decides m on canon
+// however the caller decides checks. It keys canon under m and the
+// context's route, answers through Do (solve runs on a miss), spends a hit
+// against the audit cadence (MaybeAudit, under ctx's route and budget),
+// and maps the verdict's witness back through ren. hit is as in Do; on an
+// error the verdict is Do's, unrelabeled.
+func CheckCanonical(ctx context.Context, c *Cache, m model.Model, canon *history.System, ren *history.Renaming, solve func() (model.Verdict, error)) (model.Verdict, bool, error) {
+	enc := history.Format(canon)
+	v, hit, err := c.Do(ctx, KeyFor(enc, m.Name(), model.RouteFromContext(ctx).String()), enc, solve)
 	if err != nil {
 		return v, hit, err
 	}

@@ -92,13 +92,7 @@ func RunCtx(ctx context.Context, t Test, models []model.Model) ([]Result, error)
 			Asserted: asserted,
 		}
 		if obs.Enabled(ctx) {
-			verdict := "forbidden"
-			switch {
-			case v.Unknown != model.NotUnknown:
-				verdict = "unknown"
-			case v.Allowed:
-				verdict = "allowed"
-			}
+			verdict, _ := v.Outcome()
 			obs.EmitTo(ctx, obs.Event{
 				Type: obs.EvLitmus, Test: t.Name, Model: m.Name(),
 				Verdict: verdict, Frontier: v.Progress.Frontier,

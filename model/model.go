@@ -112,6 +112,21 @@ type Verdict struct {
 // Decided reports whether the verdict answers the membership question.
 func (v Verdict) Decided() bool { return v.Unknown == NotUnknown }
 
+// Outcome renders the verdict the way the checking service, the trace
+// stream and incident bundles record it: "allowed", "forbidden" or
+// "unknown", and for an unknown verdict the reason the check stopped
+// short (UnknownReason.String); reason is empty for a decided verdict.
+func (v Verdict) Outcome() (verdict, reason string) {
+	switch {
+	case !v.Decided():
+		return "unknown", v.Unknown.String()
+	case v.Allowed:
+		return "allowed", ""
+	default:
+		return "forbidden", ""
+	}
+}
+
 // Model decides membership of histories in a consistency model. Every
 // model in this package is a Spec; check one through the package-level
 // AllowsCtx.

@@ -37,6 +37,18 @@ func (m RouteMode) String() string {
 	return fmt.Sprintf("RouteMode(%d)", uint8(m))
 }
 
+// ParseRoute is the inverse of RouteMode.String for the named modes:
+// "auto" (or "", the default) and "enumerate".
+func ParseRoute(name string) (RouteMode, error) {
+	switch name {
+	case "", "auto":
+		return RouteAuto, nil
+	case "enumerate":
+		return RouteEnumerate, nil
+	}
+	return RouteAuto, fmt.Errorf("model: unknown route %q (auto, enumerate)", name)
+}
+
 type routeKey struct{}
 
 // WithRoute attaches a route mode to the context; every AllowsCtx call
