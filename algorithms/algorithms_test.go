@@ -146,24 +146,25 @@ func TestDekkerCompilesAndRuns(t *testing.T) {
 }
 
 // TestBakeryThreeProcessorsRCscSound extends the paper's experiment to
-// n = 3 exhaustively: still sound under RCsc.
+// n = 3 exhaustively and pins the complete search: under RCsc, Bakery(3,1)
+// is still sound and, as Section 5 says, free from deadlocks.
 func TestBakeryThreeProcessorsRCscSound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=3 exhaustive exploration is slow in -short mode")
-	}
 	m, err := program.NewMachine(sim.NewRCsc(3), Bakery(3, 1, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.Exhaustive(m, explore.Options{MaxStates: 1 << 21})
+	res, err := explore.Exhaustive(m, explore.Options{TrackProgress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Sound() {
-		t.Errorf("Bakery n=3 on RCsc: violations=%d complete=%v states=%d",
-			len(res.Violations), res.Complete, res.States)
+	if !res.Complete || res.States != 12_475 || res.Transitions != 31_427 ||
+		res.TerminalStates != 86 || len(res.Violations) != 0 {
+		t.Errorf("Bakery n=3 on RCsc: complete=%v %d states, %d transitions, %d terminal, %d violations; want complete, 12475/31427/86/0",
+			res.Complete, res.States, res.Transitions, res.TerminalStates, len(res.Violations))
 	}
-	t.Logf("n=3 RCsc: %d states", res.States)
+	if res.StuckStates != 0 || !res.DeadlockFree() {
+		t.Errorf("Bakery n=3 on RCsc: %d stuck states, deadlock-free %v; want 0, true", res.StuckStates, res.DeadlockFree())
+	}
 }
 
 // TestBakeryThreeProcessorsRCpcViolated extends the violation to n = 3.

@@ -21,10 +21,8 @@ import (
 	"repro/history"
 	"repro/internal/incident"
 	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/litmus"
 	"repro/model"
-	"repro/order"
 	"repro/program"
 	"repro/relate"
 	"repro/sim"
@@ -147,7 +145,11 @@ func BenchmarkBakeryRCpc(b *testing.B) {
 				if len(res.Violations) == 0 {
 					b.Fatal("no RCpc violation found")
 				}
-				h := res.Violations[0].History
+				_, state, err := res.Violations[0].Replay()
+				if err != nil {
+					b.Fatal(err)
+				}
+				h := state.Mem().Recorder().System()
 				rcpc, err := model.WithWorkers(model.RCpc, w).Allows(context.Background(), h)
 				if err != nil || !rcpc.Allowed {
 					b.Fatalf("violating history not RCpc: %v", err)
@@ -208,43 +210,6 @@ func BenchmarkBakeryPaperHistory(b *testing.B) {
 }
 
 // --- Ablations and scaling ---
-
-// hardProblem is an instance on which memoization matters: two processors
-// with interleavable independent writes and a final unsatisfiable read.
-func hardProblem(ops int) (*history.System, *order.Relation) {
-	bld := history.NewBuilder(2)
-	for i := 0; i < ops; i++ {
-		p := history.Proc(i % 2)
-		bld.Write(p, history.Loc(fmt.Sprintf("l%d", i)), 1)
-	}
-	bld.Read(0, "zz", 9) // never satisfiable
-	s := bld.System()
-	return s, order.Program(s)
-}
-
-// BenchmarkSolverMemoization is the ablation for the solver's failed-state
-// cache: identical problems with and without memoization.
-func BenchmarkSolverMemoization(b *testing.B) {
-	// Two interleavable 9-write chains: the memoized search visits one
-	// state per (i, j) prefix pair (≈100 states); the unmemoized search
-	// walks every interleaving (C(18,9) ≈ 4.9e4 paths).
-	s, po := hardProblem(18)
-	prob := search.Problem{Sys: s, Ops: s.Ops(), Prec: po}
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok, _ := search.FindView(prob); ok {
-				b.Fatal("unsatisfiable problem solved")
-			}
-		}
-	})
-	b.Run("unmemoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok, _ := search.FindViewUnmemoized(prob); ok {
-				b.Fatal("unsatisfiable problem solved")
-			}
-		}
-	})
-}
 
 // BenchmarkCheckerScaling shows decision cost versus history size for the
 // SC checker on serializable histories.
@@ -325,7 +290,7 @@ func BenchmarkLitmusCorpus(b *testing.B) {
 	ms := model.All()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs, err := litmus.RunCorpus(ms)
+		rs, err := litmus.RunCorpusCtx(context.Background(), ms)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -101,16 +101,21 @@ func main() {
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
 
+	trace, state, err := violation.Replay()
+	if err != nil {
+		fatal(err)
+	}
+	h := state.Mem().Recorder().System()
 	fmt.Printf("\nVIOLATION: %v\n", violation.Err)
-	fmt.Printf("schedule (%d choices): %s\n", len(violation.Trace), strings.Join(violation.Trace, ", "))
-	fmt.Printf("\nrecorded history (tagged values):\n%s\n", violation.History)
+	fmt.Printf("schedule (%d choices): %s\n", len(trace), strings.Join(trace, ", "))
+	fmt.Printf("\nrecorded history (tagged values):\n%s\n", h)
 
 	if !*check || !labeled {
 		return
 	}
 	for _, m := range []model.Model{model.RCpc, model.RCsc} {
 		m = model.WithWorkers(m, *workers)
-		v, err := model.AllowsCtx(ctx, m, violation.History)
+		v, err := model.AllowsCtx(ctx, m, h)
 		if err != nil {
 			fmt.Printf("%s checker: error: %v\n", m.Name(), err)
 			continue

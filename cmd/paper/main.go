@@ -161,7 +161,11 @@ func main() {
 	ok = len(res2.Violations) > 0
 	var certified bool
 	if ok {
-		h := res2.Violations[0].History
+		_, state, err := res2.Violations[0].Replay()
+		if err != nil {
+			fatal(err)
+		}
+		h := state.Mem().Recorder().System()
 		rcpc, e1 := model.AllowsCtx(ctx, model.WithWorkers(model.RCpc, workers), h)
 		rcsc, e2 := model.AllowsCtx(ctx, model.WithWorkers(model.RCsc, workers), h)
 		certified = e1 == nil && e2 == nil && rcpc.Allowed && !rcsc.Allowed

@@ -55,17 +55,21 @@ func runMutex(name string, mk func(sim.Memory) (*program.Machine, error)) {
 		fmt.Println("RCpc: no violation found (unexpected!)")
 		return
 	}
-	v := res2.Violations[0]
-	fmt.Printf("RCpc: VIOLATION after %d scheduling choices\n", len(v.Trace))
-	fmt.Printf("violating history:\n%s", v.History)
-
-	// Close the loop with the paper's framework: the operationally
-	// produced history is a legal RCpc history and not an RCsc one.
-	rcpc, err := model.AllowsCtx(context.Background(), model.RCpc, v.History)
+	trace, state, err := res2.Violations[0].Replay()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcsc, err := model.AllowsCtx(context.Background(), model.RCsc, v.History)
+	h := state.Mem().Recorder().System()
+	fmt.Printf("RCpc: VIOLATION after %d scheduling choices\n", len(trace))
+	fmt.Printf("violating history:\n%s", h)
+
+	// Close the loop with the paper's framework: the operationally
+	// produced history is a legal RCpc history and not an RCsc one.
+	rcpc, err := model.AllowsCtx(context.Background(), model.RCpc, h)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rcsc, err := model.AllowsCtx(context.Background(), model.RCsc, h)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,12 +45,13 @@ func TestViolationDigestGolden(t *testing.T) {
 		hashString(h, fmt.Sprintf("complete=%v states=%d transitions=%d terminal=%d violations=%d",
 			res.Complete, res.States, res.Transitions, res.TerminalStates, len(res.Violations)))
 		for _, v := range res.Violations {
-			for _, s := range v.Trace {
+			trace, hist, state := replayViolation(t, v)
+			for _, s := range trace {
 				hashString(h, s)
 			}
 			hashString(h, "")
-			hashString(h, v.History.String())
-			hashString(h, v.State.Fingerprint())
+			hashString(h, hist.String())
+			hashString(h, state.Fingerprint())
 		}
 		got := hex.EncodeToString(h.Sum(nil))
 		if w, ok := want[name]; !ok || got != w {

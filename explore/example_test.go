@@ -38,7 +38,11 @@ func Example() {
 	}
 	fmt.Println("RCpc violated:", len(res2.Violations) > 0)
 
-	h := res2.Violations[0].History
+	_, state, err := res2.Violations[0].Replay()
+	if err != nil {
+		panic(err)
+	}
+	h := state.Mem().Recorder().System()
 	rcpc, _ := model.RCpc.Allows(context.Background(), h)
 	rcsc, _ := model.RCsc.Allows(context.Background(), h)
 	fmt.Println("violating history: RCpc", rcpc.Allowed, "/ RCsc", rcsc.Allowed)
@@ -54,7 +58,11 @@ func ExampleReplay() {
 	if err != nil || len(res.Violations) == 0 {
 		panic("no violation")
 	}
-	replayed, err := explore.Replay(m, res.Violations[0].Trace)
+	trace, _, err := res.Violations[0].Replay()
+	if err != nil {
+		panic(err)
+	}
+	replayed, err := explore.Replay(m, trace)
 	if err != nil {
 		panic(err)
 	}

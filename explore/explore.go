@@ -25,21 +25,23 @@
 // The machines the search steps and checks record no history
 // (sim.Recorder.Discard): a state's history depends only on the root and
 // the schedule that reached it. The search hands out none of them. Each
-// machine it hands out — a violating state (Violation.State) or a
+// machine it hands out — a violating state (Violation.Replay) or a
 // terminal state passed to Options.OnTerminal — is built apart, by
 // replaying its schedule from the machine the caller passed in, with the
-// history recorded along the way; the caller may keep and inspect it.
+// history recorded along the way; the caller may keep and inspect it. A
+// violation is counted, not built: only the violations a caller replays
+// cost a machine, a trace and a history.
 package explore
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
 
-	"repro/history"
 	"repro/internal/obs"
 	"repro/program"
 )
@@ -48,7 +50,8 @@ import (
 // the violation if the state is bad. It must not change the machine, nor
 // step its memory: Exhaustive passes it a machine whose memory is one of
 // the search's state tables' own (see program.Machine.ShareMem), and which
-// records no history; a violation's History is rebuilt after the search.
+// records no history; a violation's history is rebuilt when it is
+// replayed (Violation.Replay).
 type Invariant func(*program.Machine) error
 
 // MutualExclusion is the invariant of the paper's Section 5: at most one
@@ -60,19 +63,41 @@ func MutualExclusion(m *program.Machine) error {
 	return nil
 }
 
-// Violation describes an invariant violation found during exploration.
+// Violation describes an invariant violation found during exploration. It
+// holds what the violation is rebuilt from, not the violating state:
+// Replay builds that.
 type Violation struct {
 	// Err is the invariant's description of what went wrong.
 	Err error
-	// Trace lists the choices leading to the violation, in order, e.g.
-	// "thread 1" or "internal 0 (deliver p0→p1 x)".
-	Trace []string
-	// History is the tagged system execution history recorded along the
-	// violating path — checkable against package model.
-	History *history.System
-	// State is the violating machine, rebuilt by replaying Trace, with
-	// History recorded (safe to inspect and keep).
-	State *program.Machine
+	// Steps is the length of the schedule that reaches the violating
+	// state.
+	Steps int
+	state uint32 // the violating state's number in from.sched
+	from  *origin
+}
+
+// origin is what a search's violations are rebuilt from: a copy of the
+// machine the search started in, and either Exhaustive's schedule links or
+// the trace Stochastic recorded.
+type origin struct {
+	root  *program.Machine
+	sched *schedules
+	trace []string
+}
+
+// Replay rebuilds the violation from a fresh copy of the machine its search
+// started in. It returns the choices leading to the violation, in order,
+// as the package-level Replay reads them (e.g. "thread 1" or
+// "internal 0 (deliver p0→p1 x)"), and the violating machine, which
+// records the history along them: m.Mem().Recorder().System() is the
+// tagged system execution history, checkable against package model. Each
+// call builds a new machine, which the caller may inspect and keep.
+func (v Violation) Replay() (trace []string, m *program.Machine, err error) {
+	if v.from.sched == nil {
+		m, err = Replay(v.from.root, v.from.trace)
+		return slices.Clone(v.from.trace), m, err
+	}
+	return v.from.sched.replay(v.state, v.from.root, true)
 }
 
 // Options bounds exploration.
@@ -158,7 +183,8 @@ type Result struct {
 	States int
 	// Transitions is the number of edges explored.
 	Transitions int
-	// Violations found (possibly truncated by StopAtFirst).
+	// Violations found, in the order the search found them (possibly
+	// truncated by StopAtFirst). Each is built only when replayed.
 	Violations []Violation
 	// Complete reports whether the state space was exhausted within the
 	// bounds; if false, absence of violations is not a proof.
@@ -180,24 +206,20 @@ type Result struct {
 	// their indexes' slots). It is an exact count, not a measurement of
 	// the heap, and does not count the successor tables.
 	KeyBytes int
-	// progress-tracking internals (TrackProgress only): the successors
-	// of each state, by state number, and the terminal states.
-	edges     [][]uint32
-	terminals []uint32
+	// tracked reports that the search recorded its state graph
+	// (TrackProgress).
+	tracked bool
 	// hits and stepped count the transitions the search read from its
 	// successor tables alone, and those it stepped some machine for (see
 	// space).
 	hits, stepped int
-	// found holds the violations the search found, in order, for
-	// ExhaustiveCtx to build into Violations once the search is over.
-	found []found
 }
 
 // DeadlockFree reports whether the exploration proved every reachable
 // state can reach a terminal state. It requires TrackProgress and a
 // complete exploration.
 func (r Result) DeadlockFree() bool {
-	return r.Complete && r.edges != nil && r.StuckStates == 0
+	return r.Complete && r.tracked && r.StuckStates == 0
 }
 
 // Sound reports whether a clean result proves the invariant: no violations
@@ -220,12 +242,14 @@ func ctxReason(err error) IncompleteReason {
 	return IncompleteCanceled
 }
 
-// addEdge records a transition from state from to state to.
-func (r *Result) addEdge(from, to uint32) {
-	for int(from) >= len(r.edges) {
-		r.edges = append(r.edges, nil)
-	}
-	r.edges[from] = append(r.edges[from], to)
+// progress is the state graph TrackProgress records. A state is expanded
+// once, and its successors counted together, so they are stored back to
+// back: the i-th state expanded, from[i], has outs[i] successors, which
+// follow those of the states expanded before it in succ.
+type progress struct {
+	from, outs []uint32
+	succ       []uint32
+	terminals  []uint32
 }
 
 // node is a search node: a state's number in the visited set and the
@@ -279,10 +303,10 @@ func (s step) apply(m *program.Machine) error {
 // schedules holds, by state number, the link of the step that first
 // reached each state: its parent state<<32 | the step's code. State 0,
 // the root, has none. A state's schedule is read back along the links,
-// so it costs 8 bytes however deep it is, and no pointer; Violation.Trace
+// so it costs 8 bytes however deep it is, and no pointer; a trace's
 // strings, and the descriptions of internal actions in them, are built
-// only for the violations found, once the search is over (see
-// buildViolations).
+// only when a violation is replayed. The links are all of a search that
+// its violations keep.
 type schedules struct{ links table[uint64] }
 
 // appendPath appends the codes of the steps that reach state s to dst,
@@ -297,135 +321,27 @@ func (l *schedules) appendPath(dst []uint32, s uint32) []uint32 {
 }
 
 // replay builds state s in a fresh copy of root, the machine the search
-// started from, which records the history along the way.
-func (l *schedules) replay(s uint32, root *program.Machine) (*program.Machine, error) {
+// started in, which records the history along the way. If render is set,
+// it also returns the schedule's steps, rendered as Violation.Replay lists
+// them.
+func (l *schedules) replay(s uint32, root *program.Machine, render bool) ([]string, *program.Machine, error) {
 	path := l.appendPath(nil, s)
 	m := root.Clone()
+	var trace []string
 	for i := len(path) - 1; i >= 0; i-- {
-		if err := stepOf(path[i]).apply(m); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// found is a violation as a search records it: the invariant's error and
-// the violating state's number. Building its Trace, History and State is
-// left to buildViolations, after the search.
-type found struct {
-	err   error
-	state uint32
-}
-
-// buildViolations builds the Violations of a search that started in root
-// from what it found, in the order it found them, reading their schedules
-// from sched. The schedules share
-// prefixes, so they are replayed from a copy of root in one walk over
-// their tree (see violationWalk). If a schedule cannot be replayed,
-// buildViolations returns the violations before it and the error.
-func buildViolations(fs []found, sched *schedules, root *program.Machine) ([]Violation, error) {
-	if len(fs) == 0 {
-		return nil, nil
-	}
-	w := &violationWalk{fs: fs, ends: make([]int, len(fs)), order: make([]int, len(fs)),
-		vs: make([]Violation, len(fs)), errs: make([]error, len(fs))}
-	for i, f := range fs {
-		start := len(w.paths)
-		w.paths = sched.appendPath(w.paths, f.state)
-		slices.Reverse(w.paths[start:])
-		w.ends[i] = len(w.paths)
-		w.order[i] = i
-	}
-	n := len(w.paths)
-	slices.SortFunc(w.order, func(a, b int) int { return slices.Compare(w.path(a), w.path(b)) })
-	w.traces = make([]string, n)
-	for i := range root.NumThreads() {
-		w.threads = append(w.threads, threadStep(i))
-	}
-	w.walk(root.Clone(), 0, len(fs), 0)
-	for i, err := range w.errs {
-		if err != nil {
-			return w.vs[:i], err
-		}
-	}
-	return w.vs, nil
-}
-
-// violationWalk replays the schedules of a search's violations as one
-// tree: the machine reaching a shared prefix is built once, and copied
-// only where schedules branch, and every step's rendering in
-// Violation.Trace is built once and shared by all the traces through it.
-type violationWalk struct {
-	fs []found
-	// paths holds each violation's schedule, oldest step first, back to
-	// back, each step as its code; violation i's ends at ends[i].
-	paths []uint32
-	ends  []int
-	// order lists the violations with their schedules in lexicographic
-	// order, so that a prefix's violations are adjacent.
-	order []int
-	// traces backs every violation's Trace, laid out like paths.
-	traces  []string
-	threads []string // each thread's step as Trace lists it
-	trace   []string // the rendered prefix being walked
-	vs      []Violation
-	errs    []error
-}
-
-// path returns violation i's schedule.
-func (w *violationWalk) path(i int) []uint32 {
-	start := 0
-	if i > 0 {
-		start = w.ends[i-1]
-	}
-	return w.paths[start:w.ends[i]]
-}
-
-// walk builds the violations order[lo:hi], whose schedules share their
-// first d steps, from m, the state those steps reach, which it takes
-// over.
-func (w *violationWalk) walk(m *program.Machine, lo, hi, d int) {
-	for lo < hi {
-		i := w.order[lo]
-		p := w.path(i)
-		if len(p) == d { // a violating state; the schedules sorted after it extend no further through it
-			mm := m
-			if lo+1 < hi {
-				mm = m.Clone()
+		st := stepOf(path[i])
+		if render {
+			if st.internal {
+				trace = append(trace, internalStep(st.index, m.Mem().DescribeInternal(st.index)))
+			} else {
+				trace = append(trace, threadStep(st.index))
 			}
-			var trace []string
-			if d > 0 {
-				trace = w.traces[w.ends[i]-d : w.ends[i] : w.ends[i]]
-				copy(trace, w.trace[:d])
-			}
-			w.vs[i] = Violation{Err: w.fs[i].err, Trace: trace, History: mm.Mem().Recorder().System(), State: mm}
-			lo++
-			continue
 		}
-		code := p[d]
-		g := lo + 1
-		for g < hi && w.path(w.order[g])[d] == code {
-			g++
+		if err := st.apply(m); err != nil {
+			return nil, nil, err
 		}
-		st := stepOf(code)
-		mm := m
-		if g < hi {
-			mm = m.Clone() // the schedules from g on branch off here
-		}
-		if st.internal {
-			w.trace = append(w.trace[:d], internalStep(st.index, mm.Mem().DescribeInternal(st.index)))
-		} else {
-			w.trace = append(w.trace[:d], w.threads[st.index])
-		}
-		if err := st.apply(mm); err != nil {
-			for _, k := range w.order[lo:g] {
-				w.errs[k] = err
-			}
-		} else {
-			w.walk(mm, lo, g, d+1)
-		}
-		lo = g
 	}
+	return trace, m, nil
 }
 
 // Exhaustive explores every schedule of the machine (program steps and
@@ -463,13 +379,8 @@ func ExhaustiveCtx(ctx context.Context, m0 *program.Machine, opts Options) (Resu
 	err := sr.depthFirst(ctx)
 	endTask()
 	res := sr.res
-	if opts.TrackProgress && res.Complete && err == nil {
-		res.StuckStates = countStuck(res.edges, res.terminals, sr.sp.seen.len())
-	}
-	vs, verr := buildViolations(res.found, &sr.sched, m0)
-	res.Violations, res.found = vs, nil
-	if err == nil {
-		err = verr
+	if sr.prog != nil && res.Complete && err == nil {
+		res.StuckStates = countStuck(sr.prog, sr.sp.seen.len())
 	}
 	res.KeyBytes = sr.sp.bytes()
 	if traced {
@@ -493,7 +404,7 @@ func finishExplore(ctx context.Context, res Result) {
 		obs.EmitTo(ctx, obs.Event{
 			Type:   obs.EvViolation,
 			Reason: v.Err.Error(),
-			Detail: fmt.Sprintf("%d-step schedule", len(v.Trace)),
+			Detail: fmt.Sprintf("%d-step schedule", v.Steps),
 		})
 	}
 	obs.EmitTo(ctx, obs.Event{
@@ -505,14 +416,16 @@ func finishExplore(ctx context.Context, res Result) {
 }
 
 // search is one exhaustive search's state: its options, its space, the
-// result it builds and the schedules of the states it numbers.
+// result it builds, the origin its violations are replayed from (which
+// holds the schedules of the states it numbers) and, under
+// TrackProgress, its state graph.
 type search struct {
-	m0    *program.Machine
-	opts  Options
-	inv   Invariant
-	sp    *space
-	res   Result
-	sched schedules
+	opts Options
+	inv  Invariant
+	sp   *space
+	res  Result
+	from *origin
+	prog *progress
 	// view is the machine states are shown to the invariant in, and
 	// shown the components it holds, ^0 for none. Its memory is the
 	// shown memory's representative, shared, not copied.
@@ -525,14 +438,16 @@ type search struct {
 func newSearch(m0 *program.Machine, opts Options, inv Invariant) *search {
 	root := m0.Clone()
 	root.Mem().Recorder().Discard()
-	sr := &search{m0: m0, opts: opts, inv: inv, sp: newSpace(root),
+	sr := &search{opts: opts, inv: inv, sp: newSpace(root),
+		from: &origin{root: m0.Clone(), sched: &schedules{}},
 		view: root.Clone(), shown: make([]uint32, root.NumThreads()+1)}
 	for i := range sr.shown {
 		sr.shown[i] = ^uint32(0)
 	}
 	sr.res.Complete = true
 	if opts.TrackProgress {
-		sr.res.edges = [][]uint32{}
+		sr.prog = &progress{}
+		sr.res.tracked = true
 	}
 	return sr
 }
@@ -567,7 +482,7 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 	res.States++
 	t := sp.seen.tuple(n.state)
 	if bad := sr.inv(sr.show(t)); bad != nil { // not explored past
-		res.found = append(res.found, found{err: bad, state: n.state})
+		res.Violations = append(res.Violations, Violation{Err: bad, Steps: int(n.depth), state: n.state, from: sr.from})
 		if opts.StopAtFirst {
 			res.truncate(IncompleteFirstViolation)
 			return true, nil
@@ -577,11 +492,11 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 	switch {
 	case sp.terminal(t):
 		res.TerminalStates++
-		if opts.TrackProgress {
-			res.terminals = append(res.terminals, n.state)
+		if sr.prog != nil {
+			sr.prog.terminals = append(sr.prog.terminals, n.state)
 		}
 		if opts.OnTerminal != nil {
-			m, err := sr.sched.replay(n.state, sr.m0)
+			_, m, err := sr.from.sched.replay(n.state, sr.from.root, false)
 			if err != nil {
 				return true, err
 			}
@@ -600,6 +515,7 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 	}
 	last := len(t) - 1
 	mem := t[last]
+	transitions := res.Transitions
 	for i, tid := range t[:last] {
 		if sp.halted(i, tid) {
 			continue
@@ -618,6 +534,10 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 		sr.tuple[last] = nmem
 		sr.push(n, step{internal: true, index: a}, stack)
 	}
+	if p := sr.prog; p != nil {
+		p.from = append(p.from, n.state)
+		p.outs = append(p.outs, uint32(res.Transitions-transitions))
+	}
 	return false, nil
 }
 
@@ -627,11 +547,11 @@ func (sr *search) visit(n *node, stack *[]node) (stop bool, err error) {
 func (sr *search) push(n *node, st step, stack *[]node) {
 	sr.res.Transitions++
 	id, added := sr.sp.seen.add(sr.tuple)
-	if sr.opts.TrackProgress {
-		sr.res.addEdge(n.state, id)
+	if sr.prog != nil {
+		sr.prog.succ = append(sr.prog.succ, id)
 	}
 	if added {
-		sr.sched.links.set(id, pack(n.state, st.code()))
+		sr.from.sched.links.set(id, pack(n.state, st.code()))
 		*stack = append(*stack, node{state: id, depth: n.depth + 1})
 	}
 }
@@ -654,34 +574,50 @@ func (sr *search) show(t []uint32) *program.Machine {
 	return sr.view
 }
 
-// countStuck reverse-reaches from the terminal states and counts the
+// countStuck reverse-reaches from the terminal states of p and counts the
 // states, of the n a search numbered, that appear in an edge or as a
 // terminal state and have no path to any terminal.
-func countStuck(edges [][]uint32, terminals []uint32, n int) int {
-	rev := make([][]uint32, n)
+func countStuck(p *progress, n int) int {
+	if uint64(len(p.succ)) > math.MaxUint32 {
+		panic("explore: more than 2^32-1 transitions to track")
+	}
+	// The reverse graph, in one array: a counting pass sizes each state's
+	// predecessors, a fill pass places them, and state s's end up in
+	// pred[at[s]:at[s+1]].
 	seen := make([]bool, n)
-	for from, tos := range edges {
-		if len(tos) > 0 {
+	at := make([]uint32, n+1)
+	for _, to := range p.succ {
+		at[to]++
+		seen[to] = true
+	}
+	for s := 1; s <= n; s++ {
+		at[s] += at[s-1]
+	}
+	pred := make([]uint32, len(p.succ))
+	succ := p.succ
+	for i, from := range p.from {
+		if p.outs[i] > 0 {
 			seen[from] = true
 		}
-		for _, to := range tos {
-			rev[to] = append(rev[to], uint32(from))
-			seen[to] = true
+		for _, to := range succ[:p.outs[i]] {
+			at[to]--
+			pred[at[to]] = from
 		}
+		succ = succ[p.outs[i]:]
 	}
 	canFinish := make([]bool, n)
-	queue := append([]uint32(nil), terminals...)
-	for _, t := range terminals {
+	queue := append([]uint32(nil), p.terminals...)
+	for _, t := range p.terminals {
 		seen[t] = true
 		canFinish[t] = true
 	}
 	for len(queue) > 0 {
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, p := range rev[s] {
-			if !canFinish[p] {
-				canFinish[p] = true
-				queue = append(queue, p)
+		for _, q := range pred[at[s]:at[s+1]] {
+			if !canFinish[q] {
+				canFinish[q] = true
+				queue = append(queue, q)
 			}
 		}
 	}
@@ -694,7 +630,7 @@ func countStuck(edges [][]uint32, terminals []uint32, n int) int {
 	return stuck
 }
 
-// Replay re-executes a trace (as recorded in Violation.Trace) from a fresh
+// Replay re-executes a trace (as Violation.Replay returns it) from a fresh
 // machine, returning the machine in the state the trace leads to. It lets
 // a violation found by Exhaustive or Stochastic be reproduced and inspected
 // deterministically — the recorded history, the thread states, the memory
@@ -745,6 +681,10 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 		if err != nil {
 			return violations, first, err
 		}
+		var root *program.Machine // m before the run, while no violation is kept
+		if first == nil {
+			root = m.Clone()
+		}
 		var trace []string
 		bad := false
 		for !m.Halted() && !bad {
@@ -764,7 +704,7 @@ func Stochastic(mk func() (*program.Machine, error), runs int, seed int64, opts 
 				violations++
 				bad = true
 				if first == nil {
-					first = &Violation{Err: e, Trace: trace, History: m.Mem().Recorder().System(), State: m}
+					first = &Violation{Err: e, Steps: len(trace), from: &origin{root: root, trace: trace}}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/algorithms"
+	"repro/history"
 	"repro/model"
 	"repro/program"
 	"repro/sim"
@@ -70,23 +71,34 @@ func TestBakeryRCpcViolated(t *testing.T) {
 		t.Fatalf("no mutual-exclusion violation found on RCpc (states=%d complete=%v)",
 			res.States, res.Complete)
 	}
-	v := res.Violations[0]
-	t.Logf("violation after %d choices:\n%s", len(v.Trace), v.History)
+	trace, h, _ := replayViolation(t, res.Violations[0])
+	t.Logf("violation after %d choices:\n%s", len(trace), h)
 
-	rcpc, err := model.RCpc.Allows(context.Background(), v.History)
+	rcpc, err := model.RCpc.Allows(context.Background(), h)
 	if err != nil {
 		t.Fatalf("RCpc checker: %v", err)
 	}
 	if !rcpc.Allowed {
-		t.Errorf("violating history rejected by the RCpc checker:\n%s", v.History)
+		t.Errorf("violating history rejected by the RCpc checker:\n%s", h)
 	}
-	rcsc, err := model.RCsc.Allows(context.Background(), v.History)
+	rcsc, err := model.RCsc.Allows(context.Background(), h)
 	if err != nil {
 		t.Fatalf("RCsc checker: %v", err)
 	}
 	if rcsc.Allowed {
-		t.Errorf("violating history accepted by the RCsc checker:\n%s", v.History)
+		t.Errorf("violating history accepted by the RCsc checker:\n%s", h)
 	}
+}
+
+// replayViolation replays v, failing the test if it cannot be, and
+// returns its trace, its history and its state.
+func replayViolation(t testing.TB, v Violation) ([]string, *history.System, *program.Machine) {
+	t.Helper()
+	trace, m, err := v.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace, m.Mem().Recorder().System(), m
 }
 
 // TestBakeryPRAMViolated: without any synchronization support at all
@@ -207,8 +219,13 @@ func TestStochasticFindsRCpcViolations(t *testing.T) {
 	if violations == 0 {
 		t.Error("stochastic runs found no RCpc violation in 200 runs")
 	}
-	if first == nil || first.History == nil || len(first.Trace) == 0 {
-		t.Error("first violation not captured")
+	if first == nil {
+		t.Fatal("first violation not captured")
+	}
+	trace, h, m := replayViolation(t, *first)
+	if len(trace) == 0 || len(trace) != first.Steps || h.NumOps() == 0 || m.InCS() < 2 {
+		t.Errorf("first violation replays to %d steps (want %d), %d operations, %d threads in the critical section",
+			len(trace), first.Steps, h.NumOps(), m.InCS())
 	}
 	t.Logf("RCpc stochastic: %d/%d runs violated mutual exclusion", violations, runs)
 }
@@ -276,8 +293,8 @@ func TestReplayReproducesViolation(t *testing.T) {
 	if len(res.Violations) == 0 {
 		t.Fatal("no violation to replay")
 	}
-	v := res.Violations[0]
-	replayed, err := Replay(fresh, v.Trace)
+	trace, h, _ := replayViolation(t, res.Violations[0])
+	replayed, err := Replay(fresh, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +302,7 @@ func TestReplayReproducesViolation(t *testing.T) {
 		t.Errorf("replayed state has %d threads in CS, want ≥2", replayed.InCS())
 	}
 	got := replayed.Mem().Recorder().System().String()
-	want := v.History.String()
+	want := h.String()
 	if got != want {
 		t.Errorf("replayed history differs:\ngot:\n%swant:\n%s", got, want)
 	}

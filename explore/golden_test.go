@@ -41,7 +41,7 @@ func TestGoldenStateSpaceCounts(t *testing.T) {
 }
 
 // maxMallocsPerTransition gates TestExploreMallocsPerTransition.
-const maxMallocsPerTransition = 0.49
+const maxMallocsPerTransition = 0.36
 
 // TestExploreMallocsPerTransition gates the explorer's allocation rate, a
 // count that does not depend on timing: exploring Bakery(2,1) on RCpc, the
@@ -49,9 +49,9 @@ const maxMallocsPerTransition = 0.49
 // per explored transition. A transition costs no allocation: a known
 // successor builds a tuple in a reused buffer, and an unknown one is
 // stepped in a reused machine. Most of what is left is one copy of each
-// distinct memory state, kept as its representative, then the walk that
-// reports the 28 violations and the pages of the tables. It measures
-// 0.467 (0.481 under -race).
+// distinct memory state, kept as its representative, then the 28
+// violations' errors and the pages of the tables; no violation is built
+// unless replayed. It measures 0.331 (0.342 under -race).
 func TestExploreMallocsPerTransition(t *testing.T) {
 	m := bakeryMachine(t, sim.NewRCpc(2), 2, true)
 	runtime.GC()

@@ -14,10 +14,10 @@ import (
 // collapsed searches are tested against: every state is a whole machine,
 // keyed by every thread's key followed by the memory's, every successor is
 // copied into a spare machine and stepped, and every violation's schedule is replayed and
-// rendered from the root on its own. Its schedules are linked by
-// pointers. It shares the step type and the key set with the package, and
-// nothing of the component tables, the successor tables, the schedule
-// links or the violation walk.
+// rendered from the root on its own, then replayed from its trace by the
+// package-level Replay. Its schedules are linked by pointers. It shares
+// the step type and the key set with the package, and nothing of the
+// component tables, the successor tables or the schedule links.
 
 // oracleKey appends m's whole key: each thread's key, then the memory's.
 func oracleKey(dst []byte, m *program.Machine) []byte {
@@ -137,19 +137,22 @@ func oracleExhaustive(m0 *program.Machine, opts Options) (Result, error) {
 	if edges != nil && res.Complete {
 		res.StuckStates = oracleStuck(edges, terminals)
 	}
+	from := m0.Clone()
 	for _, f := range fs {
-		m, trace, err := oracleReplay(f.step, m0)
+		trace, err := oracleTrace(f.step, m0)
 		if err != nil {
 			return res, err
 		}
-		res.Violations = append(res.Violations, Violation{Err: f.err, Trace: trace, History: m.Mem().Recorder().System(), State: m})
+		res.Violations = append(res.Violations, Violation{Err: f.err, Steps: len(trace), from: &origin{root: from, trace: trace}})
 	}
 	return res, nil
 }
 
-// oracleReplay replays the schedule ending in s in a fresh copy of root,
-// rendering each step in the state it was taken in.
-func oracleReplay(s *oracleStep, root *program.Machine) (*program.Machine, []string, error) {
+// oracleTrace replays the schedule ending in s in a fresh copy of root,
+// rendering each step in the state it was taken in. The violations the
+// reference search reports are replayed from these traces, as Stochastic's
+// are.
+func oracleTrace(s *oracleStep, root *program.Machine) ([]string, error) {
 	var steps []*oracleStep
 	for p := s; p != nil; p = p.parent {
 		steps = append(steps, p)
@@ -164,10 +167,10 @@ func oracleReplay(s *oracleStep, root *program.Machine) (*program.Machine, []str
 			trace = append(trace, threadStep(st.index))
 		}
 		if err := st.apply(m); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return m, trace, nil
+	return trace, nil
 }
 
 // oracleStuck counts the states, keyed, that appear in an edge or as a
@@ -293,12 +296,14 @@ func compareWithOracle(t *testing.T, name string, got, want Result) {
 	t.Logf("%s: %s", name, counts(got))
 	for i, v := range got.Violations {
 		w := want.Violations[i]
+		trace, h, m := replayViolation(t, v)
+		wtrace, wh, wm := replayViolation(t, w)
 		switch {
-		case !slices.Equal(v.Trace, w.Trace):
-			t.Errorf("%s: violation %d's trace\n%q\noracle\n%q", name, i, v.Trace, w.Trace)
-		case v.History.String() != w.History.String():
-			t.Errorf("%s: violation %d's history\n%s\noracle\n%s", name, i, v.History, w.History)
-		case v.State.Fingerprint() != w.State.Fingerprint() || v.Err.Error() != w.Err.Error():
+		case !slices.Equal(trace, wtrace) || v.Steps != w.Steps:
+			t.Errorf("%s: violation %d's trace\n%q\noracle\n%q", name, i, trace, wtrace)
+		case h.String() != wh.String():
+			t.Errorf("%s: violation %d's history\n%s\noracle\n%s", name, i, h, wh)
+		case m.Fingerprint() != wm.Fingerprint() || v.Err.Error() != w.Err.Error():
 			t.Errorf("%s: violation %d's state or error differs from the oracle's", name, i)
 		}
 	}

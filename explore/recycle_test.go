@@ -17,16 +17,16 @@ import (
 // record no history, so each machine it hands to the caller is one it
 // builds apart, by replaying the state's schedule from the root. The invariant sees every
 // state a search reaches, and the machines it sees must record nothing.
-// Every Violation.State and every machine OnTerminal receives must be a
-// machine the invariant never saw, in the state of one it rejected (a
-// violation) or accepted (a terminal state), and no two of them may be
-// the same machine. A violation's History must be its State's recorded
-// history, and every hand-out must be unchanged after Exhaustive returns:
-// a terminal state keeps the fingerprint and history it had when
-// OnTerminal received it. Bakery(2,1) supplies violations; Lamport's fast
-// mutex reaches terminal states while the search still has states to
-// check, in machines a wrongly handed-out search machine would be reused
-// for.
+// Every machine Violation.Replay returns and every machine OnTerminal
+// receives must be a machine the invariant never saw, in the state of one
+// it rejected (a violation) or accepted (a terminal state), and no two of
+// them may be the same machine. Replaying a violation twice must build
+// two machines with the same state and history, and every hand-out must
+// be unchanged after Exhaustive returns: a terminal state keeps the
+// fingerprint and history it had when OnTerminal received it. Bakery(2,1)
+// supplies violations; Lamport's fast mutex reaches terminal states while
+// the search still has states to check, in machines a wrongly handed-out
+// search machine would be reused for.
 func TestHandedOutMachinesOwned(t *testing.T) {
 	sc := func() sim.Memory { return sim.NewSC(2) }
 	tso := func() sim.Memory { return sim.NewTSO(2) }
@@ -116,9 +116,12 @@ func testHandedOut(t *testing.T, prog string, progs [][]program.Stmt, mem sim.Me
 	}
 	for i, v := range res.Violations {
 		what := fmt.Sprintf("violation %d", i)
-		handedOut(v.State, what, rejected, "rejected")
-		if got := v.History.String(); got != v.State.Mem().Recorder().System().String() {
-			t.Errorf("%s: %s's history is not its state's:\n%s", name, what, got)
+		_, _, m := replayViolation(t, v)
+		handedOut(m, what, rejected, "rejected")
+		_, _, again := replayViolation(t, v)
+		handedOut(again, what+" replayed again", rejected, "rejected")
+		if got, want := snapshot(again), snapshot(m); got != want {
+			t.Errorf("%s: %s replays to\n%s\nthen to\n%s", name, what, want, got)
 		}
 	}
 	for i, m := range terminals {

@@ -350,7 +350,6 @@ func (c *canonizer) build(order []Proc, text string) (*System, *Renaming) {
 		ops:    make([]Op, nOps),
 		byProc: make([][]OpID, n),
 		locs:   make([]Loc, nLocs),
-		locIdx: make(map[Loc]int, nLocs),
 		text:   text,
 	}
 	ids32 := make([]int32, 2*nOps)
@@ -363,7 +362,6 @@ func (c *canonizer) build(order []Proc, text string) (*System, *Renaming) {
 	for k, t := range c.byName {
 		c.sortedIdx[t] = k
 		cs.locs[k] = canonLoc(t)
-		cs.locIdx[cs.locs[k]] = k
 	}
 	ids := opIDs[2*nOps:]
 	c.reset()

@@ -24,10 +24,11 @@ func allocHistories(n int) []*history.System {
 	return out
 }
 
-// maxCanonAllocs is the TestCanonicalizeAllocs ceiling: 36.04 measured
+// maxCanonAllocs is the TestCanonicalizeAllocs ceiling: 34.05 measured
 // (the same under -race, as nothing here is pooled), plus 10% headroom.
-// Before the canonical text was rendered once it was 179.91.
-const maxCanonAllocs = 40
+// Before the canonical text was rendered once it was 179.91, and before
+// a System stopped keeping a location-index map, 36.04.
+const maxCanonAllocs = 38
 
 // TestCanonicalizeAllocs gates the mallocs of Canonicalize plus Format of
 // the canonical System, averaged over a fixed set of histories. The count

@@ -112,8 +112,7 @@ type System struct {
 	ops    []Op     // indexed by OpID
 	byProc [][]OpID // byProc[p][i] = ID of the i-th operation of processor p
 	locs   []Loc    // distinct locations, sorted
-	locIdx map[Loc]int
-	locOf  []int32 // indexed by OpID: the operation's index in locs
+	locOf  []int32  // indexed by OpID: the operation's index in locs
 	// writers is indexed by OpID: for a read, the writer WriterOf returns
 	// (NoOp for the initial value), or unresolved if WriterOf reports an
 	// error; it is set by resolveWriters.
@@ -151,10 +150,32 @@ func (s *System) Ops() []OpID {
 // The returned slice must not be modified.
 func (s *System) Locs() []Loc { return s.locs }
 
+// sortedLocs returns the distinct locations of ops, sorted. Histories touch
+// few locations, so it collects them by scanning those it has found; past
+// 16 it sorts every remaining operation's location instead, so that a
+// history of many locations costs n log n, not n².
+func sortedLocs(ops []Op) []Loc {
+	locs := make([]Loc, 0, 8)
+	for i, o := range ops {
+		if slices.Contains(locs, o.Loc) {
+			continue
+		}
+		if len(locs) == 16 {
+			for _, o := range ops[i:] {
+				locs = append(locs, o.Loc)
+			}
+			break
+		}
+		locs = append(locs, o.Loc)
+	}
+	slices.Sort(locs)
+	return slices.Compact(locs)
+}
+
 // LocIndex returns the dense index of loc among Locs(), or -1 if the
 // location does not appear in the history.
 func (s *System) LocIndex(loc Loc) int {
-	if i, ok := s.locIdx[loc]; ok {
+	if i, ok := slices.BinarySearch(s.locs, loc); ok {
 		return i
 	}
 	return -1
@@ -479,7 +500,6 @@ func (b *Builder) System() *System {
 	s := &System{
 		ops:    make([]Op, 0, n),
 		byProc: make([][]OpID, len(b.procs)),
-		locIdx: make(map[Loc]int),
 	}
 	// locOf, writers and resolveWriters' scratch share one allocation.
 	per := make([]int32, 3*n)
@@ -494,18 +514,10 @@ func (b *Builder) System() *System {
 		}
 		s.byProc[p] = ids[start:len(s.ops):len(s.ops)]
 	}
-	for _, o := range s.ops {
-		if _, ok := s.locIdx[o.Loc]; !ok {
-			s.locIdx[o.Loc] = 0 // placeholder; reindexed below
-			s.locs = append(s.locs, o.Loc)
-		}
-	}
-	slices.Sort(s.locs)
-	for i, l := range s.locs {
-		s.locIdx[l] = i
-	}
+	s.locs = sortedLocs(s.ops)
 	for i, o := range s.ops {
-		s.locOf[i] = int32(s.locIdx[o.Loc])
+		k, _ := slices.BinarySearch(s.locs, o.Loc)
+		s.locOf[i] = int32(k)
 	}
 	s.resolveWriters(per[2*n:])
 	return s

@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,36 @@ func TestParseEmptyProcessor(t *testing.T) {
 	}
 	if len(s.ProcOps(1)) != 0 {
 		t.Errorf("p1 should be empty, got %v", s.ProcOps(1))
+	}
+}
+
+// TestLocsManyLocations builds histories over more locations than
+// sortedLocs scans for, each location used twice in a shuffled order, and
+// checks that Locs lists each once, sorted, and that LocOf and LocIndex
+// agree with it.
+func TestLocsManyLocations(t *testing.T) {
+	for _, nLocs := range []int{15, 16, 17, 40} {
+		rng := rand.New(rand.NewSource(int64(nLocs)))
+		var locs []Loc
+		for i := range nLocs {
+			locs = append(locs, Loc(fmt.Sprintf("l%02d", i)), Loc(fmt.Sprintf("l%02d", i)))
+		}
+		rng.Shuffle(len(locs), func(i, j int) { locs[i], locs[j] = locs[j], locs[i] })
+		b := NewBuilder(2)
+		for i, l := range locs {
+			b.Write(Proc(i%2), l, Value(i+1))
+		}
+		s := b.System()
+		got := s.Locs()
+		if len(got) != nLocs || !slices.IsSorted(got) {
+			t.Fatalf("%d locations: Locs = %v", nLocs, got)
+		}
+		for _, id := range s.Ops() {
+			loc := s.Op(id).Loc
+			if i := s.LocOf(id); got[i] != loc || s.LocIndex(loc) != i {
+				t.Errorf("%d locations: op %d on %s has LocOf %d, LocIndex %d", nLocs, id, loc, i, s.LocIndex(loc))
+			}
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func TestQuickProjectionsPartition(t *testing.T) {
 			}
 			last = pos
 		}
-		lab := v.ProjectLabeled(s)
+		lab := v.projectLabeled(s)
 		if len(lab) != len(s.Labeled()) {
 			return false
 		}

@@ -83,44 +83,6 @@ func (v View) ProjectWrites(s *System) View {
 	return out
 }
 
-// ProjectLoc returns the subsequence of operations on the given location —
-// the paper's S|x, used when reasoning about coherence.
-func (v View) ProjectLoc(s *System, loc Loc) View {
-	var out View
-	for _, id := range v {
-		if s.Op(id).Loc == loc {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ProjectWritesLoc returns the subsequence of writes to the given location
-// — the paper's S|w,x. Coherence requires this to be identical across all
-// processors' views.
-func (v View) ProjectWritesLoc(s *System, loc Loc) View {
-	var out View
-	for _, id := range v {
-		if o := s.Op(id); o.Kind == Write && o.Loc == loc {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ProjectLabeled returns the subsequence of labeled operations — the
-// paper's S|ℓ, whose family across processors must satisfy SC (for RC_sc)
-// or PC (for RC_pc).
-func (v View) ProjectLabeled(s *System) View {
-	var out View
-	for _, id := range v {
-		if s.Op(id).Labeled {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // ProjectProc returns the subsequence of operations issued by processor p.
 // A view of processor p must contain exactly H_p in program order; this
 // projection is how that is verified.
@@ -164,19 +126,4 @@ func (v View) SameSet(w View) bool {
 		}
 	}
 	return true
-}
-
-// CheckViewOf verifies the structural requirements every model in the paper
-// places on a candidate view for processor p with δ_p = w: the view must
-// (1) contain exactly p's operations plus all writes of other processors,
-// (2) keep p's own operations in their program order is NOT required here —
-// ordering requirements differ per model and are checked by package model —
-// and (3) be legal. It returns nil when the view is structurally valid.
-func CheckViewOf(s *System, p Proc, v View) error {
-	want := s.ViewOps(p)
-	if !v.SameSet(View(want)) {
-		return fmt.Errorf("history: view of p%d has wrong operation set: got %d ops, want own ops plus others' writes (%d ops)",
-			p, len(v), len(want))
-	}
-	return v.Legal(s)
 }

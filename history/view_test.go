@@ -1,6 +1,61 @@
 package history
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// projectLoc returns the subsequence of operations on the given location:
+// the paper's S|x, used when reasoning about coherence.
+func (v View) projectLoc(s *System, loc Loc) View {
+	var out View
+	for _, id := range v {
+		if s.Op(id).Loc == loc {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// projectWritesLoc returns the subsequence of writes to the given
+// location: the paper's S|w,x, which coherence requires to be identical
+// across all processors' views.
+func (v View) projectWritesLoc(s *System, loc Loc) View {
+	var out View
+	for _, id := range v {
+		if o := s.Op(id); o.Kind == Write && o.Loc == loc {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// projectLabeled returns the subsequence of labeled operations: the
+// paper's S|ℓ, whose family across processors must satisfy SC (for RC_sc)
+// or PC (for RC_pc).
+func (v View) projectLabeled(s *System) View {
+	var out View
+	for _, id := range v {
+		if s.Op(id).Labeled {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// checkViewOf checks the structural requirements every model in the paper
+// places on a candidate view for processor p with δ_p = w: it holds
+// exactly p's operations and all writes of other processors, and it is
+// legal. Ordering requirements differ per model and are checked by
+// package model.
+func checkViewOf(s *System, p Proc, v View) error {
+	want := s.ViewOps(p)
+	if !v.SameSet(View(want)) {
+		return fmt.Errorf("history: view of p%d has wrong operation set: got %d ops, want own ops plus others' writes (%d ops)",
+			p, len(v), len(want))
+	}
+	return v.Legal(s)
+}
 
 // fig1 is the paper's Figure 1 (the classic store-buffering history).
 const fig1 = "p0: w(x)1 r(y)0\np1: w(y)1 r(x)0"
@@ -57,15 +112,15 @@ func TestProjections(t *testing.T) {
 	if len(w) != 3 {
 		t.Errorf("ProjectWrites = %v", w.String(s))
 	}
-	wy := all.ProjectWritesLoc(s, "y")
+	wy := all.projectWritesLoc(s, "y")
 	if len(wy) != 1 || s.Op(wy[0]).Loc != "y" {
 		t.Errorf("ProjectWritesLoc(y) = %v", wy.String(s))
 	}
-	y := all.ProjectLoc(s, "y")
+	y := all.projectLoc(s, "y")
 	if len(y) != 2 {
 		t.Errorf("ProjectLoc(y) = %v", y.String(s))
 	}
-	lab := all.ProjectLabeled(s)
+	lab := all.projectLabeled(s)
 	if len(lab) != 2 {
 		t.Errorf("ProjectLabeled = %v", lab.String(s))
 	}
@@ -103,15 +158,15 @@ func TestCheckViewOf(t *testing.T) {
 	s := mustParse(t, fig1)
 	// For p0, the view must contain p0's two ops plus p1's write.
 	good := ids(1, 0, 2) // r0(y)0 w0(x)1 w1(y)1
-	if err := CheckViewOf(s, 0, good); err != nil {
+	if err := checkViewOf(s, 0, good); err != nil {
 		t.Errorf("valid view rejected: %v", err)
 	}
 	// Wrong set: includes p1's read.
-	if CheckViewOf(s, 0, ids(0, 1, 2, 3)) == nil {
+	if checkViewOf(s, 0, ids(0, 1, 2, 3)) == nil {
 		t.Error("view containing another processor's read accepted")
 	}
 	// Right set, illegal order.
-	if CheckViewOf(s, 0, ids(2, 1, 0)) == nil {
+	if checkViewOf(s, 0, ids(2, 1, 0)) == nil {
 		t.Error("illegal view accepted")
 	}
 }

@@ -77,14 +77,6 @@ func extend(preds []uint64, order []int, placed uint64, depth int, yield func(or
 	return true
 }
 
-// CountLinearExtensions returns the number of linear extensions; it is a
-// convenience for tests and diagnostics.
-func CountLinearExtensions(n int, before func(a, b int) bool) int {
-	count := 0
-	LinearExtensions(n, before, func([]int) bool { count++; return true })
-	return count
-}
-
 // CountLinearExtensionsUpTo counts linear extensions but stops at limit —
 // a cheap "is this space big enough to shard?" probe that never pays for
 // an exact count of a factorial-sized space.

@@ -247,13 +247,6 @@ func FindView(p Problem) (history.View, bool, error) {
 	return findView(p, true)
 }
 
-// FindViewUnmemoized is FindView with the failed-state cache disabled. It
-// exists to support the memoization ablation benchmark; results are
-// identical, only the search cost differs.
-func FindViewUnmemoized(p Problem) (history.View, bool, error) {
-	return findView(p, false)
-}
-
 // EnumerateViews yields every legal linearization of p.Ops respecting
 // p.Prec, in depth-first order, until yield returns false. Unlike
 // enumerate-then-filter approaches, legality prunes the search tree as it

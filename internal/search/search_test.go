@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/history"
@@ -172,7 +173,7 @@ func TestUnmemoizedAgrees(t *testing.T) {
 		s := parse(t, text)
 		po := order.Program(s)
 		_, ok1, err1 := FindView(Problem{Sys: s, Ops: s.Ops(), Prec: po})
-		_, ok2, err2 := FindViewUnmemoized(Problem{Sys: s, Ops: s.Ops(), Prec: po})
+		_, ok2, err2 := findView(Problem{Sys: s, Ops: s.Ops(), Prec: po}, false)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("errors: %v, %v", err1, err2)
 		}
@@ -198,4 +199,41 @@ func TestMemoizationPrunesSharedDeadStates(t *testing.T) {
 	if ok {
 		t.Error("unsatisfiable problem solved")
 	}
+}
+
+// memoProblem is an instance on which memoization matters: two processors
+// with interleavable independent writes and a final unsatisfiable read.
+func memoProblem(ops int) (*history.System, *order.Relation) {
+	bld := history.NewBuilder(2)
+	for i := 0; i < ops; i++ {
+		p := history.Proc(i % 2)
+		bld.Write(p, history.Loc(fmt.Sprintf("l%d", i)), 1)
+	}
+	bld.Read(0, "zz", 9) // never satisfiable
+	s := bld.System()
+	return s, order.Program(s)
+}
+
+// BenchmarkSolverMemoization is the ablation for the solver's failed-state
+// cache: identical problems with and without memoization.
+func BenchmarkSolverMemoization(b *testing.B) {
+	// Two interleavable 9-write chains: the memoized search visits one
+	// state per (i, j) prefix pair (≈100 states); the unmemoized search
+	// walks every interleaving (C(18,9) ≈ 4.9e4 paths).
+	s, po := memoProblem(18)
+	prob := Problem{Sys: s, Ops: s.Ops(), Prec: po}
+	b.Run("memoized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok, _ := FindView(prob); ok {
+				b.Fatal("unsatisfiable problem solved")
+			}
+		}
+	})
+	b.Run("unmemoized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok, _ := findView(prob, false); ok {
+				b.Fatal("unsatisfiable problem solved")
+			}
+		}
+	})
 }

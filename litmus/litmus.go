@@ -107,11 +107,6 @@ func RunCtx(ctx context.Context, t Test, models []model.Model) ([]Result, error)
 	return out, nil
 }
 
-// RunCorpus runs every corpus test under every given model.
-func RunCorpus(models []model.Model) ([]Result, error) {
-	return RunCorpusCtx(context.Background(), models)
-}
-
 // RunCorpusCtx runs every corpus test under every given model, under ctx.
 func RunCorpusCtx(ctx context.Context, models []model.Model) ([]Result, error) {
 	var out []Result

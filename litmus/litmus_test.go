@@ -11,7 +11,7 @@ import (
 // asserted verdict in the corpus must be reproduced by the checkers. The
 // paper's figures are ground truth; the rest pin the model definitions.
 func TestCorpusExpectations(t *testing.T) {
-	results, err := RunCorpus(model.All())
+	results, err := RunCorpusCtx(context.Background(), model.All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,17 +174,6 @@ type Matrix struct {
 // b) over the corpus.
 func (m *Matrix) StrongerEq(a, b string) bool { return m.Sep[a][b] == 0 }
 
-// StrictlyStronger reports a ⊆ b with a witness that b allows something a
-// does not.
-func (m *Matrix) StrictlyStronger(a, b string) bool {
-	return m.Sep[a][b] == 0 && m.Sep[b][a] > 0
-}
-
-// Incomparable reports witnesses in both directions.
-func (m *Matrix) Incomparable(a, b string) bool {
-	return m.Sep[a][b] > 0 && m.Sep[b][a] > 0
-}
-
 // String renders the separation matrix: rows are the "allowed by" model,
 // columns the "rejected by" model. A zero row-column entry supports
 // row ⊆ column.

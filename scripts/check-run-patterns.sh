@@ -8,8 +8,9 @@
 #
 #   bash scripts/check-run-patterns.sh
 #
-# Run it from the repository root. Patterns written to select nothing ('^$')
-# and templated ones are skipped. Alternatives are split at every '|', so a
+# Run it from the repository root. A command's -tags are passed on to the
+# listing. Patterns written to select nothing ('^$') and templated ones
+# are skipped. Alternatives are split at every '|', so a
 # pattern that groups alternatives in parentheses is refused rather than
 # misread. Each command's packages are listed once and every alternative is
 # matched against that list with grep -E.
@@ -35,6 +36,10 @@ while IFS= read -r line; do
 		continue
 	fi
 	pkgs=()
+	tags=()
+	if [[ $line =~ -tags[\ =]([^\ ]+) ]]; then
+		tags=(-tags "${BASH_REMATCH[1]}")
+	fi
 	for word in ${line#*go test}; do
 		if [[ $word == . || $word == ./* ]]; then
 			pkgs+=("$word")
@@ -45,7 +50,7 @@ while IFS= read -r line; do
 		status=1
 		continue
 	fi
-	if ! listed=$(go test -list . "${pkgs[@]}"); then
+	if ! listed=$(go test "${tags[@]}" -list . "${pkgs[@]}"); then
 		echo "check-run-patterns: go test -list . ${pkgs[*]} failed" >&2
 		status=1
 		continue
